@@ -1,9 +1,10 @@
 //! # vrdag-baselines
 //!
 //! Mechanism-level reimplementations of every baseline the VRDAG paper
-//! compares against (see DESIGN.md §4 for the fidelity contract — the
-//! defining algorithmic skeleton and cost structure of each original is
-//! preserved at reduced neural capacity):
+//! compares against. Each keeps the defining algorithmic skeleton and cost
+//! structure of its original (walks stay walks, autoregression stays
+//! autoregressive) at reduced neural capacity, so quality and wall-time
+//! comparisons keep their shape:
 //!
 //! | Baseline | Original | Kind | Attributes |
 //! |----------|----------|------|-----------|

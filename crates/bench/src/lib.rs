@@ -3,7 +3,7 @@
 //! Experiment harness regenerating **every table and figure** of the VRDAG
 //! paper's evaluation (§IV), plus Criterion micro-benchmarks.
 //!
-//! One binary per experiment (see DESIGN.md §3 for the full index):
+//! One binary per experiment:
 //!
 //! | Binary      | Paper artifact |
 //! |-------------|----------------|
@@ -16,6 +16,7 @@
 //! | `table3_4`  | Tables III/IV — scalability vs. temporal edge count |
 //! | `fig10`     | Fig. 10 — data-augmentation case study |
 //! | `ablation`  | Appendix A-E — component ablations |
+//! | `param_analysis` | Appendix A-F — sensitivity to `d_z`, `d_h`, `K`, `L` |
 //!
 //! All binaries accept `--scale {small|medium|paper}` (default `small`),
 //! `--seed N`, and `--datasets a,b,c`; results are printed as aligned

@@ -9,7 +9,8 @@
 //! evaluates **all** `N²` pairs using the difference factorization: the
 //! first Linear layer distributes over `s_i − s_j`, so `W·s_i` is
 //! precomputed once and each pair costs only `O(h + hK)` — the CPU analogue
-//! of the paper's batched GPU decode (DESIGN.md §5).
+//! of the paper's batched GPU decode (`docs/ARCHITECTURE.md`, "Decode
+//! kernel").
 
 // Index-based loops below walk several parallel arrays in hot paths;
 // iterator zips would obscure them. (clippy::needless_range_loop)
@@ -19,7 +20,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use std::rc::Rc;
 use vrdag_graph::Snapshot;
-use vrdag_tensor::nn::{Activation, Linear, Mlp};
+use vrdag_tensor::nn::{leaky_relu, Activation, Linear, Mlp};
 use vrdag_tensor::ops::{self, Segments};
 use vrdag_tensor::{par, Matrix, Tensor};
 
@@ -168,7 +169,7 @@ impl MixBernoulliDecoder {
     ///
     /// Generation calls this once per job and reuses the plan across every
     /// snapshot step, instead of cloning all eight weight matrices out of
-    /// the autograd tensors on every `generate_edges` call.
+    /// the autograd tensors on every step.
     pub fn plan(&self) -> DecodePlan {
         DecodePlan {
             w1a: self.f_alpha.layer(0).weight.value_clone(),
@@ -182,15 +183,6 @@ impl MixBernoulliDecoder {
             k: self.k,
             slope: self.slope,
         }
-    }
-
-    /// One-shot full-adjacency generation (Algorithm 1, line 4).
-    ///
-    /// Convenience wrapper that builds a fresh [`DecodePlan`] per call;
-    /// steady-state generation should build the plan once and call
-    /// [`DecodePlan::generate_edges`] per step.
-    pub fn generate_edges(&self, s: &Matrix, m_target: Option<f64>, seed: u64) -> Vec<(u32, u32)> {
-        self.plan().generate_edges(s, m_target, seed)
     }
 
     pub fn parameters(&self) -> Vec<Tensor> {
@@ -231,72 +223,50 @@ impl DecodePlan {
     /// derives its own `splitmix64` stream from the job seed and the inner
     /// float loops run in serial per-row order, so chunk boundaries chosen
     /// by `par::num_threads()` never change the output bytes.
+    ///
+    /// Pair logits come from one block routine that scores 8 destinations
+    /// at once without reordering any pair's float operations, so the bytes
+    /// are those of a plain per-pair loop (see `docs/ARCHITECTURE.md`,
+    /// "Decode kernel").
     pub fn generate_edges(&self, s: &Matrix, m_target: Option<f64>, seed: u64) -> Vec<(u32, u32)> {
         let n = s.rows();
         if n < 2 {
             return Vec::new();
         }
         let k = self.k;
-        let (w2a, b1a, b2a) = (&self.w2a, &self.b1a, &self.b2a);
-        let (w2t, b1t, b2t) = (&self.w2t, &self.b1t, &self.b2t);
-        // First-layer precompute: U = S·W1 (+ b1 at pair time).
-        let h = self.w1a.cols();
-        let ua = s.matmul(&self.w1a);
-        let ut = s.matmul(&self.w1t);
-        let slope = self.slope;
+        let alpha_mlp = PairMlp::new(s, &self.w1a, &self.b1a, &self.w2a, &self.b2a, self.slope);
+        let theta_mlp = PairMlp::new(s, &self.w1t, &self.b1t, &self.w2t, &self.b2t, self.slope);
         let calibrate = m_target.is_some();
 
         // Pass A: exact mixture weights per row (Eq. 11's Σ_j), plus — when
         // calibrating — the expected edge mass per row.
+        #[derive(Clone, Default)]
         struct RowStat {
             alpha: Vec<f32>,
             expected: f64,
         }
-        impl Default for RowStat {
-            fn default() -> Self {
-                RowStat { alpha: Vec::new(), expected: 0.0 }
-            }
-        }
-        impl Clone for RowStat {
-            fn clone(&self) -> Self {
-                RowStat { alpha: self.alpha.clone(), expected: self.expected }
-            }
-        }
         let stats: Vec<RowStat> = par::par_map_collect(n, 1, |i| {
             let mut acc = vec![0.0f64; k];
             let mut theta_sum = vec![0.0f64; k];
-            let ua_i = ua.row(i);
-            let ut_i = ut.row(i);
-            let mut ha = vec![0.0f32; h];
-            let mut ht = vec![0.0f32; h];
-            for j in 0..n {
-                if j == i {
-                    continue;
-                }
-                let ua_j = ua.row(j);
-                for x in 0..h {
-                    let v = ua_i[x] - ua_j[x] + b1a.data()[x];
-                    ha[x] = if v > 0.0 { v } else { slope * v };
-                }
-                for kk in 0..k {
-                    let mut o = b2a.data()[kk];
-                    for x in 0..h {
-                        o += ha[x] * w2a.get(x, kk);
-                    }
-                    acc[kk] += o as f64;
-                }
+            let mut oa = vec![[0.0f32; LANES]; k];
+            let mut ot = vec![[0.0f32; LANES]; k];
+            for j0 in (0..n).step_by(LANES) {
+                alpha_mlp.logits(i, j0, 0, &mut oa);
                 if calibrate {
-                    let ut_j = ut.row(j);
-                    for x in 0..h {
-                        let v = ut_i[x] - ut_j[x] + b1t.data()[x];
-                        ht[x] = if v > 0.0 { v } else { slope * v };
+                    theta_mlp.logits(i, j0, 0, &mut ot);
+                }
+                for l in 0..LANES.min(n - j0) {
+                    if j0 + l == i {
+                        continue;
                     }
                     for kk in 0..k {
-                        let mut o = b2t.data()[kk];
-                        for x in 0..h {
-                            o += ht[x] * w2t.get(x, kk);
+                        acc[kk] += oa[kk][l] as f64;
+                    }
+                    if calibrate {
+                        for kk in 0..k {
+                            let o = ot[kk][l];
+                            theta_sum[kk] += (1.0 / (1.0 + (-o).exp())) as f64;
                         }
-                        theta_sum[kk] += (1.0 / (1.0 + (-o).exp())) as f64;
                     }
                 }
             }
@@ -329,28 +299,21 @@ impl DecodePlan {
             let mut rng = StdRng::seed_from_u64(splitmix64(
                 seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
             ));
-            let alpha = &stats[i].alpha;
-            let kk = sample_categorical(alpha, &mut rng);
-            let ut_i = ut.row(i);
+            let kk = sample_categorical(&stats[i].alpha, &mut rng);
             let mut out = Vec::new();
-            let mut ht = vec![0.0f32; h];
-            for j in 0..n {
-                if j == i {
-                    continue;
-                }
-                let ut_j = ut.row(j);
-                for x in 0..h {
-                    let v = ut_i[x] - ut_j[x] + b1t.data()[x];
-                    ht[x] = if v > 0.0 { v } else { slope * v };
-                }
-                let mut o = b2t.data()[kk];
-                for x in 0..h {
-                    o += ht[x] * w2t.get(x, kk);
-                }
-                let theta = 1.0 / (1.0 + (-o as f64).exp());
-                let p = (c * theta).min(1.0);
-                if (rng.gen::<f64>()) < p {
-                    out.push(j as u32);
+            let mut o = [[0.0f32; LANES]; 1];
+            for j0 in (0..n).step_by(LANES) {
+                theta_mlp.logits(i, j0, kk, &mut o);
+                for l in 0..LANES.min(n - j0) {
+                    let j = j0 + l;
+                    if j == i {
+                        continue;
+                    }
+                    let theta = 1.0 / (1.0 + (-o[0][l] as f64).exp());
+                    let p = (c * theta).min(1.0);
+                    if (rng.gen::<f64>()) < p {
+                        out.push(j as u32);
+                    }
                 }
             }
             out
@@ -363,6 +326,82 @@ impl DecodePlan {
             }
         }
         edges
+    }
+}
+
+/// Destinations scored together by [`PairMlp::logits`]: eight `f32` lanes,
+/// two SSE2 registers on the baseline x86-64 target.
+const LANES: usize = 8;
+
+/// One pairwise decoder MLP (`f_α` or `f_θ`) laid out for a decode call.
+///
+/// Its first layer distributes over `s_i − s_j`, so `U = S·W1` is computed
+/// once per call and a pair's hidden unit `x` is `U[i,x] − U[j,x] + b1[x]`.
+/// `U` is kept row-major (source rows) and transposed (`[h, n_pad]`, zero
+/// padded to a multiple of [`LANES`]) so the destinations of one block are
+/// a contiguous lane vector for every `x`: O(n·h) memory, no `n²` buffer.
+struct PairMlp<'a> {
+    u: Matrix,
+    u_t: Vec<f32>,
+    n_pad: usize,
+    b1: &'a [f32],
+    w2: &'a [f32],
+    b2: &'a [f32],
+    k: usize,
+    slope: f32,
+}
+
+impl<'a> PairMlp<'a> {
+    fn new(
+        s: &Matrix,
+        w1: &Matrix,
+        b1: &'a Matrix,
+        w2: &'a Matrix,
+        b2: &'a Matrix,
+        slope: f32,
+    ) -> Self {
+        let u = s.matmul(w1);
+        let (n, h) = (u.rows(), u.cols());
+        let n_pad = n.div_ceil(LANES) * LANES;
+        let mut u_t = vec![0.0f32; h * n_pad];
+        for j in 0..n {
+            for (x, &v) in u.row(j).iter().enumerate() {
+                u_t[x * n_pad + j] = v;
+            }
+        }
+        PairMlp { u, u_t, n_pad, b1: b1.data(), w2: w2.data(), b2: b2.data(), k: w2.cols(), slope }
+    }
+
+    /// Output logits of components `k0..k0 + out.len()` for the pairs
+    /// `(i, j0 + l)`, `l < LANES`, into `out[c − k0][l]`.
+    ///
+    /// Lanes run over destinations, never over the hidden index, so every
+    /// pair sees exactly the serial float order: `(U[i,x] − U[j,x]) + b1[x]`,
+    /// then `o = b2[c]` and `o += h[x]·W2[x,c]` for ascending `x`. Lanes past
+    /// `n` read the zero padding; their logits are meaningless and callers
+    /// skip them, as they skip `j == i`.
+    #[inline]
+    fn logits(&self, i: usize, j0: usize, k0: usize, out: &mut [[f32; LANES]]) {
+        let u_i = self.u.row(i);
+        let (b2, k) = (&self.b2[k0..k0 + out.len()], self.k);
+        for (o, &b) in out.iter_mut().zip(b2) {
+            *o = [b; LANES];
+        }
+        for (x, (&a, &b)) in u_i.iter().zip(self.b1).enumerate() {
+            let u_j: &[f32; LANES] = self.u_t[x * self.n_pad + j0..][..LANES]
+                .try_into()
+                .expect("n_pad pads every block");
+            let mut hx = [0.0f32; LANES];
+            for l in 0..LANES {
+                hx[l] = leaky_relu(a - u_j[l] + b, self.slope);
+            }
+            let w2_x = &self.w2[x * k + k0..x * k + k0 + out.len()];
+            for (o, &w) in out.iter_mut().zip(w2_x) {
+                for l in 0..LANES {
+                    o[l] += hx[l] * w;
+                }
+            }
+        }
     }
 }
 
@@ -469,9 +508,126 @@ pub fn gat_arrays(n: usize, edges: &[(u32, u32)]) -> (Rc<Vec<u32>>, Rc<Vec<u32>>
     (Rc::new(src), Rc::new(dst), Rc::new(segments))
 }
 
+/// The scalar pair loop the lane-batched kernel replaced, kept as the
+/// oracle the kernel must match byte for byte.
+#[cfg(test)]
+fn scalar_generate_edges(
+    plan: &DecodePlan,
+    s: &Matrix,
+    m_target: Option<f64>,
+    seed: u64,
+) -> Vec<(u32, u32)> {
+    let n = s.rows();
+    if n < 2 {
+        return Vec::new();
+    }
+    let k = plan.k;
+    let (w2a, b1a, b2a) = (&plan.w2a, &plan.b1a, &plan.b2a);
+    let (w2t, b1t, b2t) = (&plan.w2t, &plan.b1t, &plan.b2t);
+    let h = plan.w1a.cols();
+    let ua = s.matmul(&plan.w1a);
+    let ut = s.matmul(&plan.w1t);
+    let slope = plan.slope;
+    let calibrate = m_target.is_some();
+
+    let stats: Vec<(Vec<f32>, f64)> = par::par_map_collect(n, 1, |i| {
+        let mut acc = vec![0.0f64; k];
+        let mut theta_sum = vec![0.0f64; k];
+        let ua_i = ua.row(i);
+        let ut_i = ut.row(i);
+        let mut ha = vec![0.0f32; h];
+        let mut ht = vec![0.0f32; h];
+        for j in 0..n {
+            if j == i {
+                continue;
+            }
+            let ua_j = ua.row(j);
+            for x in 0..h {
+                let v = ua_i[x] - ua_j[x] + b1a.data()[x];
+                ha[x] = if v > 0.0 { v } else { slope * v };
+            }
+            for kk in 0..k {
+                let mut o = b2a.data()[kk];
+                for x in 0..h {
+                    o += ha[x] * w2a.get(x, kk);
+                }
+                acc[kk] += o as f64;
+            }
+            if calibrate {
+                let ut_j = ut.row(j);
+                for x in 0..h {
+                    let v = ut_i[x] - ut_j[x] + b1t.data()[x];
+                    ht[x] = if v > 0.0 { v } else { slope * v };
+                }
+                for kk in 0..k {
+                    let mut o = b2t.data()[kk];
+                    for x in 0..h {
+                        o += ht[x] * w2t.get(x, kk);
+                    }
+                    theta_sum[kk] += (1.0 / (1.0 + (-o).exp())) as f64;
+                }
+            }
+        }
+        let mx = acc.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+        let exps: Vec<f64> = acc.iter().map(|&a| (a - mx).exp()).collect();
+        let z: f64 = exps.iter().sum();
+        let alpha: Vec<f32> = exps.iter().map(|&e| (e / z) as f32).collect();
+        let expected: f64 = alpha.iter().zip(theta_sum.iter()).map(|(&a, &t)| a as f64 * t).sum();
+        (alpha, expected)
+    });
+
+    let c = match m_target {
+        Some(target) => {
+            let e_total: f64 = stats.iter().map(|r| r.1).sum();
+            if e_total > 1e-9 {
+                (target / e_total).clamp(1e-4, 1e4)
+            } else {
+                1.0
+            }
+        }
+        None => 1.0,
+    };
+
+    let rows: Vec<Vec<u32>> = par::par_map_collect(n, 1, |i| {
+        let mut rng = StdRng::seed_from_u64(splitmix64(
+            seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+        ));
+        let kk = sample_categorical(&stats[i].0, &mut rng);
+        let ut_i = ut.row(i);
+        let mut out = Vec::new();
+        let mut ht = vec![0.0f32; h];
+        for j in 0..n {
+            if j == i {
+                continue;
+            }
+            let ut_j = ut.row(j);
+            for x in 0..h {
+                let v = ut_i[x] - ut_j[x] + b1t.data()[x];
+                ht[x] = if v > 0.0 { v } else { slope * v };
+            }
+            let mut o = b2t.data()[kk];
+            for x in 0..h {
+                o += ht[x] * w2t.get(x, kk);
+            }
+            let theta = 1.0 / (1.0 + (-o as f64).exp());
+            let p = (c * theta).min(1.0);
+            if (rng.gen::<f64>()) < p {
+                out.push(j as u32);
+            }
+        }
+        out
+    });
+
+    rows.into_iter()
+        .enumerate()
+        .flat_map(|(i, dsts)| dsts.into_iter().map(move |j| (i as u32, j)))
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use vrdag_tensor::no_grad;
@@ -533,8 +689,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let dec = MixBernoulliDecoder::new(4, 8, 2, 0.2, &mut rng);
         let s = Matrix::rand_uniform(20, 4, -1.0, 1.0, &mut rng);
-        let e1 = dec.generate_edges(&s, Some(30.0), 99);
-        let e2 = dec.generate_edges(&s, Some(30.0), 99);
+        let e1 = dec.plan().generate_edges(&s, Some(30.0), 99);
+        let e2 = dec.plan().generate_edges(&s, Some(30.0), 99);
         assert_eq!(e1, e2, "same seed must give same edges");
         for &(u, v) in &e1 {
             assert!(u != v && (u as usize) < 20 && (v as usize) < 20);
@@ -547,7 +703,7 @@ mod tests {
         let dec = MixBernoulliDecoder::new(4, 8, 2, 0.2, &mut rng);
         let s = Matrix::rand_uniform(40, 4, -1.0, 1.0, &mut rng);
         let target = 120.0;
-        let edges = dec.generate_edges(&s, Some(target), 7);
+        let edges = dec.plan().generate_edges(&s, Some(target), 7);
         let m = edges.len() as f64;
         assert!(
             m > 0.4 * target && m < 2.5 * target,
@@ -566,8 +722,113 @@ mod tests {
         let dec = MixBernoulliDecoder::new(4, 8, 2, 0.2, &mut rng);
         dec.f_theta.layer(1).bias.update_value(|b| b.fill(-30.0));
         let s = Matrix::rand_uniform(15, 4, -1.0, 1.0, &mut rng);
-        let edges = dec.generate_edges(&s, None, 1);
+        let edges = dec.plan().generate_edges(&s, None, 1);
         assert!(edges.is_empty(), "θ ≈ 0 must generate an empty graph");
+    }
+
+    /// A decoder whose every weight and bias is random, so the bias adds
+    /// and the leaky ReLU's negative side are all exercised.
+    fn random_decoder(d_s: usize, h: usize, k: usize, rng: &mut StdRng) -> MixBernoulliDecoder {
+        let slope = rng.gen_range(0.01f32..0.99);
+        let dec = MixBernoulliDecoder::new(d_s, h, k, slope, rng);
+        for p in dec.parameters() {
+            let (r, c) = p.shape();
+            let scale = rng.gen_range(0.1f32..2.0);
+            let noise = Matrix::rand_normal(r, c, 0.0, scale, rng);
+            p.update_value(|m| *m = noise);
+        }
+        dec
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(6))]
+
+        /// The lane-batched kernel returns exactly the scalar oracle's
+        /// edges: below one block (n < 8), whole blocks, a partial last
+        /// block, and `i` inside that block, with and without calibration,
+        /// on one and three threads.
+        #[test]
+        fn lane_kernel_matches_the_scalar_oracle(case_seed in 0u64..u64::MAX, d_s in 1usize..7) {
+            let mut rng = StdRng::seed_from_u64(case_seed);
+            for n in [2, 7, 8, 9, 17, 33] {
+                for h in [3, 8, 32] {
+                    for k in [1, 3, 4] {
+                        let plan = random_decoder(d_s, h, k, &mut rng).plan();
+                        let s = Matrix::rand_normal(n, d_s, 0.0, 1.5, &mut rng);
+                        let seed = rng.gen::<u64>();
+                        let target = rng.gen_range(0.5..(n * n) as f64);
+                        for m_target in [None, Some(target)] {
+                            let want = scalar_generate_edges(&plan, &s, m_target, seed);
+                            for threads in [1, 3] {
+                                let got = par::with_threads(threads, || {
+                                    plan.generate_edges(&s, m_target, seed)
+                                });
+                                prop_assert_eq!(
+                                    &got, &want,
+                                    "n={} h={} k={} calibrate={} threads={}",
+                                    n, h, k, m_target.is_some(), threads
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// One pair's logit of component `c`, in the scalar loop's order.
+    fn scalar_logit(
+        u: &Matrix,
+        i: usize,
+        j: usize,
+        layer: (&Matrix, &Matrix, &Matrix),
+        slope: f32,
+        c: usize,
+    ) -> f32 {
+        let (b1, w2, b2) = layer;
+        let mut o = b2.data()[c];
+        for x in 0..u.cols() {
+            let v = u.get(i, x) - u.get(j, x) + b1.data()[x];
+            o += if v > 0.0 { v } else { slope * v } * w2.get(x, c);
+        }
+        o
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(6))]
+
+        /// Sampled edges hide sub-ulp logit drift (it almost never flips a
+        /// Bernoulli draw), so the block routine is also checked directly:
+        /// every lane's logit, for all components at once (pass A) and one
+        /// at a time (pass B), has the scalar loop's exact bits.
+        #[test]
+        fn lane_logits_are_bitwise_the_scalar_pair_logits(case_seed in 0u64..u64::MAX, d_s in 1usize..7) {
+            let mut rng = StdRng::seed_from_u64(case_seed);
+            for n in [2, 7, 8, 9, 17] {
+                for (h, k) in [(3, 1), (8, 3), (32, 4)] {
+                    let plan = random_decoder(d_s, h, k, &mut rng).plan();
+                    let s = Matrix::rand_normal(n, d_s, 0.0, 1.5, &mut rng);
+                    let mlp = PairMlp::new(&s, &plan.w1t, &plan.b1t, &plan.w2t, &plan.b2t, plan.slope);
+                    let u = s.matmul(&plan.w1t);
+                    let layer = (&plan.b1t, &plan.w2t, &plan.b2t);
+                    let mut all = vec![[0.0f32; LANES]; k];
+                    let mut one = [[0.0f32; LANES]; 1];
+                    for i in 0..n {
+                        for j0 in (0..n).step_by(LANES) {
+                            mlp.logits(i, j0, 0, &mut all);
+                            for c in 0..k {
+                                mlp.logits(i, j0, c, &mut one);
+                                for j in j0..n.min(j0 + LANES) {
+                                    let want = scalar_logit(&u, i, j, layer, plan.slope, c).to_bits();
+                                    prop_assert_eq!(all[c][j - j0].to_bits(), want, "pass A n={} i={} j={} c={}", n, i, j, c);
+                                    prop_assert_eq!(one[0][j - j0].to_bits(), want, "pass B n={} i={} j={} c={}", n, i, j, c);
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

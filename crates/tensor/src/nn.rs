@@ -7,6 +7,19 @@ use crate::matrix::Matrix;
 use crate::ops;
 use rand::Rng;
 
+/// Leaky ReLU of one value, `v` for `v > 0` and `slope·v` otherwise,
+/// written branch-free as `max(v, slope·v)` so loops over it vectorize.
+///
+/// For `slope ∈ (0, 1)` this equals the branch form bit for bit: a positive
+/// `v` beats `slope·v`, a negative one loses to it, a zero keeps its sign on
+/// both sides, and a NaN stays NaN. Training ([`ops::leaky_relu`],
+/// [`Activation::LeakyRelu`]) and the generation-time pair decode all apply
+/// this one function.
+#[inline]
+pub fn leaky_relu(v: f32, slope: f32) -> f32 {
+    v.max(v * slope)
+}
+
 /// Activation functions used across the paper's MLPs.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Activation {
@@ -37,7 +50,7 @@ impl Activation {
             Activation::Relu => x.map_inplace(|v| v.max(0.0)),
             Activation::LeakyRelu(s) => {
                 let s = *s;
-                x.map_inplace(move |v| if v > 0.0 { v } else { s * v })
+                x.map_inplace(move |v| leaky_relu(v, s))
             }
             Activation::Sigmoid => x.map_inplace(|v| 1.0 / (1.0 + (-v).exp())),
             Activation::Tanh => x.map_inplace(|v| v.tanh()),
@@ -335,6 +348,41 @@ mod tests {
             for (u, v) in t.data().iter().zip(m.data().iter()) {
                 assert!((u - v).abs() < 1e-6, "{a:?}");
             }
+        }
+    }
+
+    #[test]
+    fn branch_free_leaky_relu_is_bitwise_the_branch_form() {
+        let branch = |v: f32, slope: f32| if v > 0.0 { v } else { slope * v };
+        let mut rng = StdRng::seed_from_u64(4);
+        let mut values = vec![
+            0.0,
+            -0.0,
+            f32::MIN_POSITIVE,
+            -f32::MIN_POSITIVE,
+            f32::from_bits(1),
+            -f32::from_bits(1),
+            f32::from_bits(0x0040_0000),
+            -f32::from_bits(0x0040_0000),
+            f32::MAX,
+            f32::MIN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+        ];
+        values
+            .extend((0..10_000).map(|_| f32::from_bits(rng.gen::<u32>())).filter(|v| !v.is_nan()));
+        values.extend((0..10_000).map(|_| rng.gen_range(-4.0f32..4.0)));
+        for slope in [f32::from_bits(1), 0.01, 0.1, 0.2, 0.5, 0.999_999_9] {
+            for &v in &values {
+                assert_eq!(
+                    leaky_relu(v, slope).to_bits(),
+                    branch(v, slope).to_bits(),
+                    "v = {v:e} ({:#010x}), slope = {slope}",
+                    v.to_bits()
+                );
+            }
+            assert!(leaky_relu(f32::NAN, slope).is_nan());
+            assert!(leaky_relu(-f32::NAN, slope).is_nan());
         }
     }
 }

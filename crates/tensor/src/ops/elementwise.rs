@@ -311,7 +311,7 @@ pub fn relu(a: &Tensor) -> Tensor {
 /// Leaky ReLU with negative-side slope `slope` (the paper's ω(·), Eq. 4).
 pub fn leaky_relu(a: &Tensor, slope: f32) -> Tensor {
     assert!(slope > 0.0 && slope < 1.0, "leaky_relu slope must be in (0,1)");
-    let value = a.value().map(|x| if x > 0.0 { x } else { slope * x });
+    let value = a.value().map(|x| crate::nn::leaky_relu(x, slope));
     Tensor::from_op(
         value,
         vec![a.clone()],
