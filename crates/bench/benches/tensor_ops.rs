@@ -24,6 +24,14 @@ fn bench_matmul(c: &mut Criterion) {
             bch.iter(|| black_box(a.matmul_tn(&b)));
         });
     }
+    // The training shape that dominates `Vrdag::fit`: a forward `[3024×48]·[48×32]`
+    // and its two backward products, `g·wᵀ` and `xᵀ·g`.
+    let x = Matrix::rand_uniform(3024, 48, -1.0, 1.0, &mut rng);
+    let w = Matrix::rand_uniform(48, 32, -1.0, 1.0, &mut rng);
+    let g = Matrix::rand_uniform(3024, 32, -1.0, 1.0, &mut rng);
+    group.bench_function("nn/3024x48x32", |bch| bch.iter(|| black_box(x.matmul(&w))));
+    group.bench_function("nt/3024x32x48", |bch| bch.iter(|| black_box(g.matmul_nt(&w))));
+    group.bench_function("tn/48x3024x32", |bch| bch.iter(|| black_box(x.matmul_tn(&g))));
     group.finish();
 }
 

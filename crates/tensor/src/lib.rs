@@ -7,8 +7,8 @@
 //!
 //! The crate is organized as:
 //!
-//! * [`matrix`] — row-major dense [`Matrix`] and its kernels (blocked
-//!   parallel matmul, transpose-free `A·Bᵀ` / `Aᵀ·B`, reductions).
+//! * [`matrix`] — row-major dense [`Matrix`] and its kernels (one
+//!   register-blocked matmul behind `A·B`, `A·Bᵀ` and `Aᵀ·B`, reductions).
 //! * [`autograd`] — the define-by-run tape: [`Tensor`], [`no_grad`],
 //!   [`Tensor::backward`].
 //! * [`ops`] — differentiable operations, including the graph-specific

@@ -261,112 +261,34 @@ impl Matrix {
         out
     }
 
-    /// `C = A · B` (standard matrix product, parallel over row blocks).
+    /// `C = A · B`; zero entries of `A` are skipped, so `0 · ∞` makes no NaN.
     pub fn matmul(&self, b: &Matrix) -> Matrix {
         assert_eq!(
             self.cols, b.rows,
             "matmul shape mismatch: [{},{}] x [{},{}]",
             self.rows, self.cols, b.rows, b.cols
         );
-        let (m, k, n) = (self.rows, self.cols, b.cols);
-        let mut out = Matrix::zeros(m, n);
-        let a = &self.data;
-        let bd = &b.data;
-        par::par_row_chunks_mut(&mut out.data, n.max(1), 8, |row0, chunk| {
-            for (ri, out_row) in chunk.chunks_exact_mut(n).enumerate() {
-                let i = row0 + ri;
-                let a_row = &a[i * k..(i + 1) * k];
-                for (kk, &aik) in a_row.iter().enumerate() {
-                    if aik == 0.0 {
-                        continue;
-                    }
-                    let b_row = &bd[kk * n..(kk + 1) * n];
-                    for (o, &bv) in out_row.iter_mut().zip(b_row.iter()) {
-                        *o += aik * bv;
-                    }
-                }
-            }
-        });
-        out
+        gemm(self, b, true)
     }
 
-    /// `C = A · Bᵀ` without materializing the transpose.
+    /// `C = A · Bᵀ`, through a transposed copy of `B`; no product is skipped.
     pub fn matmul_nt(&self, b: &Matrix) -> Matrix {
         assert_eq!(
             self.cols, b.cols,
             "matmul_nt shape mismatch: [{},{}] x [{},{}]^T",
             self.rows, self.cols, b.rows, b.cols
         );
-        let (m, k, n) = (self.rows, self.cols, b.rows);
-        let mut out = Matrix::zeros(m, n);
-        let a = &self.data;
-        let bd = &b.data;
-        par::par_row_chunks_mut(&mut out.data, n.max(1), 8, |row0, chunk| {
-            for (ri, out_row) in chunk.chunks_exact_mut(n).enumerate() {
-                let i = row0 + ri;
-                let a_row = &a[i * k..(i + 1) * k];
-                for (j, o) in out_row.iter_mut().enumerate() {
-                    let b_row = &bd[j * k..(j + 1) * k];
-                    let mut acc = 0.0f32;
-                    for (x, y) in a_row.iter().zip(b_row.iter()) {
-                        acc += x * y;
-                    }
-                    *o = acc;
-                }
-            }
-        });
-        out
+        gemm(self, &b.transpose(), false)
     }
 
-    /// `C = Aᵀ · B` without materializing the transpose.
+    /// `C = Aᵀ · B`, through a transposed copy of `A`; zero entries of `A` are skipped.
     pub fn matmul_tn(&self, b: &Matrix) -> Matrix {
         assert_eq!(
             self.rows, b.rows,
             "matmul_tn shape mismatch: [{},{}]^T x [{},{}]",
             self.rows, self.cols, b.rows, b.cols
         );
-        let (m, k, n) = (self.rows, self.cols, b.cols);
-        // out is [k, n]; accumulate row i of A scaled into out rows.
-        let mut out = Matrix::zeros(k, n);
-        let a = &self.data;
-        let bd = &b.data;
-        // Parallelize over columns of A (rows of the output) to keep writes
-        // disjoint: thread handling output rows [lo,hi) scans all of A/B.
-        let nt = par::num_threads().min(k).max(1);
-        if nt <= 1 || k * n < 4096 {
-            for i in 0..m {
-                let a_row = &a[i * k..(i + 1) * k];
-                let b_row = &bd[i * n..(i + 1) * n];
-                for (kk, &aik) in a_row.iter().enumerate() {
-                    if aik == 0.0 {
-                        continue;
-                    }
-                    let out_row = &mut out.data[kk * n..(kk + 1) * n];
-                    for (o, &bv) in out_row.iter_mut().zip(b_row.iter()) {
-                        *o += aik * bv;
-                    }
-                }
-            }
-        } else {
-            par::par_row_chunks_mut(&mut out.data, n, 1, |row0, chunk| {
-                let rows_here = chunk.len() / n;
-                for i in 0..m {
-                    let a_row = &a[i * k..(i + 1) * k];
-                    let b_row = &bd[i * n..(i + 1) * n];
-                    for r in 0..rows_here {
-                        let aik = a_row[row0 + r];
-                        if aik == 0.0 {
-                            continue;
-                        }
-                        let out_row = &mut chunk[r * n..(r + 1) * n];
-                        for (o, &bv) in out_row.iter_mut().zip(b_row.iter()) {
-                            *o += aik * bv;
-                        }
-                    }
-                }
-            });
-        }
-        out
+        gemm(&self.transpose(), b, true)
     }
 
     /// Concatenate matrices horizontally (same row count).
@@ -450,30 +372,202 @@ fn box_muller(rng: &mut impl Rng) -> (f32, f32) {
     (r * theta.cos(), r * theta.sin())
 }
 
+/// Rows of one register tile of [`gemm`].
+const MR: usize = 2;
+/// Columns of one register tile: the SIMD lanes of [`gemm`].
+const NR: usize = 16;
+/// Multiply-adds worth a thread: a smaller product runs inline on the
+/// caller, a larger one gives every thread at least this much.
+const PAR_WORK: usize = 1 << 20;
+
+/// `out[m, n] = a[m, k] · b[k, n]`, the kernel behind every matrix product
+/// (docs/ARCHITECTURE.md, "Dense kernels"). Lanes run over output columns.
+/// Every element starts at `+0.0` and adds `a[i, kk] · b[kk, j]` in ascending
+/// `kk`, product and sum rounded apart, so tiles, lanes and threads keep bits.
+///
+/// `skip_zeros` leaves out products whose `a` entry is zero. Only a non-finite
+/// `b` needs that: any other such product is `±0.0`, and adding `±0.0` keeps
+/// the bits of an accumulator that starts at `+0.0`, which is never `-0.0`.
+fn gemm(a: &Matrix, b: &Matrix, skip_zeros: bool) -> Matrix {
+    let (m, k, n) = (a.rows, a.cols, b.cols);
+    let mut out = Matrix::zeros(m, n);
+    if out.is_empty() || k == 0 {
+        return out;
+    }
+    let skip = skip_zeros && b.has_non_finite();
+    let (a, b) = (&a.data, &b.data);
+    // The last, partial column strip, zero-padded to NR lanes so that edge
+    // tiles run the same code; the padding lanes are never stored.
+    let n_full = n - n % NR;
+    let mut pad = vec![0.0f32; if n_full < n { k * NR } else { 0 }];
+    for (dst, src) in pad.chunks_exact_mut(NR).zip(b.chunks_exact(n)) {
+        dst[..n - n_full].copy_from_slice(&src[n_full..]);
+    }
+    par::par_row_chunks_mut(&mut out.data, n, PAR_WORK.div_ceil(k * n), |row0, chunk| {
+        let rows = chunk.len() / n;
+        for i0 in (0..rows).step_by(MR) {
+            // A last odd row fills both tile rows and is stored once.
+            let h = MR.min(rows - i0);
+            let a_rows: [&[f32]; MR] =
+                std::array::from_fn(|r| &a[(row0 + i0 + r.min(h - 1)) * k..][..k]);
+            for j0 in (0..n).step_by(NR) {
+                let (panel, stride) = if j0 < n_full { (&b[j0..], n) } else { (&pad[..], NR) };
+                let acc = if skip {
+                    tile::<true>(a_rows, panel, stride)
+                } else {
+                    tile::<false>(a_rows, panel, stride)
+                };
+                let w = NR.min(n - j0);
+                for (r, acc_r) in acc.iter().take(h).enumerate() {
+                    chunk[(i0 + r) * n + j0..][..w].copy_from_slice(&acc_r[..w]);
+                }
+            }
+        }
+    });
+    out
+}
+
+/// One `MR × NR` tile of [`gemm`]: `a_rows` (each of length `k`) times the
+/// column strip whose row `kk` is `panel[kk * stride..][..NR]`.
+#[inline(always)]
+fn tile<const SKIP: bool>(a_rows: [&[f32]; MR], panel: &[f32], stride: usize) -> [[f32; NR]; MR] {
+    let mut acc = [[0.0f32; NR]; MR];
+    for kk in 0..a_rows[0].len() {
+        let bk: &[f32; NR] = panel[kk * stride..][..NR].try_into().expect("NR-wide strip");
+        for (acc_r, a_r) in acc.iter_mut().zip(a_rows) {
+            let av = a_r[kk];
+            for (c, &bv) in acc_r.iter_mut().zip(bk) {
+                *c = if SKIP && av == 0.0 { *c } else { *c + av * bv };
+            }
+        }
+    }
+    acc
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn naive_matmul(a: &Matrix, b: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(a.rows(), b.cols());
-        for i in 0..a.rows() {
-            for j in 0..b.cols() {
-                let mut acc = 0.0;
-                for k in 0..a.cols() {
-                    acc += a.get(i, k) * b.get(k, j);
+    // The scalar loops `gemm` replaced, kept as its bitwise oracles.
+
+    fn oracle_matmul(a: &Matrix, b: &Matrix) -> Matrix {
+        let n = b.cols;
+        let mut out = Matrix::zeros(a.rows, n);
+        for i in 0..a.rows {
+            let out_row = &mut out.data[i * n..(i + 1) * n];
+            for (kk, &aik) in a.row(i).iter().enumerate() {
+                if aik == 0.0 {
+                    continue;
                 }
-                out.set(i, j, acc);
+                for (o, &bv) in out_row.iter_mut().zip(b.row(kk)) {
+                    *o += aik * bv;
+                }
             }
         }
         out
     }
 
-    fn assert_close(a: &Matrix, b: &Matrix, tol: f32) {
-        assert_eq!(a.shape(), b.shape());
-        for (x, y) in a.data().iter().zip(b.data().iter()) {
-            assert!((x - y).abs() <= tol, "{x} vs {y}");
+    fn oracle_matmul_nt(a: &Matrix, b: &Matrix) -> Matrix {
+        Matrix::from_fn(a.rows, b.rows, |i, j| {
+            let mut acc = 0.0f32;
+            for (x, y) in a.row(i).iter().zip(b.row(j)) {
+                acc += x * y;
+            }
+            acc
+        })
+    }
+
+    fn oracle_matmul_tn(a: &Matrix, b: &Matrix) -> Matrix {
+        let n = b.cols;
+        let mut out = Matrix::zeros(a.cols, n);
+        for i in 0..a.rows {
+            for (kk, &aik) in a.row(i).iter().enumerate() {
+                if aik == 0.0 {
+                    continue;
+                }
+                let out_row = &mut out.data[kk * n..(kk + 1) * n];
+                for (o, &bv) in out_row.iter_mut().zip(b.row(i)) {
+                    *o += aik * bv;
+                }
+            }
+        }
+        out
+    }
+
+    /// Random entries, about a third of them `0.0`, `-0.0` or subnormal,
+    /// plus `±∞` when `inf` is set.
+    fn special_matrix(rows: usize, cols: usize, inf: bool, rng: &mut StdRng) -> Matrix {
+        Matrix::from_fn(rows, cols, |_, _| match rng.gen_range(0u32..16) {
+            0 | 1 => 0.0,
+            2 => -0.0,
+            3 => f32::from_bits(rng.gen_range(1u32..0x0080_0000)),
+            4 => -f32::from_bits(rng.gen_range(1u32..0x0080_0000)),
+            5 if inf => f32::INFINITY,
+            6 if inf => f32::NEG_INFINITY,
+            _ => rng.gen_range(-2.0f32..2.0),
+        })
+    }
+
+    /// `matmul`, `matmul_nt` and `matmul_tn` of `[m, k] · [k, n]` equal
+    /// their oracles bit for bit (two NaNs count as equal) on 1 and 3
+    /// threads.
+    fn assert_entry_points_match_oracles(m: usize, k: usize, n: usize, rng: &mut StdRng) {
+        let inf = rng.gen_bool(0.5);
+        let a = special_matrix(m, k, inf, rng);
+        let b = special_matrix(k, n, inf, rng);
+        let b_nt = special_matrix(n, k, inf, rng);
+        let a_tn = special_matrix(k, m, inf, rng);
+        let want =
+            [oracle_matmul(&a, &b), oracle_matmul_nt(&a, &b_nt), oracle_matmul_tn(&a_tn, &b)];
+        for threads in [1, 3] {
+            let got = par::with_threads(threads, || {
+                [a.matmul(&b), a.matmul_nt(&b_nt), a_tn.matmul_tn(&b)]
+            });
+            for ((name, g), w) in ["matmul", "matmul_nt", "matmul_tn"].iter().zip(&got).zip(&want) {
+                assert_eq!(g.shape(), w.shape(), "{name} shape");
+                let same = g
+                    .data
+                    .iter()
+                    .zip(&w.data)
+                    .all(|(x, y)| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()));
+                assert!(same, "{name} m={m} k={k} n={n} inf={inf} threads={threads}");
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4))]
+
+        /// Every shape from {0, 1, 2, 3, 15, 16, 17, 33, 48}³: empty
+        /// products, single and partial row tiles, and column counts below,
+        /// at, just past and a few tiles past one lane strip.
+        #[test]
+        fn gemm_entry_points_match_the_scalar_oracles_bitwise(case_seed in 0u64..u64::MAX) {
+            let mut rng = StdRng::seed_from_u64(case_seed);
+            let dims = [0, 1, 2, 3, 15, 16, 17, 33, 48];
+            for m in dims {
+                for k in dims {
+                    for n in dims {
+                        assert_entry_points_match_oracles(m, k, n, &mut rng);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn gemm_row_split_across_threads_keeps_bits() {
+        // Over twice PAR_WORK, so 3 threads split the 601 output rows into
+        // chunks of 301 and 300 (the first ending in a one-row tile); 70
+        // columns end in a partial lane strip.
+        let (m, k, n) = (601, 64, 70);
+        assert!(m / PAR_WORK.div_ceil(k * n) >= 2);
+        let mut rng = StdRng::seed_from_u64(4);
+        for _ in 0..2 {
+            assert_entry_points_match_oracles(m, k, n, &mut rng);
         }
     }
 
@@ -489,40 +583,6 @@ mod tests {
     #[should_panic(expected = "data length")]
     fn from_vec_rejects_bad_length() {
         let _ = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    fn matmul_matches_naive() {
-        let mut rng = StdRng::seed_from_u64(1);
-        for (m, k, n) in [(1, 1, 1), (3, 5, 2), (17, 9, 23), (64, 32, 48)] {
-            let a = Matrix::rand_uniform(m, k, -1.0, 1.0, &mut rng);
-            let b = Matrix::rand_uniform(k, n, -1.0, 1.0, &mut rng);
-            assert_close(&a.matmul(&b), &naive_matmul(&a, &b), 1e-4);
-        }
-    }
-
-    #[test]
-    fn matmul_nt_matches_transpose() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let a = Matrix::rand_uniform(13, 7, -1.0, 1.0, &mut rng);
-        let b = Matrix::rand_uniform(11, 7, -1.0, 1.0, &mut rng);
-        assert_close(&a.matmul_nt(&b), &a.matmul(&b.transpose()), 1e-4);
-    }
-
-    #[test]
-    fn matmul_tn_matches_transpose() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let a = Matrix::rand_uniform(9, 6, -1.0, 1.0, &mut rng);
-        let b = Matrix::rand_uniform(9, 8, -1.0, 1.0, &mut rng);
-        assert_close(&a.matmul_tn(&b), &a.transpose().matmul(&b), 1e-4);
-    }
-
-    #[test]
-    fn matmul_tn_parallel_path_matches() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let a = Matrix::rand_uniform(70, 90, -1.0, 1.0, &mut rng);
-        let b = Matrix::rand_uniform(70, 110, -1.0, 1.0, &mut rng);
-        assert_close(&a.matmul_tn(&b), &a.transpose().matmul(&b), 1e-3);
     }
 
     #[test]

@@ -42,20 +42,6 @@ impl Activation {
             Activation::Tanh => ops::tanh(x),
         }
     }
-
-    /// Apply to a plain matrix (inference path).
-    pub fn apply_matrix(&self, x: &mut Matrix) {
-        match self {
-            Activation::Identity => {}
-            Activation::Relu => x.map_inplace(|v| v.max(0.0)),
-            Activation::LeakyRelu(s) => {
-                let s = *s;
-                x.map_inplace(move |v| leaky_relu(v, s))
-            }
-            Activation::Sigmoid => x.map_inplace(|v| 1.0 / (1.0 + (-v).exp())),
-            Activation::Tanh => x.map_inplace(|v| v.tanh()),
-        }
-    }
 }
 
 /// Fully connected layer `y = x·W + b`.
@@ -76,18 +62,6 @@ impl Linear {
 
     pub fn forward(&self, x: &Tensor) -> Tensor {
         ops::add_row(&ops::matmul(x, &self.weight), &self.bias)
-    }
-
-    /// Inference-path forward on a plain matrix (no tape).
-    pub fn forward_matrix(&self, x: &Matrix) -> Matrix {
-        let mut out = x.matmul(&self.weight.value());
-        let b = self.bias.value();
-        for r in 0..out.rows() {
-            for (o, &bv) in out.row_mut(r).iter_mut().zip(b.row(0).iter()) {
-                *o += bv;
-            }
-        }
-        out
     }
 
     pub fn d_in(&self) -> usize {
@@ -134,21 +108,6 @@ impl Mlp {
         for (i, layer) in self.layers.iter().enumerate() {
             h = layer.forward(&h);
             h = if i == last { self.output_act.apply(&h) } else { self.hidden_act.apply(&h) };
-        }
-        h
-    }
-
-    /// Inference-path forward on a plain matrix (no tape).
-    pub fn forward_matrix(&self, x: &Matrix) -> Matrix {
-        let mut h = x.clone();
-        let last = self.layers.len() - 1;
-        for (i, layer) in self.layers.iter().enumerate() {
-            h = layer.forward_matrix(&h);
-            if i == last {
-                self.output_act.apply_matrix(&mut h);
-            } else {
-                self.hidden_act.apply_matrix(&mut h);
-            }
         }
         h
     }
@@ -274,30 +233,6 @@ mod tests {
     }
 
     #[test]
-    fn linear_matrix_path_matches_tensor_path() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let l = Linear::new(5, 4, &mut rng);
-        let x = Matrix::rand_uniform(3, 5, -1.0, 1.0, &mut rng);
-        let a = l.forward(&Tensor::constant(x.clone())).value_clone();
-        let b = l.forward_matrix(&x);
-        for (u, v) in a.data().iter().zip(b.data().iter()) {
-            assert!((u - v).abs() < 1e-6);
-        }
-    }
-
-    #[test]
-    fn mlp_matrix_path_matches_tensor_path() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let mlp = Mlp::new(&[6, 8, 3], Activation::LeakyRelu(0.2), Activation::Sigmoid, &mut rng);
-        let x = Matrix::rand_uniform(4, 6, -1.0, 1.0, &mut rng);
-        let a = mlp.forward(&Tensor::constant(x.clone())).value_clone();
-        let b = mlp.forward_matrix(&x);
-        for (u, v) in a.data().iter().zip(b.data().iter()) {
-            assert!((u - v).abs() < 1e-5);
-        }
-    }
-
-    #[test]
     fn mlp_end_to_end_gradient() {
         let mut rng = StdRng::seed_from_u64(4);
         let mlp = Mlp::new(&[3, 5, 2], Activation::Tanh, Activation::Identity, &mut rng);
@@ -329,26 +264,6 @@ mod tests {
         let out = cell.forward(&x, &h).value_clone();
         assert!((out.get(0, 0) - 0.7).abs() < 1e-3);
         assert!((out.get(0, 1) + 0.3).abs() < 1e-3);
-    }
-
-    #[test]
-    fn activation_matrix_matches_tensor() {
-        let acts = [
-            Activation::Identity,
-            Activation::Relu,
-            Activation::LeakyRelu(0.1),
-            Activation::Sigmoid,
-            Activation::Tanh,
-        ];
-        let x = Matrix::from_vec(1, 4, vec![-2.0, -0.5, 0.5, 2.0]);
-        for a in acts {
-            let t = a.apply(&Tensor::constant(x.clone())).value_clone();
-            let mut m = x.clone();
-            a.apply_matrix(&mut m);
-            for (u, v) in t.data().iter().zip(m.data().iter()) {
-                assert!((u - v).abs() < 1e-6, "{a:?}");
-            }
-        }
     }
 
     #[test]

@@ -4,8 +4,8 @@ use crate::autograd::Tensor;
 
 /// Matrix product `a · b` with `a: [m, k]`, `b: [k, n]`.
 ///
-/// Backward: `∂L/∂a = g · bᵀ`, `∂L/∂b = aᵀ · g` (computed with the
-/// transpose-free kernels).
+/// Backward: `∂L/∂a = g · bᵀ`, `∂L/∂b = aᵀ · g` (computed with
+/// [`crate::Matrix::matmul_nt`] and [`crate::Matrix::matmul_tn`]).
 pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
     let value = {
         let av = a.value();

@@ -384,6 +384,16 @@ fn backend_death_retries_gens_and_fails_streams_cleanly() {
     client
         .send(&Request::Gen(GenSpec::new("m", 3, seed_on_b, WireFormat::Bin).with_tag("g1")))
         .unwrap();
+    // Wait until B has actually taken g1. Otherwise the router can see B
+    // down before relaying it, place it on A directly and rightly count
+    // no retry. g1 shares s1's key, but a duplicate key waits in B's queue
+    // rather than at submit, so B counts it as its own submitted job: the
+    // third after the blocker and s1.
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    while b.handle.stats().submitted < 3 {
+        assert!(std::time::Instant::now() < deadline, "B never took g1");
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
 
     // Kill B while both are in flight.
     b.frontend.shutdown();
