@@ -84,6 +84,7 @@
 
 pub mod backend;
 mod cache;
+mod codec;
 mod core;
 mod frontend;
 pub mod httpexpo;

@@ -1,65 +1,61 @@
-//! The non-blocking event loop behind [`Frontend`](crate::Frontend).
+//! The non-blocking event loop behind both serving tiers: one thread
+//! owns a listener, every client connection, and a
+//! [`vrdag_poll::Poller`], and nothing about a connection ever blocks
+//! it. The loop is the **connection layer**; what a request *does* is a
+//! [`Dispatch`] mode plugged into it:
 //!
-//! One reactor thread owns the listener, every connection, and a
-//! [`vrdag_poll::Poller`]; nothing about a connection ever blocks it:
+//! * [`Frontend`](crate::Frontend) submits `GEN`/`SUB` jobs to a
+//!   [`ServeHandle`](crate::ServeHandle);
+//! * [`Router`](crate::Router) relays them over per-client backend
+//!   links, registered on the same poller under the client's tokens.
+//!
+//! What the loop owns, identically for both:
 //!
 //! * **Connections are explicit state machines** ([`Phase`]): greeting →
-//!   auth gate → line parse → in-flight table → write mux. The reader
-//!   side is an incremental [`LineScanner`] with the same capped-line
-//!   semantics as the blocking reader it replaced; the writer side is a
+//!   auth gate → line parse → dispatch → write mux. The reader side is
+//!   an incremental [`LineScanner`]; the writer side is a
 //!   per-connection outbox ([`ConnShared`]) drained opportunistically
 //!   and re-armed on write readiness.
-//! * **Job completions drain through one completion pump.** Every
-//!   `GEN`/`SUB` submission arms a completion hook
-//!   ([`GenRequest::with_notify`]) that posts `(connection, slot)` on
-//!   the reactor's channel and wakes the poller — no waiter thread per
-//!   job, and per-connection bookkeeping is exactly the in-flight
-//!   table, bounded by [`FrontendConfig::max_inflight_per_conn`].
-//! * **Streaming backpressure is outbox-full → wait, not a blocked
-//!   socket write.** A worker pushing `EVT` frames parks on the
-//!   connection's bounded outbox (capacity [`FRAME_QUEUE`]) with the
-//!   same escape hatches the threaded frontend had: the push aborts the
-//!   moment the job's [`CancelToken`] trips or the connection dies, and
-//!   gives the stream up as `cancelled` after [`SUB_STALL_LIMIT`] of a
-//!   subscriber that is alive but not reading. The reactor additionally
-//!   *pauses reading* from a connection whose outbox is full, so a
-//!   pipelining client cannot grow the reply queue without consuming
-//!   replies.
+//! * **Off-loop work posts back through one completion pump**
+//!   ([`Pump`]): a job's completion hook, or a backend dial running on
+//!   its own short-lived thread, sends a message on the loop's channel
+//!   and wakes the poller. Nothing on the loop thread waits on a job, a
+//!   dial, or a backoff — a dispatch mode's timers run off the poll
+//!   timeout ([`Dispatch::timer`]).
+//! * **Backpressure is outbox-full → pause, not a blocked socket
+//!   write.** A connection whose outbox holds [`FRAME_QUEUE`] frames
+//!   stops being read (and, on the router, its backend links stop being
+//!   read too), so a pipelining client cannot grow the reply queue
+//!   without consuming replies. A worker pushing `EVT` frames parks on
+//!   the bounded outbox with the escape hatches of
+//!   [`ConnShared::push_streaming`].
 //! * **A slow or stalled connection costs one socket, nothing else.**
-//!   Its worker parks on its own outbox; its socket stops being
-//!   writable so it produces no events; every other connection's
-//!   dispatch proceeds within the loop's per-wakeup fairness quantum
-//!   ([`READ_QUANTUM`] bytes of reads per connection per wakeup).
+//!   Every other connection's dispatch proceeds within the loop's
+//!   per-wakeup fairness quantum ([`READ_QUANTUM`] bytes of reads per
+//!   socket per wakeup).
 //!
-//! Teardown preserves the threaded frontend's observable contract:
-//! `QUIT` stops reading and gives in-flight jobs [`QUIT_DRAIN`] to
-//! finish before `OK BYE`; EOF or a transport failure trips every
-//! in-flight token immediately but still delivers pending completion
-//! frames for up to [`TEARDOWN_DRAIN`]; past a deadline the socket is
-//! severed. A severed connection whose jobs are still in flight lingers
-//! as a [`Phase::Zombie`] — invisible on the wire, it keeps its slot
-//! until the completion pump has consumed every ticket, so a slot is
-//! never reused while results could still be routed to it.
+//! Teardown: `QUIT` stops reading and gives in-flight work
+//! [`QUIT_DRAIN`] to finish before `OK BYE`; EOF, a failed `AUTH` or a
+//! transport failure cancels in-flight work at once but still delivers
+//! pending frames for up to [`TEARDOWN_DRAIN`]; a finished connection
+//! half-closes and lingers ([`Phase::Linger`]) so unread pipelined input
+//! never turns the close into a reset. A severed connection whose jobs
+//! are still in flight lingers as a [`Phase::Zombie`] — invisible on the
+//! wire, it keeps its slot until the pump has consumed every ticket.
 
-use crate::core::{CancelToken, GenRequest, GenSink, JobResult, ServeHandle, Ticket};
-use crate::frontend::FrontendConfig;
-use crate::protocol::{
-    parse_request, EndStatus, ErrorCode, GenSpec, ProtocolError, ReplyHeader, Request, WireFormat,
-    MAX_LINE_BYTES,
-};
-use crate::tenant::{Tenant, TenantId};
-use crate::ServeError;
-use std::collections::{HashMap, VecDeque};
+use crate::codec::{LineScanner, ScanLine};
+use crate::core::CancelToken;
+use crate::protocol::{parse_request, ErrorCode, ProtocolError, ReplyHeader, Request};
+use crate::tenant::{Tenant, TenantRegistry};
+use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, Sender};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
-use vrdag_graph::io::{BinaryStreamWriter, TsvStreamWriter};
-use vrdag_graph::{DynamicGraph, Snapshot};
-use vrdag_obs::{mint_trace_id, Counter, Gauge, Histogram, Logger, Span};
-use vrdag_poll::{raw_fd, Event, Interest, Poller, Waker, WAKE_TOKEN};
+use vrdag_obs::{Counter, Gauge, Histogram, Logger, Registry};
+use vrdag_poll::{raw_fd, Event, Interest, Poller, Token, Waker, WAKE_TOKEN};
 
 /// Per-connection outbox depth, in frames. Bounded so a subscriber that
 /// stops reading exerts backpressure all the way into the generating
@@ -68,14 +64,14 @@ use vrdag_poll::{raw_fd, Event, Interest, Poller, Waker, WAKE_TOKEN};
 /// *read*, so pipelined requests cannot inflate the reply queue either.
 pub(crate) const FRAME_QUEUE: usize = 64;
 
-/// How long a `QUIT` waits for in-flight jobs to drain before the
+/// How long a `QUIT` waits for in-flight work to drain before the
 /// connection's remaining work is cancelled and the socket severed. A
 /// reading client drains long before this; the deadline only fires for
 /// one that QUIT and then stopped consuming its own replies.
 const QUIT_DRAIN: Duration = Duration::from_secs(60);
 
 /// The same bound for abnormal teardown (EOF/transport failure), where
-/// in-flight tokens are already tripped and jobs resolve within
+/// in-flight work is already cancelled and resolves within
 /// snapshot-boundary latency — the deadline is a backstop for a peer
 /// that half-closed and never reads its tail.
 const TEARDOWN_DRAIN: Duration = Duration::from_secs(5);
@@ -86,226 +82,76 @@ const TEARDOWN_DRAIN: Duration = Duration::from_secs(5);
 /// otherwise pin a shared core worker indefinitely; past this deadline
 /// the stream ends `status=cancelled` and the worker moves on, while
 /// the connection itself stays open for a client that resumes.
-pub(crate) const SUB_STALL_LIMIT: Duration = Duration::from_secs(30);
+const SUB_STALL_LIMIT: Duration = Duration::from_secs(30);
 
-/// Bytes read from one connection per wakeup — the loop's fairness
-/// quantum. A firehosing pipeliner gets requeued behind everyone else
-/// after this much input instead of monopolizing the loop.
-const READ_QUANTUM: usize = 64 * 1024;
+/// Bytes read from one socket per wakeup — the loop's fairness
+/// quantum. A firehosing pipeliner (or backend) gets requeued behind
+/// everyone else after this much input instead of monopolizing the loop.
+pub(crate) const READ_QUANTUM: usize = 64 * 1024;
 
 /// Stack staging buffer for non-blocking socket reads.
-const READ_CHUNK: usize = 8 * 1024;
+pub(crate) const READ_CHUNK: usize = 8 * 1024;
 
 /// Back-off before re-arming accepts after a non-transient accept error
 /// (EMFILE under descriptor exhaustion): level-triggered readiness
 /// would otherwise re-report the listener instantly and busy-spin.
 const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
 
-/// Dispatch-latency histogram bounds: per-wakeup reactor work sits in
-/// the microsecond-to-millisecond range, far below the serve stack's
+/// Dispatch-latency histogram bounds: per-wakeup loop work sits in the
+/// microsecond-to-millisecond range, far below the serve stack's
 /// default job-duration buckets.
 const DISPATCH_BUCKETS: &[f64] = &[
     0.000_01, 0.000_025, 0.000_05, 0.000_1, 0.000_25, 0.000_5, 0.001, 0.0025, 0.005, 0.01, 0.05,
     0.25, 1.0,
 ];
 
-/// Poller token of the listener; connection slot `n` polls as token
-/// `n + 1` (and [`WAKE_TOKEN`] is the cross-thread waker).
-const LISTENER_TOKEN: usize = 0;
+/// Poller token of the listener. Connection slot `n` owns the tokens
+/// `1 + n * stride ..`: the client socket first, then one per backend
+/// link of a routing loop ([`Dispatch::links`]). [`WAKE_TOKEN`] is the
+/// cross-thread waker.
+const LISTENER_TOKEN: Token = 0;
 
-/// One complete wire frame: a header line plus its payload bytes.
+/// One complete wire frame: the header line (without its newline) plus
+/// its payload bytes.
 #[derive(Debug)]
 pub(crate) struct Frame {
-    header: ReplyHeader,
+    line: String,
     payload: Vec<u8>,
 }
 
 impl Frame {
-    fn header(header: ReplyHeader) -> Frame {
-        Frame { header, payload: Vec::new() }
+    pub(crate) fn new(header: ReplyHeader, payload: Vec<u8>) -> Frame {
+        Frame { line: header.to_line(), payload }
     }
 
-    fn err(code: ErrorCode, tag: Option<String>, message: impl Into<String>) -> Frame {
+    pub(crate) fn header(header: ReplyHeader) -> Frame {
+        Frame::new(header, Vec::new())
+    }
+
+    pub(crate) fn err(code: ErrorCode, tag: Option<String>, message: impl Into<String>) -> Frame {
         Frame::header(ReplyHeader::Err { code, tag, message: message.into() })
     }
-}
 
-/// Serialize `graph` in the requested wire format. TSV is byte-identical
-/// to `vrdag_graph::io::write_tsv`; binary to the streaming writer — so
-/// a TCP reply equals what a direct [`ServeHandle`] caller would encode.
-fn encode_graph(graph: &DynamicGraph, fmt: WireFormat) -> Result<Vec<u8>, ServeError> {
-    match fmt {
-        WireFormat::Tsv => Ok(vrdag_graph::io::write_tsv(graph, Vec::new())?),
-        WireFormat::Bin => Ok(vrdag_graph::io::encode_binary(graph).as_slice().to_vec()),
+    /// A frame forwarded verbatim: the header line exactly as a backend
+    /// sent it.
+    pub(crate) fn relayed(line: String, payload: Vec<u8>) -> Frame {
+        Frame { line, payload }
     }
-}
-
-/// A shared, append-only byte buffer the streaming writers write into;
-/// the chunker drains it after every snapshot so each `EVT` frame
-/// carries exactly the bytes that snapshot contributed to the encoding.
-#[derive(Clone, Default)]
-struct ChunkBuf(Arc<Mutex<Vec<u8>>>);
-
-impl ChunkBuf {
-    fn take(&self) -> Vec<u8> {
-        std::mem::take(&mut *self.0.lock().expect("chunk buffer poisoned"))
-    }
-}
-
-impl Write for ChunkBuf {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        self.0.lock().expect("chunk buffer poisoned").extend_from_slice(buf);
-        Ok(buf.len())
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        Ok(())
-    }
-}
-
-/// Incremental per-snapshot encoder for a `SUB` stream, built on the
-/// exact same streaming writers as the file sinks and the buffered
-/// `GEN` encodings — which is what makes the concatenation of a
-/// stream's `EVT` payloads byte-identical to the buffered reply (the
-/// format headers land in the first chunk; `finish()` writes nothing).
-enum WireChunker {
-    Tsv(TsvStreamWriter<ChunkBuf>, ChunkBuf),
-    Bin(BinaryStreamWriter<ChunkBuf>, ChunkBuf),
-}
-
-impl WireChunker {
-    fn new(fmt: WireFormat, n: usize, f: usize, t_len: usize) -> Result<WireChunker, ServeError> {
-        let buf = ChunkBuf::default();
-        Ok(match fmt {
-            WireFormat::Tsv => {
-                WireChunker::Tsv(TsvStreamWriter::new(buf.clone(), n, f, t_len)?, buf)
-            }
-            WireFormat::Bin => {
-                WireChunker::Bin(BinaryStreamWriter::new(buf.clone(), n, f, t_len)?, buf)
-            }
-        })
-    }
-
-    /// Encode one snapshot and return the bytes it contributed.
-    fn encode(&mut self, s: &Snapshot) -> Result<Vec<u8>, ServeError> {
-        match self {
-            WireChunker::Tsv(w, buf) => {
-                w.write_snapshot(s)?;
-                Ok(buf.take())
-            }
-            WireChunker::Bin(w, buf) => {
-                w.write_snapshot(s)?;
-                Ok(buf.take())
-            }
-        }
-    }
-}
-
-/// Translate a service error into its wire code; the message is the
-/// error's display form except for `QueueFull`, which gets structured
-/// `depth=… cap=…` fields a client can parse and back off on.
-fn translate(err: &ServeError) -> (ErrorCode, String) {
-    match err {
-        ServeError::QueueFull { depth, cap } => {
-            (ErrorCode::QueueFull, format!("depth={depth} cap={cap}"))
-        }
-        ServeError::QuotaExceeded { tenant, quota, cap } => {
-            (ErrorCode::QuotaExceeded, format!("tenant={tenant} limit={quota} cap={cap}"))
-        }
-        ServeError::UnknownModel(name) => (ErrorCode::UnknownModel, format!("{name:?}")),
-        ServeError::InvalidRequest(msg) => (ErrorCode::InvalidRequest, msg.clone()),
-        ServeError::SchedulerClosed | ServeError::JobDropped => {
-            (ErrorCode::Shutdown, err.to_string())
-        }
-        other => (ErrorCode::Internal, other.to_string()),
-    }
-}
-
-fn translated_frame(err: &ServeError, tag: Option<String>) -> Frame {
-    let (code, message) = translate(err);
-    Frame::err(code, tag, message)
 }
 
 /// Best-effort recovery of a `tag=<valid>` token from a line that failed
 /// to parse, so the `ERR` reply can still be demuxed to the request's
 /// stream. Only a syntactically valid tag is echoed — never arbitrary
 /// malformed input.
-pub(crate) fn salvage_tag(line: &str) -> Option<String> {
+fn salvage_tag(line: &str) -> Option<String> {
     line.split_whitespace()
         .filter_map(|token| token.strip_prefix("tag="))
         .find(|raw| crate::protocol::valid_tag(raw))
         .map(str::to_string)
 }
 
-/// One complete line scanned off the wire (the incremental counterpart
-/// of the blocking reader's `ReadLine`; EOF is the caller's to notice).
-/// `pub(crate)` because the router's relay loop scans both hops with
-/// the same splitter.
-pub(crate) enum ScanLine {
-    Line(Vec<u8>),
-    /// The line blew past [`MAX_LINE_BYTES`]; `len` counts its bytes
-    /// (newline excluded) and the connection keeps going.
-    TooLong {
-        len: usize,
-    },
-}
-
-/// Incremental capped-line splitter with byte-for-byte the semantics of
-/// the blocking `read_capped_line`: lines up to [`MAX_LINE_BYTES`] are
-/// buffered, an over-long line is consumed (never buffered) and
-/// reported with its true length, and a final unterminated line at EOF
-/// still counts.
-#[derive(Default)]
-pub(crate) struct LineScanner {
-    line: Vec<u8>,
-    overflow: usize,
-}
-
-impl LineScanner {
-    /// Feed one chunk of raw socket bytes; `emit` receives each
-    /// completed line in order.
-    pub(crate) fn feed(&mut self, mut chunk: &[u8], mut emit: impl FnMut(ScanLine)) {
-        while let Some(pos) = chunk.iter().position(|&b| b == b'\n') {
-            self.push_bytes(&chunk[..pos]);
-            chunk = &chunk[pos + 1..];
-            emit(self.take_line());
-        }
-        self.push_bytes(chunk);
-    }
-
-    fn push_bytes(&mut self, bytes: &[u8]) {
-        if self.overflow > 0 {
-            self.overflow += bytes.len();
-        } else if self.line.len() + bytes.len() <= MAX_LINE_BYTES {
-            self.line.extend_from_slice(bytes);
-        } else {
-            // Stop buffering the moment the cap is blown: the overflow
-            // is counted, never stored.
-            self.overflow = self.line.len() + bytes.len();
-            self.line.clear();
-        }
-    }
-
-    fn take_line(&mut self) -> ScanLine {
-        if self.overflow > 0 {
-            ScanLine::TooLong { len: std::mem::take(&mut self.overflow) }
-        } else {
-            ScanLine::Line(std::mem::take(&mut self.line))
-        }
-    }
-
-    /// The final unterminated line at EOF, if any.
-    pub(crate) fn finish(&mut self) -> Option<ScanLine> {
-        if self.overflow > 0 || !self.line.is_empty() {
-            Some(self.take_line())
-        } else {
-            None
-        }
-    }
-}
-
 /// Why a worker-side [`ConnShared::push_streaming`] failed.
-enum SendFail {
+pub(crate) enum SendFail {
     /// The connection is gone (transport failure or teardown).
     Disconnected,
     /// The job's cancel token tripped while the outbox was full.
@@ -325,20 +171,20 @@ struct OutboxState {
 
 /// How often a parked `EVT` push re-checks its cancel token. The token
 /// can trip without anyone signalling the condvar (a `CANCEL` processed
-/// by the reactor, a teardown deadline), so the park is a bounded nap,
-/// not an unbounded wait.
+/// by the loop, a teardown deadline), so the park is a bounded nap, not
+/// an unbounded wait.
 const PUSH_RECHECK: Duration = Duration::from_millis(10);
 
-/// The connection state shared with code running *off* the reactor
-/// thread — the `SUB` callbacks inside core workers. Everything else
-/// about a connection is reactor-private.
+/// The connection state shared with code running *off* the loop thread
+/// — the `SUB` callbacks inside core workers. Everything else about a
+/// connection is loop-private.
 pub(crate) struct ConnShared {
     outbox: Mutex<OutboxState>,
-    /// Signalled whenever the reactor pops frames (space for a parked
+    /// Signalled whenever the loop pops frames (space for a parked
     /// worker) or the connection dies.
     space: Condvar,
-    /// Coalesces worker → reactor "outbox went non-empty" signals: set
-    /// by the pushing worker, cleared by the reactor before it drains.
+    /// Coalesces worker → loop "outbox went non-empty" signals: set by
+    /// the pushing worker, cleared by the loop before it drains.
     dirty: AtomicBool,
 }
 
@@ -351,11 +197,11 @@ impl ConnShared {
         }
     }
 
-    /// Reactor-side push (replies, completion frames, greetings). The
-    /// reactor is also the consumer, so this side is unbounded —
+    /// Loop-side push (replies, completion frames, relayed frames). The
+    /// loop is also the consumer, so this side is unbounded —
     /// boundedness comes from the read pause at [`FRAME_QUEUE`] plus the
     /// in-flight cap. `false` when the connection is already dead.
-    fn push(&self, frame: Frame) -> bool {
+    pub(crate) fn push(&self, frame: Frame) -> bool {
         let mut state = self.outbox.lock().expect("outbox poisoned");
         if state.dead {
             return false;
@@ -366,8 +212,8 @@ impl ConnShared {
 
     /// Worker-side push for `EVT` frames: parks while the outbox is at
     /// capacity, aborting on cancellation, death, or a
-    /// [`SUB_STALL_LIMIT`] stall — the reactor-era `send_cancellable`.
-    fn push_streaming(&self, token: &CancelToken, frame: Frame) -> Result<(), SendFail> {
+    /// [`SUB_STALL_LIMIT`] stall.
+    pub(crate) fn push_streaming(&self, token: &CancelToken, frame: Frame) -> Result<(), SendFail> {
         let stalled_at = Instant::now() + SUB_STALL_LIMIT;
         let mut state = self.outbox.lock().expect("outbox poisoned");
         loop {
@@ -392,7 +238,7 @@ impl ConnShared {
         }
     }
 
-    /// Reactor-side pop; wakes one parked worker when space opens.
+    /// Loop-side pop; wakes one parked worker when space opens.
     fn pop(&self) -> Option<Frame> {
         let mut state = self.outbox.lock().expect("outbox poisoned");
         let frame = state.frames.pop_front();
@@ -402,7 +248,7 @@ impl ConnShared {
         frame
     }
 
-    fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.outbox.lock().expect("outbox poisoned").frames.len()
     }
 
@@ -416,69 +262,146 @@ impl ConnShared {
     }
 }
 
-/// Key of one in-flight job in a connection's table: the client's tag,
-/// or a connection-internal counter for untagged jobs (no wire syntax
-/// can name those, but teardown still cancels them).
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
-pub(crate) enum SlotKey {
-    Tag(String),
-    Untagged(u64),
+/// A message on the completion pump.
+enum Posted<T> {
+    /// Off-loop work for connection `conn` (incarnation `serial`)
+    /// finished; stale serials are dropped, so a reused slot never sees
+    /// its predecessor's results.
+    Done { conn: usize, serial: u64, msg: T },
+    /// A worker pushed into connection `conn`'s outbox.
+    Dirty(usize),
 }
 
-/// What a completion for an in-flight slot should be turned into.
-enum PendingKind {
-    /// Buffered `GEN`: encode the result, answer `OK GEN …` + payload.
-    Gen { tag: Option<String>, fmt: WireFormat, trace: TraceCtx },
-    /// `SUB` stream: terminate with `END …` carrying the frames actually
-    /// handed to the connection (see `dispatch_sub`).
-    Sub { tag: String, sent: Arc<AtomicUsize>, trace: TraceCtx },
+/// The sending half of the completion pump: post a message on the
+/// loop's channel and wake the poller. Cloned into job completion hooks,
+/// streaming sinks, and dial threads.
+pub(crate) struct Pump<T> {
+    tx: Sender<Posted<T>>,
+    waker: Waker,
 }
 
-/// Trace identity of one in-flight request: the id echoed on its
-/// terminal frame and keyed into the span ring, plus whether it was
-/// propagated by an upstream router hop (as opposed to minted here —
-/// the recorded span's `parent` field derives from this).
-#[derive(Clone)]
-struct TraceCtx {
-    id: String,
-    propagated: bool,
-}
-
-impl TraceCtx {
-    /// The upstream tier that minted a propagated id. The only tier
-    /// that stamps `trace=` on the internal hop today is the router.
-    fn parent(&self) -> Option<&'static str> {
-        self.propagated.then_some("route")
+impl<T> Clone for Pump<T> {
+    fn clone(&self) -> Self {
+        Pump { tx: self.tx.clone(), waker: self.waker.clone() }
     }
 }
 
-/// One in-flight job on one connection.
-struct Pending {
-    kind: PendingKind,
-    token: CancelToken,
-    ticket: Ticket,
+impl<T> Pump<T> {
+    pub(crate) fn post(&self, conn: usize, serial: u64, msg: T) {
+        let _ = self.tx.send(Posted::Done { conn, serial, msg });
+        self.waker.wake();
+    }
+
+    /// Tell the loop that `shared` (connection `conn`) has frames to
+    /// write; the dirty flag coalesces a burst into one signal.
+    pub(crate) fn dirty(&self, conn: usize, shared: &ConnShared) {
+        if !shared.dirty.swap(true, Ordering::SeqCst) {
+            let _ = self.tx.send(Posted::Dirty(conn));
+            self.waker.wake();
+        }
+    }
 }
 
-/// A completion-pump message: the job keyed `key` on connection slot
-/// `conn` has a consumable ticket.
-pub(crate) struct Completion {
-    conn: usize,
-    key: SlotKey,
+/// What handling one request line means for the connection.
+enum Flow {
+    Continue,
+    /// Drain in-flight work, say `OK BYE [tag=…]`, close.
+    Quit {
+        tag: Option<String>,
+    },
+    /// A protocol-level rejection that closes the connection (failed or
+    /// missing authentication): the error frame is already in the
+    /// outbox, it gets flushed, no `OK BYE` follows.
+    Fatal,
+}
+
+/// One connection as a [`Dispatch`] mode sees it.
+pub(crate) struct Cx<'a, S> {
+    /// Slab index; with [`serial`](Self::serial) the address of
+    /// [`Pump::post`] messages for this connection.
+    pub idx: usize,
+    pub serial: u64,
+    pub out: &'a Arc<ConnShared>,
+    /// The tenant this connection runs as (anonymous until `AUTH`).
+    pub tenant: &'a Arc<Tenant>,
+    pub state: &'a mut S,
+    pub poller: &'a mut dyn Poller,
+    stride: usize,
+}
+
+impl<S> Cx<'_, S> {
+    /// Poller token of this connection's backend link `link`.
+    pub(crate) fn link_token(&self, link: usize) -> Token {
+        1 + self.idx * self.stride + 1 + link
+    }
+
+    /// Queue a frame for the client.
+    pub(crate) fn push(&self, frame: Frame) {
+        self.out.push(frame);
+    }
+}
+
+/// What a request does — the part of the loop that differs between the
+/// serve tier and the router. The loop parses lines, runs the `AUTH`
+/// gate, and answers `AUTH`/`PING`/`QUIT` itself; every other request
+/// reaches [`dispatch`](Self::dispatch).
+pub(crate) trait Dispatch {
+    /// Per-connection dispatch state.
+    type Conn;
+    /// What off-loop work posts back through the [`Pump`].
+    type Done;
+    /// Log target of connection events.
+    const TARGET: &'static str;
+
+    /// Backend links a connection may hold, each with its own token.
+    fn links(&self) -> usize {
+        0
+    }
+    fn tenants(&self) -> &TenantRegistry;
+    /// Must a connection `AUTH` before anything else?
+    fn auth_required(&self) -> bool;
+    /// Count one `AUTH` outcome (`ok`/`failed`/`required`).
+    fn auth_outcome(&self, _outcome: &str) {}
+    fn logger(&self) -> &Logger;
+    fn open(&self) -> Self::Conn;
+    /// Handle one authorized request other than `AUTH`/`PING`/`QUIT`.
+    fn dispatch(&mut self, cx: &mut Cx<'_, Self::Conn>, req: Request);
+    /// Consume one pump message for this connection.
+    fn done(&mut self, cx: &mut Cx<'_, Self::Conn>, done: Self::Done);
+    /// Work in flight; teardown phases wait for this to reach zero.
+    fn in_flight(conn: &Self::Conn) -> usize;
+    /// Teardown: abandon in-flight work as fast as possible.
+    fn cancel_all(&mut self, cx: &mut Cx<'_, Self::Conn>);
+    /// Readiness on backend link `link`.
+    fn link_ready(&mut self, _cx: &mut Cx<'_, Self::Conn>, _link: usize, _ev: Event) {}
+    /// Re-arm backend-link interest after the client outbox moved.
+    fn sync_links(&mut self, _cx: &mut Cx<'_, Self::Conn>) {}
+    /// Should the loop stop reading this client (its backend-bound
+    /// output is backed up)?
+    fn paused(_conn: &Self::Conn) -> bool {
+        false
+    }
+    /// The connection's next timer, if any.
+    fn timer(_conn: &Self::Conn) -> Option<Instant> {
+        None
+    }
+    /// Run the timers due at `now`.
+    fn fire(&mut self, _cx: &mut Cx<'_, Self::Conn>, _now: Instant) {}
 }
 
 /// Connection lifecycle (the explicit state machine).
 enum Phase {
     /// Reading, dispatching, writing.
     Active,
-    /// `QUIT` received: reading stopped; in-flight jobs get until
-    /// `deadline` to drain. When the table empties in time, `OK BYE`
-    /// goes out and the phase advances to [`Phase::FlushClose`]; at the
-    /// deadline the remaining work is cancelled and the socket severed
-    /// with no `BYE` (the client stopped reading long ago).
+    /// `QUIT` received: reading stopped; in-flight work gets until
+    /// `deadline` to drain. When it drains in time, `OK BYE` goes out
+    /// and the phase advances to [`Phase::FlushClose`]; at the deadline
+    /// the remaining work is cancelled and the socket severed with no
+    /// `BYE` (the client stopped reading long ago).
     Draining { bye_tag: Option<String>, deadline: Instant },
-    /// EOF / fatal protocol rejection / transport failure: every
-    /// in-flight token is tripped; pending completion frames still
-    /// deliver until `deadline`, then the socket is severed.
+    /// EOF / fatal protocol rejection / transport failure: in-flight
+    /// work is cancelled; pending frames still deliver until
+    /// `deadline`, then the socket is severed.
     Closing { deadline: Instant },
     /// All work done: flush the outbox tail, then half-close and linger.
     FlushClose,
@@ -491,28 +414,25 @@ enum Phase {
     Linger { deadline: Instant },
     /// Socket severed with jobs still in flight: holds the slot (so it
     /// cannot be reused while completions could still route here) until
-    /// the completion pump consumes every ticket.
+    /// the pump consumes every ticket.
     Zombie,
 }
 
-/// One connection, reactor-private except for [`Conn::shared`].
-struct Conn {
+/// One connection, loop-private except for [`Conn::shared`].
+struct Conn<S> {
     stream: TcpStream,
     shared: Arc<ConnShared>,
     scanner: LineScanner,
-    pending: HashMap<SlotKey, Pending>,
     phase: Phase,
-    /// Counter for server-assigned `~<n>` tags (untagged `SUB`s).
-    auto_tag: u64,
-    /// Counter keying untagged in-flight jobs.
-    next_untagged: u64,
-    /// The tenant every job on this connection runs as — the anonymous
-    /// tenant until a successful `AUTH` rebinds it.
+    /// Incarnation of this slot (see [`Posted::Done`]).
+    serial: u64,
+    /// The tenant this connection runs as — the anonymous tenant until
+    /// a successful `AUTH` rebinds it.
     tenant: Arc<Tenant>,
     /// Has this connection presented a valid token yet?
     authed: bool,
     /// Serialized bytes of the frame currently being written, and the
-    /// write cursor into it. Reactor-only.
+    /// write cursor into it.
     wbuf: Vec<u8>,
     wpos: usize,
     /// Interest currently registered with the poller.
@@ -520,40 +440,16 @@ struct Conn {
     /// Whether the socket is still registered and open (false once
     /// severed; the slot may outlive the socket as a [`Phase::Zombie`]).
     socket_open: bool,
-    /// Counted against `max_connections` and the open-connections gauge
-    /// (false for over-cap greeting rejections).
+    /// Counted against the connection cap and the open-connections
+    /// gauge (false for over-cap greeting rejections).
     accepted: bool,
+    state: S,
 }
 
-impl Conn {
+impl<S> Conn<S> {
     /// Is this connection still reading request lines?
     fn reading(&self) -> bool {
         matches!(self.phase, Phase::Active) && self.socket_open
-    }
-
-    /// The poller interest this connection currently wants: read while
-    /// active and below the outbox pause threshold (or lingering, to
-    /// notice the peer's close), write while output is queued.
-    fn desired_interest(&self) -> Interest {
-        let outbox_len = self.shared.len();
-        let readable = match self.phase {
-            Phase::Active => outbox_len < FRAME_QUEUE,
-            Phase::Linger { .. } => true,
-            _ => false,
-        };
-        Interest {
-            readable: readable && self.socket_open,
-            writable: self.socket_open && (self.wpos < self.wbuf.len() || outbox_len > 0),
-        }
-    }
-
-    /// Trip every in-flight token, tagged or not (teardown: free the
-    /// workers instead of letting them generate for a peer that is
-    /// gone).
-    fn cancel_all(&self) {
-        for pending in self.pending.values() {
-            pending.token.cancel();
-        }
     }
 
     /// The teardown deadline this connection is running against, if any.
@@ -567,174 +463,142 @@ impl Conn {
     }
 }
 
-/// What the dispatch of one request means for the connection.
-enum Flow {
-    Continue,
-    /// Drain in-flight work, say `OK BYE [tag=…]`, close.
-    Quit {
-        tag: Option<String>,
-    },
-    /// A protocol-level rejection that closes the connection (failed or
-    /// missing authentication): the error frame is already in the
-    /// outbox, it gets flushed, no `OK BYE` follows.
-    Fatal,
-}
-
-/// Everything the dispatch path needs besides the connection itself —
-/// split out of [`Reactor`] so a `&mut Conn` (borrowed from the slab)
-/// and the environment can be used together.
-struct Env {
-    handle: ServeHandle,
-    cfg: FrontendConfig,
-    /// Does the service demand `AUTH` as the first line
-    /// ([`TenantRegistry::auth_enabled`](crate::TenantRegistry::auth_enabled))?
-    auth_required: bool,
-    completions_tx: Sender<Completion>,
-    dirty_tx: Sender<usize>,
-    waker: Waker,
-    logger: Logger,
-    evt_frames: Counter,
-    evt_bytes: Counter,
-    sub_stalls: Counter,
-}
-
-impl Env {
-    /// Count one `AUTH` outcome into `vrdag_auth_total{outcome=…}`.
-    fn auth_outcome(&self, outcome: &str) {
-        self.handle.metrics().counter("vrdag_auth_total", &[("outcome", outcome)]).inc();
-    }
-
-    /// The completion hook a submission arms: post the pump message and
-    /// kick the poller awake. Also fires when `submit` *rejects* the
-    /// request (the hook drops with it) — the pump ignores the unknown
-    /// key, and a key re-used by a later job is disambiguated by its
-    /// ticket still being unresolved.
-    fn completion_hook(&self, idx: usize, key: SlotKey) -> impl FnOnce() + Send + 'static {
-        let tx = self.completions_tx.clone();
-        let waker = self.waker.clone();
-        move || {
-            let _ = tx.send(Completion { conn: idx, key });
-            waker.wake();
-        }
-    }
-
-    /// Record the serve-tier span of one finished job into the
-    /// frontend's span ring ([`FrontendConfig::spans`]): the trace id
-    /// keys it against the router's relay span of the same request.
-    fn record_span(&self, trace: &TraceCtx, result: &JobResult, outcome: &'static str) {
-        let model_fp = self.handle.registry().get(&result.model).map(|h| h.fingerprint());
-        self.cfg.spans.record(Span {
-            trace: trace.id.clone(),
-            tier: "serve",
-            parent: trace.parent(),
-            tenant: Some(result.tenant.to_string()),
-            model: result.model.clone(),
-            model_fp,
-            seed: result.seed,
-            outcome,
-            backend: None,
-            stages_ms: Span::stages_from(&result.stages),
-        });
-    }
-}
-
-/// Construction bundle for [`Reactor::new`] — everything
-/// [`Frontend`](crate::Frontend) wires up before spawning the loop
-/// thread.
-pub(crate) struct ReactorConfig {
-    pub handle: ServeHandle,
-    pub cfg: FrontendConfig,
-    pub listener: TcpListener,
-    pub poller: Box<dyn Poller>,
-    pub stop: Arc<AtomicBool>,
-    pub open: Arc<AtomicUsize>,
-    pub completions_tx: Sender<Completion>,
-    pub completions_rx: Receiver<Completion>,
-    pub dirty_tx: Sender<usize>,
-    pub dirty_rx: Receiver<usize>,
-}
-
-/// The event loop itself; constructed by [`Frontend`](crate::Frontend)
-/// and consumed by [`Reactor::run`] on the reactor thread.
-pub(crate) struct Reactor {
-    env: Env,
-    listener: TcpListener,
-    poller: Box<dyn Poller>,
-    /// Connection slab; a slot's poller token is its index + 1.
-    conns: Vec<Option<Conn>>,
-    free: Vec<usize>,
-    /// Accepted live connections (shared with
-    /// [`Frontend::open_connections`](crate::Frontend::open_connections)).
-    open: Arc<AtomicUsize>,
-    open_gauge: Gauge,
-    completions_rx: Receiver<Completion>,
-    dirty_rx: Receiver<usize>,
-    stop: Arc<AtomicBool>,
+/// The loop's own instruments.
+pub(crate) struct LoopMetrics {
+    open: Gauge,
     accepted: Counter,
     rejected_cap: Counter,
     wakeups: Counter,
     dispatch_seconds: Histogram,
+}
+
+impl LoopMetrics {
+    /// `open` is the open-connections gauge; the connection counters
+    /// and wakeup/dispatch instruments register into `registry`.
+    pub(crate) fn new(open: Gauge, registry: &Registry) -> LoopMetrics {
+        LoopMetrics {
+            open,
+            accepted: registry.counter("vrdag_connections_total", &[("outcome", "accepted")]),
+            rejected_cap: registry
+                .counter("vrdag_connections_total", &[("outcome", "rejected_cap")]),
+            wakeups: registry.counter("vrdag_reactor_wakeups_total", &[]),
+            dispatch_seconds: registry.histogram_with(
+                "vrdag_reactor_dispatch_seconds",
+                &[],
+                DISPATCH_BUCKETS,
+            ),
+        }
+    }
+}
+
+/// A running event loop, owned by [`Frontend`](crate::Frontend) or
+/// [`Router`](crate::Router).
+pub(crate) struct LoopHandle {
+    stop: Arc<AtomicBool>,
+    /// Interrupts the loop's poll wait so the stop flag is noticed.
+    waker: Waker,
+    thread: Option<std::thread::JoinHandle<()>>,
+    open: Arc<AtomicUsize>,
+}
+
+impl LoopHandle {
+    /// Live accepted connections.
+    pub(crate) fn open_connections(&self) -> usize {
+        self.open.load(Ordering::SeqCst)
+    }
+
+    /// Stop the loop, sever open connections, and join the thread.
+    /// Idempotent.
+    pub(crate) fn shutdown(&mut self) {
+        if self.stop.swap(true, Ordering::SeqCst) {
+            return;
+        }
+        self.waker.wake();
+        if let Some(thread) = self.thread.take() {
+            let _ = thread.join();
+        }
+    }
+}
+
+/// Start an event loop on its own thread, serving `listener` (already
+/// non-blocking) with the dispatch mode `make` builds around the loop's
+/// pump.
+pub(crate) fn spawn<D>(
+    name: &str,
+    listener: TcpListener,
+    poller: Box<dyn Poller>,
+    max_connections: Option<usize>,
+    metrics: LoopMetrics,
+    make: impl FnOnce(Pump<D::Done>) -> D,
+) -> LoopHandle
+where
+    D: Dispatch + Send + 'static,
+    D::Conn: Send,
+    D::Done: Send + 'static,
+{
+    let (tx, pump_rx) = mpsc::channel();
+    let waker = poller.waker();
+    let mode = make(Pump { tx, waker: waker.clone() });
+    let stop = Arc::new(AtomicBool::new(false));
+    let open = Arc::new(AtomicUsize::new(0));
+    metrics.open.set(0);
+    let reactor = Reactor {
+        stride: 1 + mode.links(),
+        mode,
+        listener,
+        poller,
+        conns: Vec::new(),
+        free: Vec::new(),
+        next_serial: 0,
+        max_connections,
+        open: Arc::clone(&open),
+        metrics,
+        pump_rx,
+        stop: Arc::clone(&stop),
+        pending_dispatch: None,
+        accept_backoff: None,
+        events: Vec::new(),
+    };
+    let thread = std::thread::Builder::new()
+        .name(name.to_string())
+        .spawn(move || reactor.run())
+        .expect("spawn event-loop thread");
+    LoopHandle { stop, waker, thread: Some(thread), open }
+}
+
+/// The event loop itself, consumed by [`Reactor::run`] on its thread.
+struct Reactor<D: Dispatch> {
+    mode: D,
+    listener: TcpListener,
+    poller: Box<dyn Poller>,
+    /// Connection slab.
+    conns: Vec<Option<Conn<D::Conn>>>,
+    free: Vec<usize>,
+    /// Poller tokens per connection slot (see [`LISTENER_TOKEN`]).
+    stride: usize,
+    next_serial: u64,
+    max_connections: Option<usize>,
+    /// Accepted live connections (shared with the owning handle).
+    open: Arc<AtomicUsize>,
+    metrics: LoopMetrics,
+    pump_rx: Receiver<Posted<D::Done>>,
+    stop: Arc<AtomicBool>,
     /// The previous iteration's dispatch duration, published into
-    /// [`dispatch_seconds`](Self::dispatch_seconds) at the *start* of
-    /// the next wakeup. Deferring by one wakeup keeps a `METRICS`
-    /// render (which happens mid-dispatch) consistent: it reflects
-    /// every completed dispatch and the wakeup serving it, so an HTTP
-    /// `/metrics` scrape of the then-idle reactor sees identical bytes.
+    /// `dispatch_seconds` at the *start* of the next wakeup. Deferring
+    /// by one wakeup keeps a `METRICS` render (which happens
+    /// mid-dispatch) consistent: it reflects every completed dispatch
+    /// and the wakeup serving it, so an HTTP `/metrics` scrape of the
+    /// then-idle loop sees identical bytes.
     pending_dispatch: Option<f64>,
     /// Listener re-arm time after an accept error (see [`ACCEPT_BACKOFF`]).
     accept_backoff: Option<Instant>,
     events: Vec<Event>,
 }
 
-impl Reactor {
-    pub(crate) fn new(rc: ReactorConfig) -> Reactor {
-        let metrics = rc.handle.metrics();
-        let accepted = metrics.counter("vrdag_connections_total", &[("outcome", "accepted")]);
-        let rejected_cap =
-            metrics.counter("vrdag_connections_total", &[("outcome", "rejected_cap")]);
-        let open_gauge = metrics.gauge("vrdag_open_connections", &[]);
-        let wakeups = metrics.counter("vrdag_reactor_wakeups_total", &[]);
-        let dispatch_seconds =
-            metrics.histogram_with("vrdag_reactor_dispatch_seconds", &[], DISPATCH_BUCKETS);
-        let env = Env {
-            // An internal frontend (behind a router that already
-            // terminated AUTH) keeps its tenant registry for quota and
-            // weight lookups but never demands tokens on the hop.
-            auth_required: rc.handle.tenants().auth_enabled() && !rc.cfg.trust_tenant_assertion,
-            completions_tx: rc.completions_tx,
-            dirty_tx: rc.dirty_tx,
-            waker: rc.poller.waker(),
-            logger: rc.handle.logger().clone(),
-            evt_frames: metrics.counter("vrdag_evt_frames_total", &[]),
-            evt_bytes: metrics.counter("vrdag_evt_bytes_total", &[]),
-            sub_stalls: metrics.counter("vrdag_sub_stalls_total", &[]),
-            cfg: rc.cfg,
-            handle: rc.handle.clone(),
-        };
-        Reactor {
-            env,
-            listener: rc.listener,
-            poller: rc.poller,
-            conns: Vec::new(),
-            free: Vec::new(),
-            open: rc.open,
-            open_gauge,
-            completions_rx: rc.completions_rx,
-            dirty_rx: rc.dirty_rx,
-            stop: rc.stop,
-            accepted,
-            rejected_cap,
-            wakeups,
-            dispatch_seconds,
-            pending_dispatch: None,
-            accept_backoff: None,
-            events: Vec::new(),
-        }
-    }
-
+impl<D: Dispatch> Reactor<D> {
     /// The loop. Returns once the stop flag is observed (after a waker
     /// nudge); tears down every connection on the way out.
-    pub(crate) fn run(mut self) {
+    fn run(mut self) {
         if self.poller.register(raw_fd(&self.listener), LISTENER_TOKEN, Interest::READABLE).is_err()
         {
             return;
@@ -745,9 +609,9 @@ impl Reactor {
             if self.poller.poll(&mut events, timeout).is_err() {
                 events.clear();
             }
-            self.wakeups.inc();
+            self.metrics.wakeups.inc();
             if let Some(elapsed) = self.pending_dispatch.take() {
-                self.dispatch_seconds.observe(elapsed);
+                self.metrics.dispatch_seconds.observe(elapsed);
             }
             let started = Instant::now();
             if self.stop.load(Ordering::SeqCst) {
@@ -758,23 +622,37 @@ impl Reactor {
                 match ev.token {
                     WAKE_TOKEN => {}
                     LISTENER_TOKEN => self.accept_ready(),
-                    token => self.conn_event(token - 1, ev.readable),
+                    token => {
+                        let (idx, sub) = ((token - 1) / self.stride, (token - 1) % self.stride);
+                        if sub == 0 {
+                            self.conn_event(idx, ev.readable);
+                        } else {
+                            self.with_cx(idx, |mode, cx| mode.link_ready(cx, sub - 1, *ev));
+                            self.settle(idx);
+                        }
+                    }
                 }
             }
             self.events = events;
-            // The completion pump: one drain per wakeup covers every job
-            // that finished since, regardless of which worker ran it —
-            // this is where the old per-job waiter threads collapsed to.
-            while let Ok(done) = self.completions_rx.try_recv() {
-                self.handle_completion(done.conn, done.key);
-            }
-            // Outboxes that workers pushed EVT frames into since the
-            // last wakeup.
-            while let Ok(idx) = self.dirty_rx.try_recv() {
-                if let Some(conn) = self.conns.get(idx).and_then(Option::as_ref) {
-                    conn.shared.dirty.store(false, Ordering::SeqCst);
+            // The completion pump: one drain per wakeup covers every
+            // piece of off-loop work that finished since.
+            while let Ok(posted) = self.pump_rx.try_recv() {
+                match posted {
+                    Posted::Done { conn, serial, msg } => {
+                        if self.conns.get(conn).and_then(Option::as_ref).map(|c| c.serial)
+                            == Some(serial)
+                        {
+                            self.with_cx(conn, |mode, cx| mode.done(cx, msg));
+                            self.settle(conn);
+                        }
+                    }
+                    Posted::Dirty(idx) => {
+                        if let Some(conn) = self.conns.get(idx).and_then(Option::as_ref) {
+                            conn.shared.dirty.store(false, Ordering::SeqCst);
+                        }
+                        self.flush(idx);
+                    }
                 }
-                self.flush(idx);
             }
             self.check_deadlines();
             // Measured now, published at the next wakeup (see the
@@ -784,13 +662,32 @@ impl Reactor {
         self.teardown_all();
     }
 
-    /// Next timer the loop must honour: teardown deadlines and the
-    /// accept re-arm. `None` blocks until IO or a wakeup.
+    /// Run `f` on connection `idx` and the dispatch mode together.
+    fn with_cx<R>(
+        &mut self,
+        idx: usize,
+        f: impl FnOnce(&mut D, &mut Cx<'_, D::Conn>) -> R,
+    ) -> Option<R> {
+        let conn = self.conns.get_mut(idx)?.as_mut()?;
+        let mut cx = Cx {
+            idx,
+            serial: conn.serial,
+            out: &conn.shared,
+            tenant: &conn.tenant,
+            state: &mut conn.state,
+            poller: &mut *self.poller,
+            stride: self.stride,
+        };
+        Some(f(&mut self.mode, &mut cx))
+    }
+
+    /// Next timer the loop must honour: teardown deadlines, dispatch
+    /// timers, and the accept re-arm. `None` blocks until IO or a wakeup.
     fn poll_timeout(&self) -> Option<Duration> {
         let mut next: Option<Instant> = self.accept_backoff;
         for conn in self.conns.iter().flatten() {
-            if let Some(deadline) = conn.deadline() {
-                next = Some(next.map_or(deadline, |cur| cur.min(deadline)));
+            for at in [conn.deadline(), D::timer(&conn.state)].into_iter().flatten() {
+                next = Some(next.map_or(at, |cur| cur.min(at)));
             }
         }
         next.map(|at| at.saturating_duration_since(Instant::now()))
@@ -819,9 +716,8 @@ impl Reactor {
 
     /// Register one just-accepted stream. Over the cap it becomes a
     /// greeting-rejection connection whose `ERR too-many-connections`
-    /// flushes through the same event loop as everything else — the
-    /// threaded frontend wrote this greeting *blocking on the accept
-    /// path*, so one unreadable rejected client could stall all accepts.
+    /// flushes through the same event loop as everything else, so one
+    /// unreadable rejected client cannot stall accepts.
     fn admit(&mut self, stream: TcpStream) {
         if stream.set_nonblocking(true).is_err() {
             return;
@@ -832,30 +728,30 @@ impl Reactor {
         // that rejects the option still works, just slower.
         let _ = stream.set_nodelay(true);
         let over_cap =
-            self.env.cfg.max_connections.is_some_and(|cap| self.open.load(Ordering::SeqCst) >= cap);
+            self.max_connections.is_some_and(|cap| self.open.load(Ordering::SeqCst) >= cap);
         let accepted = !over_cap;
+        self.next_serial += 1;
         let conn = Conn {
             stream,
             shared: Arc::new(ConnShared::new()),
             scanner: LineScanner::default(),
-            pending: HashMap::new(),
             phase: if accepted { Phase::Active } else { Phase::FlushClose },
-            auto_tag: 0,
-            next_untagged: 0,
-            tenant: self.env.handle.tenants().anonymous(),
+            serial: self.next_serial,
+            tenant: self.mode.tenants().anonymous(),
             authed: false,
             wbuf: Vec::new(),
             wpos: 0,
             interest: Interest { readable: false, writable: false },
             socket_open: true,
             accepted,
+            state: self.mode.open(),
         };
         if accepted {
-            self.accepted.inc();
+            self.metrics.accepted.inc();
             self.set_open(self.open.load(Ordering::SeqCst) + 1);
         } else {
-            self.rejected_cap.inc();
-            let cap = self.env.cfg.max_connections.expect("over_cap implies a cap");
+            self.metrics.rejected_cap.inc();
+            let cap = self.max_connections.expect("over_cap implies a cap");
             conn.shared.push(Frame::err(ErrorCode::TooManyConnections, None, format!("cap={cap}")));
         }
         let idx = match self.free.pop() {
@@ -875,7 +771,7 @@ impl Reactor {
 
     fn set_open(&self, n: usize) {
         self.open.store(n, Ordering::SeqCst);
-        self.open_gauge.set(n as u64);
+        self.metrics.open.set(n as u64);
     }
 
     /// IO readiness on connection slot `idx`. Stale tokens (a slot freed
@@ -890,9 +786,7 @@ impl Reactor {
         if readable {
             self.conn_readable(idx);
         }
-        if self.conns.get(idx).and_then(Option::as_ref).is_some() {
-            self.flush(idx);
-        }
+        self.flush(idx);
     }
 
     /// Drain up to [`READ_QUANTUM`] bytes of request input, dispatching
@@ -911,7 +805,11 @@ impl Reactor {
         let mut buf = [0u8; READ_CHUNK];
         loop {
             let Some(conn) = self.conns[idx].as_mut() else { return };
-            if !conn.reading() || conn.shared.len() >= FRAME_QUEUE || consumed >= READ_QUANTUM {
+            if !conn.reading()
+                || conn.shared.len() >= FRAME_QUEUE
+                || D::paused(&conn.state)
+                || consumed >= READ_QUANTUM
+            {
                 break;
             }
             match conn.stream.read(&mut buf) {
@@ -939,10 +837,8 @@ impl Reactor {
             if let Some(last) = conn.scanner.finish() {
                 self.handle_scan_line(idx, last);
             }
-            if let Some(conn) = self.conns[idx].as_ref() {
-                if matches!(conn.phase, Phase::Active) {
-                    self.begin_close(idx);
-                }
+            if self.conns[idx].as_ref().is_some_and(|c| matches!(c.phase, Phase::Active)) {
+                self.begin_close(idx);
             }
         } else {
             // Quantum or pause hit with the socket possibly still
@@ -976,14 +872,13 @@ impl Reactor {
 
     /// Split a raw chunk into lines and dispatch each; lines buffered
     /// behind a phase change (e.g. pipelined input after `QUIT`) are
-    /// discarded, exactly like the threaded reader discarded its buffer.
+    /// discarded.
     fn feed_bytes(&mut self, idx: usize, bytes: &[u8]) {
         let Some(conn) = self.conns[idx].as_mut() else { return };
         let mut lines = Vec::new();
         conn.scanner.feed(bytes, |line| lines.push(line));
         for line in lines {
-            let Some(conn) = self.conns[idx].as_ref() else { return };
-            if !matches!(conn.phase, Phase::Active) {
+            if !self.conns[idx].as_ref().is_some_and(|c| matches!(c.phase, Phase::Active)) {
                 break;
             }
             self.handle_scan_line(idx, line);
@@ -991,53 +886,40 @@ impl Reactor {
     }
 
     /// Parse and dispatch one scanned line, applying the auth gate and
-    /// the flow transitions — the reactor port of the threaded
-    /// frontend's per-line block, answer-for-answer.
+    /// the flow transitions.
     fn handle_scan_line(&mut self, idx: usize, raw: ScanLine) {
-        enum Parsed {
-            Req(Request),
-            Error(Frame),
-            Empty,
-        }
         let parsed = match raw {
-            ScanLine::TooLong { len } => Parsed::Error(Frame::err(
+            ScanLine::TooLong { len } => Err(Frame::err(
                 ErrorCode::LineTooLong,
                 None,
                 ProtocolError::LineTooLong { len }.to_string(),
             )),
             ScanLine::Line(raw) => match String::from_utf8(raw) {
-                Err(_) => Parsed::Error(Frame::err(
-                    ErrorCode::BadRequest,
-                    None,
-                    ProtocolError::NotUtf8.to_string(),
-                )),
+                Err(_) => {
+                    Err(Frame::err(ErrorCode::BadRequest, None, ProtocolError::NotUtf8.to_string()))
+                }
                 Ok(line) => match parse_request(&line) {
                     // An empty line is a keep-alive no-op, not an error.
-                    Err(ProtocolError::Empty) => Parsed::Empty,
+                    Err(ProtocolError::Empty) => return,
                     // Echo a recoverable tag even on parse failures, so
                     // a pipelining client can terminate that tag's
                     // stream instead of waiting forever on it.
-                    Err(e) => {
-                        Parsed::Error(Frame::err(e.code(), salvage_tag(&line), e.to_string()))
-                    }
-                    Ok(req) => Parsed::Req(req),
+                    Err(e) => Err(Frame::err(e.code(), salvage_tag(&line), e.to_string())),
+                    Ok(req) => Ok(req),
                 },
             },
         };
         let Some(conn) = self.conns[idx].as_mut() else { return };
-        let needs_auth = self.env.auth_required && !conn.authed;
+        let needs_auth = self.mode.auth_required() && !conn.authed;
         let flow = match parsed {
-            Parsed::Empty => Flow::Continue,
             // AUTH is the one command an unauthenticated connection may
             // issue; anything else (malformed lines included) on an
-            // auth-enabled frontend is answered `ERR auth-required` and
-            // the connection is closed — unauthenticated input never
-            // reaches the scheduler.
-            Parsed::Req(Request::Auth { token, tag }) => {
-                Self::dispatch_auth(conn, &self.env, token, tag)
-            }
-            Parsed::Req(_) | Parsed::Error(_) if needs_auth => {
-                self.env.auth_outcome("required");
+            // auth-enabled loop is answered `ERR auth-required` and the
+            // connection is closed — unauthenticated input never
+            // reaches dispatch.
+            Ok(Request::Auth { token, tag }) => self.dispatch_auth(idx, token, tag),
+            Ok(_) | Err(_) if needs_auth => {
+                self.mode.auth_outcome("required");
                 conn.shared.push(Frame::err(
                     ErrorCode::AuthRequired,
                     None,
@@ -1045,9 +927,17 @@ impl Reactor {
                 ));
                 Flow::Fatal
             }
-            Parsed::Req(req) => Self::dispatch(conn, &self.env, idx, req),
-            Parsed::Error(frame) => {
+            Err(frame) => {
                 conn.shared.push(frame);
+                Flow::Continue
+            }
+            Ok(Request::Ping { tag }) => {
+                conn.shared.push(Frame::header(ReplyHeader::Pong { tag }));
+                Flow::Continue
+            }
+            Ok(Request::Quit { tag }) => Flow::Quit { tag },
+            Ok(req) => {
+                self.with_cx(idx, |mode, cx| mode.dispatch(cx, req));
                 Flow::Continue
             }
         };
@@ -1058,12 +948,13 @@ impl Reactor {
         }
     }
 
-    /// Handle `AUTH token=…`. On an auth-off service the greeting is
-    /// optional and acknowledged as the anonymous tenant; on an
-    /// auth-enabled one a valid token binds the connection to its
-    /// tenant and an invalid token closes the connection.
-    fn dispatch_auth(conn: &mut Conn, env: &Env, token: String, tag: Option<String>) -> Flow {
-        if !env.auth_required {
+    /// Handle `AUTH token=…`. Without mandatory auth the greeting is
+    /// optional and acknowledged as the anonymous tenant; with it a
+    /// valid token binds the connection to its tenant and an invalid
+    /// token closes the connection.
+    fn dispatch_auth(&mut self, idx: usize, token: String, tag: Option<String>) -> Flow {
+        let Some(conn) = self.conns[idx].as_mut() else { return Flow::Continue };
+        if !self.mode.auth_required() {
             let tenant = conn.tenant.id().to_string();
             conn.shared.push(Frame::header(ReplyHeader::Auth { tag, tenant }));
             return Flow::Continue;
@@ -1076,12 +967,12 @@ impl Reactor {
             ));
             return Flow::Continue;
         }
-        match env.handle.tenants().authenticate(&token) {
+        match self.mode.tenants().authenticate(&token) {
             Some(tenant) => {
                 let id = tenant.id().to_string();
-                env.auth_outcome("ok");
-                env.logger.info(
-                    "serve.frontend",
+                self.mode.auth_outcome("ok");
+                self.mode.logger().info(
+                    D::TARGET,
                     "connection authenticated",
                     &[("tenant", id.clone())],
                 );
@@ -1091,474 +982,25 @@ impl Reactor {
                 Flow::Continue
             }
             None => {
-                env.auth_outcome("failed");
-                env.logger.warn("serve.frontend", "auth failed: invalid token", &[]);
+                self.mode.auth_outcome("failed");
+                self.mode.logger().warn(D::TARGET, "auth failed: invalid token", &[]);
                 conn.shared.push(Frame::err(ErrorCode::AuthFailed, tag, "invalid token"));
                 Flow::Fatal
             }
         }
     }
 
-    /// Dispatch one parsed request (the reactor port of the threaded
-    /// `ConnDriver::dispatch`).
-    fn dispatch(conn: &mut Conn, env: &Env, idx: usize, req: Request) -> Flow {
-        match req {
-            // Normally intercepted before the auth gate; kept as a
-            // delegation to the same single handler so dispatch stays
-            // total over Request.
-            Request::Auth { token, tag } => Self::dispatch_auth(conn, env, token, tag),
-            Request::Gen(spec) => Self::dispatch_gen(conn, env, idx, spec),
-            Request::Sub(spec) => Self::dispatch_sub(conn, env, idx, spec),
-            Request::Cancel { tag } => {
-                let found = match conn.pending.get(&SlotKey::Tag(tag.clone())) {
-                    Some(pending) => {
-                        pending.token.cancel();
-                        true
-                    }
-                    None => false,
-                };
-                conn.shared.push(Frame::header(ReplyHeader::Cancel { tag, found }));
-                Flow::Continue
-            }
-            Request::Stats { tag } => {
-                let payload = env.handle.stats().render().into_bytes();
-                let header = ReplyHeader::Stats { tag, bytes: payload.len() };
-                conn.shared.push(Frame { header, payload });
-                Flow::Continue
-            }
-            Request::Metrics { tag } => {
-                let payload = env.handle.metrics_text().into_bytes();
-                let header = ReplyHeader::Metrics { tag, bytes: payload.len() };
-                conn.shared.push(Frame { header, payload });
-                Flow::Continue
-            }
-            Request::Models { tag } => {
-                let mut listing = String::new();
-                for h in env.handle.registry().handles() {
-                    use std::fmt::Write as _;
-                    let _ = writeln!(
-                        listing,
-                        "{} nodes={} attrs={} size={} fingerprint={:016x}",
-                        h.name(),
-                        h.n_nodes(),
-                        h.n_attrs(),
-                        h.size_bytes(),
-                        h.fingerprint(),
-                    );
-                }
-                let payload = listing.into_bytes();
-                let header = ReplyHeader::Models { tag, bytes: payload.len() };
-                conn.shared.push(Frame { header, payload });
-                Flow::Continue
-            }
-            Request::Ping { tag } => {
-                conn.shared.push(Frame::header(ReplyHeader::Pong { tag }));
-                Flow::Continue
-            }
-            Request::Quit { tag } => Flow::Quit { tag },
-        }
-    }
-
-    /// Resolve the tenant a GEN/SUB submission runs as: the
-    /// connection's authenticated tenant, unless the request carries an
-    /// internal-hop `tenant=` assertion *and* this frontend was
-    /// configured to trust the hop
-    /// ([`FrontendConfig::trust_tenant_assertion`]). On an untrusted
-    /// hop the assertion is rejected outright — a client can never
-    /// impersonate a tenant by stamping the field itself.
-    fn resolve_tenant(
-        conn: &Conn,
-        env: &Env,
-        asserted: Option<String>,
-        tag: Option<&str>,
-    ) -> Result<TenantId, Box<Frame>> {
-        match asserted {
-            None => Ok(conn.tenant.id().clone()),
-            Some(id) if env.cfg.trust_tenant_assertion => match TenantId::new(&id) {
-                Some(tenant) => Ok(tenant),
-                // Parsing already enforced the shared alphabet; kept
-                // defensive so a grammar drift can't panic the loop.
-                None => Err(Box::new(Frame::err(
-                    ErrorCode::InvalidRequest,
-                    tag.map(str::to_string),
-                    format!("invalid tenant id {id:?}"),
-                ))),
-            },
-            Some(_) => Err(Box::new(Frame::err(
-                ErrorCode::InvalidRequest,
-                tag.map(str::to_string),
-                "tenant= is an internal-hop assertion; this frontend does not trust it",
-            ))),
-        }
-    }
-
-    /// Resolve the trace id a GEN/SUB runs under: a propagated
-    /// internal-hop `trace=` assertion when this frontend trusts the
-    /// hop (the router already minted the id upstream), or a freshly
-    /// minted id otherwise — this frontend is then the first tier to
-    /// see the request. Like `tenant=`, the assertion is rejected
-    /// outright on an untrusted hop so a client can never forge a
-    /// trace id into the fleet's span rings.
-    fn resolve_trace(
-        env: &Env,
-        asserted: Option<String>,
-        tag: Option<&str>,
-    ) -> Result<TraceCtx, Box<Frame>> {
-        match asserted {
-            None => Ok(TraceCtx { id: mint_trace_id(), propagated: false }),
-            Some(id) if env.cfg.trust_tenant_assertion => Ok(TraceCtx { id, propagated: true }),
-            Some(_) => Err(Box::new(Frame::err(
-                ErrorCode::InvalidRequest,
-                tag.map(str::to_string),
-                "trace= is an internal-hop assertion; this frontend does not trust it",
-            ))),
-        }
-    }
-
-    /// Claim an in-flight slot. A duplicate tag is the more specific
-    /// failure: report it even when the connection is also at its
-    /// in-flight cap.
-    fn reserve(conn: &mut Conn, env: &Env, tag: Option<&String>) -> Result<SlotKey, Box<Frame>> {
-        if let Some(tag) = tag {
-            if conn.pending.contains_key(&SlotKey::Tag(tag.clone())) {
-                return Err(Box::new(Frame::err(
-                    ErrorCode::DuplicateTag,
-                    Some(tag.clone()),
-                    format!("tag {tag} is already in flight on this connection"),
-                )));
-            }
-        }
-        let inflight = conn.pending.len();
-        let cap = env.cfg.max_inflight_per_conn;
-        if inflight >= cap {
-            return Err(Box::new(Frame::err(
-                ErrorCode::TooManyInflight,
-                tag.cloned(),
-                format!("inflight={inflight} cap={cap}"),
-            )));
-        }
-        Ok(match tag {
-            Some(tag) => SlotKey::Tag(tag.clone()),
-            None => {
-                let key = conn.next_untagged;
-                conn.next_untagged += 1;
-                SlotKey::Untagged(key)
-            }
-        })
-    }
-
-    /// Buffered generation: submit with an `InMemory` sink and park the
-    /// slot in the in-flight table; the completion pump answers
-    /// `OK GEN [tag=…] …` + payload when the ticket resolves — out of
-    /// submission order whenever a later job finishes first.
-    fn dispatch_gen(conn: &mut Conn, env: &Env, idx: usize, spec: GenSpec) -> Flow {
-        let GenSpec { model, t_len, seed, fmt, priority, tag, tenant, trace } = spec;
-        let run_as = match Self::resolve_tenant(conn, env, tenant, tag.as_deref()) {
-            Ok(id) => id,
-            Err(frame) => {
-                conn.shared.push(*frame);
-                return Flow::Continue;
-            }
-        };
-        let trace = match Self::resolve_trace(env, trace, tag.as_deref()) {
-            Ok(ctx) => ctx,
-            Err(frame) => {
-                conn.shared.push(*frame);
-                return Flow::Continue;
-            }
-        };
-        let key = match Self::reserve(conn, env, tag.as_ref()) {
-            Ok(key) => key,
-            Err(frame) => {
-                conn.shared.push(*frame);
-                return Flow::Continue;
-            }
-        };
-        let token = CancelToken::new();
-        let req = GenRequest::new(model, t_len, seed, GenSink::InMemory)
-            .with_priority(priority)
-            .with_cancel(token.clone())
-            .with_tenant(run_as)
-            .with_notify(env.completion_hook(idx, key.clone()));
-        match env.handle.submit(req) {
-            Err(e) => {
-                // Nothing was parked, so the hook the rejected request
-                // fired on its way out finds no pending entry and the
-                // pump ignores it.
-                conn.shared.push(translated_frame(&e, tag));
-            }
-            Ok(ticket) => {
-                conn.pending.insert(
-                    key,
-                    Pending { kind: PendingKind::Gen { tag, fmt, trace }, token, ticket },
-                );
-            }
-        }
-        Flow::Continue
-    }
-
-    /// Streaming generation: acknowledge with `OK SUB tag=…`, submit
-    /// with a callback sink that pushes one `EVT` frame per snapshot
-    /// into the connection's outbox straight from the worker (cold and
-    /// cache-hit paths both go through it), and park the slot; the
-    /// completion pump terminates the stream with
-    /// `END … status=ok|cancelled` (or `ERR … tag=…`).
-    fn dispatch_sub(conn: &mut Conn, env: &Env, idx: usize, spec: GenSpec) -> Flow {
-        let GenSpec { model, t_len, seed, fmt, priority, tag, tenant, trace } = spec;
-        // The assertions are checked before the ack so a rejected hop
-        // never opens a stream.
-        let run_as = match Self::resolve_tenant(conn, env, tenant, tag.as_deref()) {
-            Ok(id) => id,
-            Err(frame) => {
-                conn.shared.push(*frame);
-                return Flow::Continue;
-            }
-        };
-        let trace = match Self::resolve_trace(env, trace, tag.as_deref()) {
-            Ok(ctx) => ctx,
-            Err(frame) => {
-                conn.shared.push(*frame);
-                return Flow::Continue;
-            }
-        };
-        // Server-assigned tags skip any `~<n>` a client chose to put in
-        // flight itself (the grammar permits `~`), so an untagged SUB is
-        // never spuriously rejected as a duplicate.
-        let tag = tag.unwrap_or_else(|| loop {
-            conn.auto_tag += 1;
-            let candidate = format!("~{}", conn.auto_tag);
-            if !conn.pending.contains_key(&SlotKey::Tag(candidate.clone())) {
-                break candidate;
-            }
-        });
-        let key = match Self::reserve(conn, env, Some(&tag)) {
-            Ok(key) => key,
-            Err(frame) => {
-                conn.shared.push(*frame);
-                return Flow::Continue;
-            }
-        };
-        let token = CancelToken::new();
-        // The ack must precede the first EVT frame, and EVT frames are
-        // pushed by a worker the moment the job starts — so ack before
-        // submitting. If admission then fails (including unknown model
-        // names — submit resolves the registry), the stream terminates
-        // with `ERR <code> tag=…` like any other failed subscription.
-        let ack = ReplyHeader::Sub { tag: tag.clone(), model: model.clone(), t_len, seed, fmt };
-        conn.shared.push(Frame::header(ack));
-        // EVT frames actually handed to the connection: the END frame
-        // reports this count (not the core's generated count), so the
-        // stream stays self-consistent even when cancellation races a
-        // snapshot that was generated but never framed.
-        let sent = Arc::new(AtomicUsize::new(0));
-        let sink = {
-            let shared = Arc::clone(&conn.shared);
-            let tag = tag.clone();
-            let token = token.clone();
-            let sent = Arc::clone(&sent);
-            let logger = env.logger.clone();
-            let evt_frames = env.evt_frames.clone();
-            let evt_bytes = env.evt_bytes.clone();
-            let sub_stalls = env.sub_stalls.clone();
-            let dirty_tx = env.dirty_tx.clone();
-            let waker = env.waker.clone();
-            // Built lazily from the first snapshot's own shape, so the
-            // stream header can never disagree with the stream (a
-            // pre-submit registry lookup could race a concurrent
-            // re-register of the model under a different shape).
-            let mut chunker: Option<WireChunker> = None;
-            GenSink::Callback(Box::new(move |snap, s| {
-                let chunker = match &mut chunker {
-                    Some(chunker) => chunker,
-                    None => match WireChunker::new(fmt, s.n_nodes(), s.n_attrs(), t_len) {
-                        Ok(built) => chunker.insert(built),
-                        Err(_) => {
-                            token.cancel();
-                            return;
-                        }
-                    },
-                };
-                match chunker.encode(s) {
-                    Ok(payload) => {
-                        let bytes = payload.len();
-                        let header = ReplyHeader::Evt { tag: tag.clone(), snap, of: t_len, bytes };
-                        // This push runs inside a core worker: it parks
-                        // while the outbox is full but aborts the moment
-                        // the token trips or the connection dies, so a
-                        // stalled subscriber can never pin the worker
-                        // past a CANCEL.
-                        match shared.push_streaming(&token, Frame { header, payload }) {
-                            Ok(()) => {
-                                sent.fetch_add(1, Ordering::SeqCst);
-                                evt_frames.inc();
-                                evt_bytes.add(bytes as u64);
-                                // Tell the reactor the outbox has work;
-                                // the dirty flag coalesces a burst of
-                                // frames into one signal.
-                                if !shared.dirty.swap(true, Ordering::SeqCst) {
-                                    let _ = dirty_tx.send(idx);
-                                    waker.wake();
-                                }
-                            }
-                            Err(fail) => {
-                                if matches!(fail, SendFail::Stalled) {
-                                    sub_stalls.inc();
-                                    logger.warn(
-                                        "serve.frontend",
-                                        "SUB stall: subscriber stopped reading, stream abandoned",
-                                        &[
-                                            ("tag", tag.clone()),
-                                            ("snap", snap.to_string()),
-                                            ("of", t_len.to_string()),
-                                        ],
-                                    );
-                                }
-                                token.cancel();
-                            }
-                        }
-                    }
-                    // The chunker writes into memory; a failure here is
-                    // a shape bug, not transport — abandon the stream.
-                    Err(_) => token.cancel(),
-                }
-            }))
-        };
-        let req = GenRequest::new(model, t_len, seed, sink)
-            .with_priority(priority)
-            .with_cancel(token.clone())
-            .with_tenant(run_as)
-            .with_notify(env.completion_hook(idx, key.clone()));
-        match env.handle.submit(req) {
-            Err(e) => {
-                conn.shared.push(translated_frame(&e, Some(tag)));
-            }
-            Ok(ticket) => {
-                conn.pending.insert(
-                    key,
-                    Pending { kind: PendingKind::Sub { tag, sent, trace }, token, ticket },
-                );
-            }
-        }
-        Flow::Continue
-    }
-
-    /// One pump message: turn the finished job's ticket into its
-    /// completion frame. Unknown `(conn, key)` pairs are ignored — they
-    /// are the hooks of requests `submit` rejected, or completions for
-    /// a connection already fully gone.
-    fn handle_completion(&mut self, idx: usize, key: SlotKey) {
-        let Some(conn) = self.conns.get_mut(idx).and_then(Option::as_mut) else { return };
-        let Some(pending) = conn.pending.remove(&key) else { return };
-        // The slot is released *before* the frame is pushed (same
-        // ordering as the threaded frontend): a well-behaved client can
-        // only reuse the tag after *reading* the reply, and the table
-        // must not still report duplicate-tag by then.
-        let Pending { kind, token, mut ticket } = pending;
-        let frame = match kind {
-            PendingKind::Gen { tag, fmt, trace } => {
-                let id = ticket.id();
-                match ticket.try_wait() {
-                    Err(e) => Some(translated_frame(&e, tag)),
-                    // The hook fires strictly after the result lands on
-                    // the ticket channel, so an empty poll can only mean
-                    // this is a *stale* pump message whose key was
-                    // re-used by a still-running job — put it back and
-                    // wait for that job's own completion.
-                    Ok(None) => {
-                        conn.pending.insert(
-                            key,
-                            Pending { kind: PendingKind::Gen { tag, fmt, trace }, token, ticket },
-                        );
-                        None
-                    }
-                    Ok(Some(result)) => Some(if result.cancelled {
-                        self.env.record_span(&trace, &result, "cancelled");
-                        Frame::err(
-                            ErrorCode::Cancelled,
-                            tag,
-                            "job cancelled before its reply was produced",
-                        )
-                    } else if let Some(error) = &result.error {
-                        self.env.record_span(&trace, &result, "error");
-                        Frame::err(ErrorCode::Internal, tag, error.clone())
-                    } else {
-                        let graph =
-                            result.graph.as_deref().expect("InMemory success carries the graph");
-                        match encode_graph(graph, fmt) {
-                            Err(e) => {
-                                self.env.record_span(&trace, &result, "error");
-                                Frame::err(ErrorCode::Internal, tag, e.to_string())
-                            }
-                            Ok(payload) => {
-                                self.env.record_span(&trace, &result, "ok");
-                                Frame {
-                                    header: ReplyHeader::Gen {
-                                        tag,
-                                        id: id.0,
-                                        model: result.model.clone(),
-                                        t_len: result.t_len,
-                                        seed: result.seed,
-                                        fmt,
-                                        snapshots: result.snapshots,
-                                        edges: result.edges,
-                                        cache_hit: result.cache_hit,
-                                        bytes: payload.len(),
-                                        trace: Some(trace.id),
-                                    },
-                                    payload,
-                                }
-                            }
-                        }
-                    }),
-                }
-            }
-            PendingKind::Sub { tag, sent, trace } => match ticket.try_wait() {
-                Err(e) => Some(translated_frame(&e, Some(tag))),
-                Ok(None) => {
-                    conn.pending.insert(
-                        key,
-                        Pending { kind: PendingKind::Sub { tag, sent, trace }, token, ticket },
-                    );
-                    None
-                }
-                Ok(Some(result)) => Some(if let Some(error) = &result.error {
-                    self.env.record_span(&trace, &result, "error");
-                    Frame::err(ErrorCode::Internal, Some(tag), error.clone())
-                } else {
-                    let delivered = sent.load(Ordering::SeqCst);
-                    // A stream is only `ok` when every frame was
-                    // delivered; a cancellation (client CANCEL, or a
-                    // push aborted by a dead/stalled connection) reports
-                    // exactly the frames that made it into the outbox.
-                    let status = if result.cancelled || delivered < result.t_len {
-                        EndStatus::Cancelled
-                    } else {
-                        EndStatus::Ok
-                    };
-                    let outcome = if matches!(status, EndStatus::Ok) { "ok" } else { "cancelled" };
-                    self.env.record_span(&trace, &result, outcome);
-                    Frame::header(ReplyHeader::End {
-                        tag,
-                        snapshots: delivered,
-                        edges: result.edges,
-                        status,
-                        qms: result.stages.queue_wait_ms(),
-                        genms: result.stages.generation_ms(),
-                        trace: Some(trace.id),
-                    })
-                }),
-            },
-        };
-        let Some(frame) = frame else { return };
-        conn.shared.push(frame);
+    /// After off-loop work landed on connection `idx`: advance teardown
+    /// phases waiting on it and write what it produced.
+    fn settle(&mut self, idx: usize) {
         self.after_pending_change(idx);
         self.flush(idx);
     }
 
-    /// Advance teardown phases that wait on the in-flight table.
+    /// Advance teardown phases that wait on in-flight work.
     fn after_pending_change(&mut self, idx: usize) {
         let Some(conn) = self.conns.get_mut(idx).and_then(Option::as_mut) else { return };
-        if !conn.pending.is_empty() {
+        if D::in_flight(&conn.state) > 0 {
             return;
         }
         match &conn.phase {
@@ -1572,7 +1014,7 @@ impl Reactor {
         }
     }
 
-    /// `QUIT`: stop reading, give in-flight jobs a bounded window to
+    /// `QUIT`: stop reading, give in-flight work a bounded window to
     /// drain so every tagged reply lands before `OK BYE` (cancel yours
     /// first if you are in a hurry).
     fn begin_quit(&mut self, idx: usize, tag: Option<String>) {
@@ -1583,13 +1025,13 @@ impl Reactor {
         self.flush(idx);
     }
 
-    /// EOF / fatal rejection / transport failure: trip every in-flight
-    /// token immediately (no worker keeps generating for a peer that is
-    /// gone), but keep the write side up so pending completion frames
-    /// still deliver — bounded by [`TEARDOWN_DRAIN`].
+    /// EOF / fatal rejection / transport failure: cancel in-flight work
+    /// immediately (nothing keeps working for a peer that is gone), but
+    /// keep the write side up so pending frames still deliver — bounded
+    /// by [`TEARDOWN_DRAIN`].
     fn begin_close(&mut self, idx: usize) {
+        self.with_cx(idx, |mode, cx| mode.cancel_all(cx));
         let Some(conn) = self.conns.get_mut(idx).and_then(Option::as_mut) else { return };
-        conn.cancel_all();
         conn.phase = Phase::Closing { deadline: Instant::now() + TEARDOWN_DRAIN };
         self.after_pending_change(idx);
         self.update_interest(idx, false);
@@ -1610,7 +1052,7 @@ impl Reactor {
                 let Some(frame) = conn.shared.pop() else { break };
                 conn.wbuf.clear();
                 conn.wpos = 0;
-                conn.wbuf.extend_from_slice(frame.header.to_line().as_bytes());
+                conn.wbuf.extend_from_slice(frame.line.as_bytes());
                 conn.wbuf.push(b'\n');
                 conn.wbuf.extend_from_slice(&frame.payload);
             }
@@ -1647,20 +1089,31 @@ impl Reactor {
         self.update_interest(idx, false);
     }
 
-    /// Re-register the connection's poller interest when it changed.
+    /// Re-register the connection's poller interest when it changed:
+    /// read while active and below the outbox pause threshold (or
+    /// lingering, to notice the peer's close), write while output is
+    /// queued. Backend links follow the client's outbox.
     fn update_interest(&mut self, idx: usize, fresh: bool) {
         let Some(conn) = self.conns.get_mut(idx).and_then(Option::as_mut) else { return };
         if !conn.socket_open {
             return;
         }
-        let want = conn.desired_interest();
+        let outbox_len = conn.shared.len();
+        let readable = match conn.phase {
+            Phase::Active => outbox_len < FRAME_QUEUE && !D::paused(&conn.state),
+            Phase::Linger { .. } => true,
+            _ => false,
+        };
+        let want = Interest { readable, writable: conn.wpos < conn.wbuf.len() || outbox_len > 0 };
+        let token = 1 + idx * self.stride;
         if fresh {
             conn.interest = want;
-            let _ = self.poller.register(raw_fd(&conn.stream), idx + 1, want);
+            let _ = self.poller.register(raw_fd(&conn.stream), token, want);
         } else if want != conn.interest {
             conn.interest = want;
-            let _ = self.poller.reregister(raw_fd(&conn.stream), idx + 1, want);
+            let _ = self.poller.reregister(raw_fd(&conn.stream), token, want);
         }
+        self.with_cx(idx, |mode, cx| mode.sync_links(cx));
     }
 
     /// Hard-close the socket. The slot itself is only released once no
@@ -1669,13 +1122,14 @@ impl Reactor {
     fn sever(&mut self, idx: usize) {
         let Some(conn) = self.conns.get_mut(idx).and_then(Option::as_mut) else { return };
         if conn.socket_open {
-            let _ = self.poller.deregister(raw_fd(&conn.stream), idx + 1);
+            let _ = self.poller.deregister(raw_fd(&conn.stream), 1 + idx * self.stride);
             let _ = conn.stream.shutdown(Shutdown::Both);
             conn.socket_open = false;
         }
         conn.shared.mark_dead();
-        conn.cancel_all();
-        if conn.pending.is_empty() {
+        self.with_cx(idx, |mode, cx| mode.cancel_all(cx));
+        let Some(conn) = self.conns.get_mut(idx).and_then(Option::as_mut) else { return };
+        if D::in_flight(&conn.state) == 0 {
             self.release_slot(idx);
         } else {
             conn.phase = Phase::Zombie;
@@ -1691,31 +1145,31 @@ impl Reactor {
         self.free.push(idx);
     }
 
-    /// Enforce teardown deadlines and the accept back-off.
+    /// Enforce teardown deadlines, dispatch timers and the accept
+    /// back-off.
     fn check_deadlines(&mut self) {
         let now = Instant::now();
         if self.accept_backoff.is_some_and(|at| now >= at) {
             self.accept_backoff = None;
             self.accept_ready();
         }
-        let expired: Vec<usize> = self
-            .conns
-            .iter()
-            .enumerate()
-            .filter_map(|(idx, conn)| {
-                conn.as_ref().and_then(Conn::deadline).filter(|&at| now >= at).map(|_| idx)
-            })
-            .collect();
-        for idx in expired {
-            // Past the drain deadline the remaining tokens are tripped
-            // and the socket severed, which also unblocks any parked
-            // worker (no BYE — the client stopped reading long ago).
-            self.sever(idx);
+        for idx in 0..self.conns.len() {
+            let Some(conn) = self.conns[idx].as_ref() else { continue };
+            if conn.deadline().is_some_and(|at| now >= at) {
+                // Past the drain deadline the remaining work is
+                // cancelled and the socket severed, which also unblocks
+                // any parked worker (no BYE — the client stopped reading
+                // long ago).
+                self.sever(idx);
+            } else if D::timer(&conn.state).is_some_and(|at| now >= at) {
+                self.with_cx(idx, |mode, cx| mode.fire(cx, now));
+                self.settle(idx);
+            }
         }
     }
 
-    /// Reactor exit: sever everything. Marking every outbox dead and
-    /// dropping the pending tickets unblocks all workers (their pushes
+    /// Loop exit: sever everything. Marking every outbox dead and
+    /// dropping the pending work unblocks all workers (their pushes
     /// fail, their reply sends land on dropped channels); the service
     /// core itself stays up for other handles.
     fn teardown_all(&mut self) {
@@ -1737,56 +1191,8 @@ impl Reactor {
 mod tests {
     use super::*;
 
-    #[test]
-    fn queue_full_translates_to_structured_backpressure() {
-        let (code, message) = translate(&ServeError::QueueFull { depth: 7, cap: 8 });
-        assert_eq!(code, ErrorCode::QueueFull);
-        assert_eq!(message, "depth=7 cap=8");
-    }
-
-    #[test]
-    fn line_scanner_splits_lines_and_reports_overflow() {
-        let mut scanner = LineScanner::default();
-        let mut input: Vec<u8> = Vec::new();
-        input.extend_from_slice(b"PING\n");
-        input.extend_from_slice(&vec![b'x'; MAX_LINE_BYTES + 10]);
-        input.push(b'\n');
-        input.extend_from_slice(b"STATS"); // unterminated final line
-        let mut lines = Vec::new();
-        // Awkward chunk sizes exercise the cross-chunk carry state.
-        for chunk in input.chunks(16) {
-            scanner.feed(chunk, |l| lines.push(l));
-        }
-        if let Some(last) = scanner.finish() {
-            lines.push(last);
-        }
-        assert_eq!(lines.len(), 3);
-        match &lines[0] {
-            ScanLine::Line(l) => assert_eq!(l, b"PING"),
-            ScanLine::TooLong { .. } => panic!("expected a line"),
-        }
-        match &lines[1] {
-            ScanLine::TooLong { len } => assert_eq!(*len, MAX_LINE_BYTES + 10),
-            ScanLine::Line(_) => panic!("expected overflow"),
-        }
-        match &lines[2] {
-            ScanLine::Line(l) => assert_eq!(l, b"STATS"),
-            ScanLine::TooLong { .. } => panic!("expected the unterminated tail"),
-        }
-        assert!(scanner.finish().is_none());
-    }
-
-    #[test]
-    fn line_scanner_line_exactly_at_cap_is_accepted() {
-        let mut scanner = LineScanner::default();
-        let mut input = vec![b'a'; MAX_LINE_BYTES];
-        input.push(b'\n');
-        let mut lines = Vec::new();
-        scanner.feed(&input, |l| lines.push(l));
-        match lines.as_slice() {
-            [ScanLine::Line(l)] => assert_eq!(l.len(), MAX_LINE_BYTES),
-            _ => panic!("cap is inclusive"),
-        }
+    fn pong() -> Frame {
+        Frame::header(ReplyHeader::Pong { tag: None })
     }
 
     #[test]
@@ -1796,7 +1202,7 @@ mod tests {
         // freeing the (worker) thread.
         let shared = ConnShared::new();
         for _ in 0..FRAME_QUEUE {
-            assert!(shared.push(Frame::header(ReplyHeader::Pong { tag: None })));
+            assert!(shared.push(pong()));
         }
         let token = CancelToken::new();
         let cancel_from = token.clone();
@@ -1804,38 +1210,32 @@ mod tests {
             std::thread::sleep(Duration::from_millis(20));
             cancel_from.cancel();
         });
-        let delivered =
-            shared.push_streaming(&token, Frame::header(ReplyHeader::Pong { tag: None }));
+        let delivered = shared.push_streaming(&token, pong());
         assert!(
             matches!(delivered, Err(SendFail::Cancelled)),
             "push must abort once the token trips"
         );
         canceller.join().unwrap();
         // Dead connection: immediate failure, no parked workers left
-        // behind, and reactor-side pushes fail too.
+        // behind, and loop-side pushes fail too.
         shared.mark_dead();
         assert!(matches!(
-            shared.push_streaming(
-                &CancelToken::new(),
-                Frame::header(ReplyHeader::Pong { tag: None })
-            ),
+            shared.push_streaming(&CancelToken::new(), pong()),
             Err(SendFail::Disconnected)
         ));
-        assert!(!shared.push(Frame::header(ReplyHeader::Pong { tag: None })));
+        assert!(!shared.push(pong()));
     }
 
     #[test]
     fn outbox_pop_makes_space_for_parked_pushes() {
         let shared = Arc::new(ConnShared::new());
         for _ in 0..FRAME_QUEUE {
-            assert!(shared.push(Frame::header(ReplyHeader::Pong { tag: None })));
+            assert!(shared.push(pong()));
         }
         let token = CancelToken::new();
         let pusher = {
             let shared = Arc::clone(&shared);
-            std::thread::spawn(move || {
-                shared.push_streaming(&token, Frame::header(ReplyHeader::Pong { tag: None }))
-            })
+            std::thread::spawn(move || shared.push_streaming(&token, pong()))
         };
         std::thread::sleep(Duration::from_millis(20));
         assert!(shared.pop().is_some(), "outbox holds frames");

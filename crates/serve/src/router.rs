@@ -37,44 +37,34 @@
 //!   summed across nodes, the model listing deduplicated, Prometheus
 //!   series summed and merged with the router's own registry.
 //!
-//! The concurrency model is **one session per client connection**, each
-//! running its own small non-blocking event loop on a private
-//! [`vrdag_poll`] poller that watches the client socket plus that
-//! session's lazily-dialed backend connections. Because backend
-//! connections are per-session, tags never collide across clients and
-//! nothing needs rewriting — the relay stays verbatim — while within a
-//! session everything is single-threaded: no locks on the data path, a
-//! full client outbox pauses backend reads (and vice versa), exactly
-//! the reactor's backpressure discipline at one connection's scale.
+//! The router is the event loop of [`reactor`](crate::reactor) in
+//! **relay mode**: one loop thread owns every client connection, and
+//! the loop's connection layer (accept, `AUTH` gate, outbox, QUIT
+//! drain, lingering close) is the one the serve tier runs. Each client
+//! lazily dials its own backend links, registered on the same poller
+//! under the client's tokens. Because links are per client, tags never
+//! collide across clients and nothing needs rewriting — the relay stays
+//! verbatim. Nothing on the loop blocks: a dial runs on a short-lived
+//! thread and posts its stream back through the loop's completion pump,
+//! and a `GEN` retry's backoff is a loop timer. A client whose outbox
+//! is full stops its links being read (and vice versa), the reactor's
+//! backpressure discipline across the hop.
 
 use crate::backend::{hash_bytes, BackendPool};
-use crate::protocol::{
-    parse_reply, parse_request, EndStatus, ErrorCode, GenSpec, ProtocolError, ReplyHeader, Request,
-    WireFormat, MAX_LINE_BYTES,
+use crate::codec::{FrameScanner, RawFrame};
+use crate::frontend::{listen, LineClient, Reply};
+use crate::protocol::{EndStatus, ErrorCode, GenSpec, ReplyHeader, Request, MAX_LINE_BYTES};
+use crate::reactor::{
+    self, Cx, Dispatch, Frame, LoopHandle, LoopMetrics, Pump, FRAME_QUEUE, READ_CHUNK, READ_QUANTUM,
 };
-use crate::reactor::{salvage_tag, LineScanner, ScanLine};
-use crate::tenant::{TenantRegistry, ANONYMOUS_TENANT};
+use crate::tenant::TenantRegistry;
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
-use vrdag_obs::{mint_trace_id, Counter, Gauge, Histogram, Logger, Registry, Span, SpanRecorder};
-use vrdag_poll::{connect_ready, create, raw_fd, Backend, Event, Interest, Poller, Waker};
-
-/// Per-direction buffered-byte cap of a session. A peer that stops
-/// reading pauses the opposite direction at this bound instead of
-/// growing an unbounded queue in router memory.
-const MAX_BUFFER: usize = 1 << 20;
-
-/// Poll timeout of the accept loop and every session loop — the
-/// latency bound on noticing the stop flag.
-const TICK: Duration = Duration::from_millis(100);
-
-/// How long a `QUIT` waits for in-flight relays to drain before the
-/// session answers `OK BYE` anyway (mirrors the reactor's drain bound).
-const QUIT_DRAIN: Duration = Duration::from_secs(60);
+use vrdag_obs::{mint_trace_id, Counter, Histogram, Logger, Registry, Span, SpanRecorder};
+use vrdag_poll::{connect_ready, create, raw_fd, Backend, Event, Interest};
 
 /// Construction-time knobs of a [`Router`].
 pub struct RouterConfig {
@@ -83,9 +73,9 @@ pub struct RouterConfig {
     /// without a tenant assertion.
     pub tenants: TenantRegistry,
     /// `GEN`/`SUB` relays one client connection may keep in flight.
-    /// Higher than a single node's default: one session multiplexes
-    /// over many backend connections, each with its own backend-side
-    /// cap that still applies per hop.
+    /// Higher than a single node's default: one client multiplexes
+    /// over many backend links, each with its own backend-side cap
+    /// that still applies per hop.
     pub max_inflight_per_conn: usize,
     /// How many times a pending idempotent `GEN` is re-placed after its
     /// backend dies before the client sees `ERR backend-unavailable`.
@@ -94,14 +84,15 @@ pub struct RouterConfig {
     /// bounded by `gen_retries`, so the worst case adds
     /// `backoff * retries * (retries + 1) / 2` of delay.
     pub retry_backoff: Duration,
-    /// Deadline for dialing a backend (and for the startup `MODELS`
-    /// fingerprint probe).
+    /// Deadline for dialing a backend (and for each read and write of
+    /// the startup `MODELS` fingerprint probe and the HTTP `/metrics`
+    /// fan-out).
     pub dial_timeout: Duration,
     /// Width of the seed bucket in the placement key (`seed /
     /// seed_range`): consecutive seeds within one bucket share a
     /// backend (cache + scheduler affinity), buckets fan out.
     pub seed_range: u64,
-    /// Readiness backend for the accept loop and every session loop.
+    /// Readiness backend of the event loop.
     pub poller: Backend,
     pub logger: Logger,
     /// The router's own metrics registry (`vrdag_route_*`; also the
@@ -132,47 +123,31 @@ impl Default for RouterConfig {
     }
 }
 
-/// State shared by the acceptor and every session.
+/// State shared by the [`Router`] handle and its event loop.
 struct Shared {
     pool: BackendPool,
-    tenants: TenantRegistry,
     logger: Logger,
     metrics: Registry,
-    /// Model name → artifact fingerprint, learned from backend `MODELS`
-    /// listings (startup probe + every aggregated `MODELS`). Placement
-    /// falls back to hashing the name until a fingerprint is known.
-    fingerprints: Mutex<HashMap<String, u64>>,
-    relay_seconds: Histogram,
-    retries: Counter,
-    relayed_frames: Counter,
     spans: SpanRecorder,
-    open: AtomicUsize,
-    open_gauge: Gauge,
-    stop: AtomicBool,
-    max_inflight: usize,
-    gen_retries: u32,
-    retry_backoff: Duration,
     dial_timeout: Duration,
-    poller: Backend,
 }
 
 /// The routing front tier. Binds a listener, probes the backends for
-/// model fingerprints, and serves each accepted client connection on
-/// its own session thread until [`shutdown`](Router::shutdown) (or
-/// drop).
+/// model fingerprints, and relays every client connection from one
+/// event-loop thread until [`shutdown`](Router::shutdown) (or drop).
 pub struct Router {
     local_addr: SocketAddr,
-    waker: Waker,
-    accept: Option<std::thread::JoinHandle<()>>,
+    event_loop: LoopHandle,
     shared: Arc<Shared>,
 }
 
 impl Router {
     /// Bind `addr` and route onto `backends`. The backends are probed
-    /// synchronously (bounded by [`RouterConfig::dial_timeout`] each)
-    /// for their model fingerprints; an unreachable backend starts
-    /// *down* and is re-probed on demand, so the router comes up even
-    /// with a partially-dead fleet.
+    /// synchronously (bounded by [`RouterConfig::dial_timeout`] per
+    /// dial, read and write) for their model fingerprints; an
+    /// unreachable or misbehaving backend starts *down* and is
+    /// re-probed on demand, so the router comes up even with a
+    /// partially-dead fleet.
     pub fn bind(
         addr: impl ToSocketAddrs,
         backends: Vec<SocketAddr>,
@@ -181,33 +156,20 @@ impl Router {
         if backends.is_empty() {
             return Err(io::Error::new(io::ErrorKind::InvalidInput, "router needs >= 1 backend"));
         }
-        let listener = TcpListener::bind(addr)?;
+        let listener = listen(addr)?;
         let local_addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         let pool = BackendPool::new(backends, cfg.seed_range, &cfg.metrics);
         crate::publish_build_info(&cfg.metrics);
         let shared = Arc::new(Shared {
-            tenants: cfg.tenants,
-            logger: cfg.logger,
-            fingerprints: Mutex::new(HashMap::new()),
-            relay_seconds: cfg.metrics.histogram("vrdag_route_relay_seconds", &[]),
-            retries: cfg.metrics.counter("vrdag_route_retries_total", &[]),
-            relayed_frames: cfg.metrics.counter("vrdag_route_relayed_frames_total", &[]),
-            spans: cfg.spans,
-            open: AtomicUsize::new(0),
-            open_gauge: cfg.metrics.gauge("vrdag_route_open_connections", &[]),
-            stop: AtomicBool::new(false),
-            max_inflight: cfg.max_inflight_per_conn.max(1),
-            gen_retries: cfg.gen_retries,
-            retry_backoff: cfg.retry_backoff,
-            dial_timeout: cfg.dial_timeout,
-            poller: cfg.poller,
-            metrics: cfg.metrics,
             pool,
+            logger: cfg.logger,
+            metrics: cfg.metrics,
+            spans: cfg.spans,
+            dial_timeout: cfg.dial_timeout,
         });
-        shared.open_gauge.set(0);
+        let mut fingerprints = HashMap::new();
         for slot in 0..shared.pool.len() {
-            probe_backend(&shared, slot);
+            probe_backend(&shared, slot, &mut fingerprints);
         }
         shared.logger.info(
             "serve.router",
@@ -218,15 +180,28 @@ impl Router {
                 ("up", shared.pool.up_count().to_string()),
             ],
         );
-        let mut poller = create(shared.poller)?;
-        let waker = poller.waker();
-        poller.register(raw_fd(&listener), 0, Interest::READABLE)?;
-        let accept_shared = Arc::clone(&shared);
-        let accept = std::thread::Builder::new()
-            .name("vrdag-route-accept".to_string())
-            .spawn(move || accept_loop(listener, poller, accept_shared))
-            .expect("spawn router accept thread");
-        Ok(Router { local_addr, waker, accept: Some(accept), shared })
+        let poller = create(cfg.poller)?;
+        // The router's exposition stays `vrdag_route_*` (it merges with
+        // the backends' in an aggregated METRICS): the loop's
+        // connection counters go to a registry nobody renders.
+        let loop_metrics = LoopMetrics::new(
+            shared.metrics.gauge("vrdag_route_open_connections", &[]),
+            &Registry::default(),
+        );
+        let event_loop =
+            reactor::spawn("vrdag-route", listener, poller, None, loop_metrics, |pump| Route {
+                relay_seconds: shared.metrics.histogram("vrdag_route_relay_seconds", &[]),
+                retries: shared.metrics.counter("vrdag_route_retries_total", &[]),
+                relayed_frames: shared.metrics.counter("vrdag_route_relayed_frames_total", &[]),
+                shared: Arc::clone(&shared),
+                tenants: cfg.tenants,
+                fingerprints,
+                max_inflight: cfg.max_inflight_per_conn.max(1),
+                gen_retries: cfg.gen_retries,
+                retry_backoff: cfg.retry_backoff,
+                pump,
+            });
+        Ok(Router { local_addr, event_loop, shared })
     }
 
     pub fn local_addr(&self) -> SocketAddr {
@@ -235,7 +210,7 @@ impl Router {
 
     /// Client connections currently being served.
     pub fn open_connections(&self) -> usize {
-        self.shared.open.load(Ordering::SeqCst)
+        self.event_loop.open_connections()
     }
 
     /// Health of backend `slot`, as placement currently sees it.
@@ -264,7 +239,8 @@ impl Router {
     /// `METRICS` payload merged (series summed), plus the router's own
     /// registry — the same bytes a wire `METRICS` command returns, for
     /// the HTTP `/metrics` endpoint. Blocks on one round trip per up
-    /// backend (bounded by [`RouterConfig::dial_timeout`] each).
+    /// backend (bounded by [`RouterConfig::dial_timeout`] per dial,
+    /// read and write).
     pub fn metrics_text(&self) -> String {
         let mut texts: Vec<String> = Vec::new();
         for slot in 0..self.shared.pool.len() {
@@ -272,8 +248,8 @@ impl Router {
             if !meta.is_up() {
                 continue;
             }
-            match blocking_round_trip(&self.shared, slot, b"METRICS\n") {
-                Ok((ReplyHeader::Metrics { .. }, payload)) => {
+            match fetch(&self.shared, slot, Request::Metrics { tag: None }) {
+                Ok(Reply { header: ReplyHeader::Metrics { .. }, payload }) => {
                     if let Ok(text) = String::from_utf8(payload) {
                         texts.push(text);
                     }
@@ -294,21 +270,11 @@ impl Router {
         merge_prometheus(&refs)
     }
 
-    /// Stop accepting, wake the acceptor, and wait (bounded) for the
-    /// session threads to notice the flag and finish. Idempotent; also
-    /// runs on drop.
+    /// Stop the event loop, sever every client (and with it every
+    /// backend link), and join the loop thread. Idempotent; also runs
+    /// on drop.
     pub fn shutdown(&mut self) {
-        if self.shared.stop.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        self.waker.wake();
-        if let Some(accept) = self.accept.take() {
-            let _ = accept.join();
-        }
-        let deadline = Instant::now() + Duration::from_secs(2);
-        while self.shared.open.load(Ordering::SeqCst) > 0 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(10));
-        }
+        self.event_loop.shutdown();
     }
 }
 
@@ -318,52 +284,28 @@ impl Drop for Router {
     }
 }
 
-/// One blocking request/reply round trip against backend `slot` on a
-/// fresh connection, bounded by the dial timeout in each direction.
-/// Shared by the startup fingerprint probe and the HTTP `/metrics`
-/// fan-out — neither runs on a session's event loop.
-fn blocking_round_trip(
-    shared: &Shared,
-    slot: usize,
-    request: &[u8],
-) -> io::Result<(ReplyHeader, Vec<u8>)> {
-    let meta = shared.pool.get(slot);
-    let stream = TcpStream::connect_timeout(&meta.addr(), shared.dial_timeout)?;
-    stream.set_read_timeout(Some(shared.dial_timeout))?;
-    stream.set_write_timeout(Some(shared.dial_timeout))?;
-    let _ = stream.set_nodelay(true);
-    let mut stream = stream;
-    stream.write_all(request)?;
-    let mut raw = Vec::new();
-    let mut byte = [0u8; 1];
-    while byte[0] != b'\n' {
-        if raw.len() > MAX_LINE_BYTES {
-            return Err(io::Error::new(io::ErrorKind::InvalidData, "oversized reply header"));
-        }
-        stream.read_exact(&mut byte)?;
-        raw.push(byte[0]);
-    }
-    let line = std::str::from_utf8(&raw)
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "non-utf8 reply"))?;
-    let header = parse_reply(line.trim_end())
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-    let mut payload = vec![0u8; header.payload_bytes()];
-    stream.read_exact(&mut payload)?;
-    let _ = stream.write_all(b"QUIT\n");
-    Ok((header, payload))
+/// One blocking request/reply exchange with backend `slot` on a fresh
+/// connection, through the shared frame reader with the dial timeout on
+/// every step — the startup fingerprint probe and the HTTP `/metrics`
+/// fan-out, neither of which runs on the event loop.
+fn fetch(shared: &Shared, slot: usize, req: Request) -> io::Result<Reply> {
+    let mut client = LineClient::dial(&shared.pool.get(slot).addr(), shared.dial_timeout)?;
+    let reply = client.request(&req)?;
+    let _ = client.send(&Request::Quit { tag: None });
+    Ok(reply)
 }
 
-/// Startup/recovery fingerprint probe: one blocking `MODELS` round trip
-/// against backend `slot`. Marks the backend's health from the outcome.
-fn probe_backend(shared: &Shared, slot: usize) {
+/// Startup fingerprint probe: one blocking `MODELS` round trip against
+/// backend `slot`. Marks the backend's health from the outcome.
+fn probe_backend(shared: &Shared, slot: usize, fingerprints: &mut HashMap<String, u64>) {
     let meta = shared.pool.get(slot);
-    let outcome = blocking_round_trip(shared, slot, b"MODELS\n").map(|(header, payload)| {
-        if let ReplyHeader::Models { .. } = header {
-            learn_fingerprints(shared, &payload);
+    match fetch(shared, slot, Request::Models { tag: None }) {
+        Ok(reply) => {
+            if let ReplyHeader::Models { .. } = reply.header {
+                learn_fingerprints(fingerprints, &reply.payload);
+            }
+            meta.mark_up();
         }
-    });
-    match outcome {
-        Ok(()) => meta.mark_up(),
         Err(e) => {
             meta.note_dial_failure();
             meta.mark_down();
@@ -377,9 +319,8 @@ fn probe_backend(shared: &Shared, slot: usize) {
 }
 
 /// Harvest `name … fingerprint=<hex>` pairs from a `MODELS` payload.
-fn learn_fingerprints(shared: &Shared, payload: &[u8]) {
+fn learn_fingerprints(map: &mut HashMap<String, u64>, payload: &[u8]) {
     let Ok(text) = std::str::from_utf8(payload) else { return };
-    let mut map = shared.fingerprints.lock().expect("fingerprint map poisoned");
     for line in text.lines() {
         let mut tokens = line.split_whitespace();
         let Some(name) = tokens.next() else { continue };
@@ -393,333 +334,42 @@ fn learn_fingerprints(shared: &Shared, payload: &[u8]) {
     }
 }
 
-fn accept_loop(listener: TcpListener, mut poller: Box<dyn Poller>, shared: Arc<Shared>) {
-    let mut events: Vec<Event> = Vec::new();
-    while !shared.stop.load(Ordering::SeqCst) {
-        if poller.poll(&mut events, Some(TICK)).is_err() {
-            std::thread::sleep(TICK);
-            continue;
-        }
-        loop {
-            match listener.accept() {
-                Ok((stream, peer)) => {
-                    let session_shared = Arc::clone(&shared);
-                    let count = shared.open.fetch_add(1, Ordering::SeqCst) + 1;
-                    shared.open_gauge.set(count as u64);
-                    let spawned = std::thread::Builder::new()
-                        .name("vrdag-route-session".to_string())
-                        .spawn(move || {
-                            let _ = stream.set_nodelay(true);
-                            let shared_for_exit = Arc::clone(&session_shared);
-                            if let Ok(session) = Session::new(stream, session_shared) {
-                                session.run();
-                            }
-                            let left = shared_for_exit.open.fetch_sub(1, Ordering::SeqCst) - 1;
-                            shared_for_exit.open_gauge.set(left as u64);
-                        });
-                    if spawned.is_err() {
-                        let left = shared.open.fetch_sub(1, Ordering::SeqCst) - 1;
-                        shared.open_gauge.set(left as u64);
-                    }
-                    let _ = peer;
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    std::thread::sleep(TICK);
-                    break;
-                }
-            }
-        }
-    }
+/// A backend dial that finished off the loop.
+struct Dialed {
+    slot: usize,
+    result: io::Result<TcpStream>,
 }
 
-/// A reply frame read off a backend connection: the raw header line
-/// exactly as received (relay is verbatim), its parse, and the payload.
-struct BackendFrame {
-    raw: String,
-    header: ReplyHeader,
-    payload: Vec<u8>,
-}
-
-/// Incremental frame reassembler for the backend side of the relay.
-/// Unlike the request side, reply frames carry length-prefixed payloads
-/// whose bytes may contain `\n`, so this scanner alternates between
-/// line mode (headers) and counted mode (payloads).
-#[derive(Default)]
-struct FrameScanner {
-    buf: Vec<u8>,
-    pending: Option<(String, ReplyHeader)>,
-}
-
-impl FrameScanner {
-    fn feed(&mut self, chunk: &[u8], out: &mut Vec<BackendFrame>) -> Result<(), String> {
-        self.buf.extend_from_slice(chunk);
-        loop {
-            if let Some((_, header)) = &self.pending {
-                let need = header.payload_bytes();
-                if self.buf.len() < need {
-                    return Ok(());
-                }
-                let payload: Vec<u8> = self.buf.drain(..need).collect();
-                let (raw, header) = self.pending.take().expect("pending frame vanished");
-                out.push(BackendFrame { raw, header, payload });
-                continue;
-            }
-            let Some(nl) = self.buf.iter().position(|&b| b == b'\n') else {
-                if self.buf.len() > MAX_LINE_BYTES {
-                    return Err("oversized reply header from backend".to_string());
-                }
-                return Ok(());
-            };
-            let line_bytes: Vec<u8> = self.buf.drain(..=nl).collect();
-            let line = std::str::from_utf8(&line_bytes[..nl])
-                .map_err(|_| "non-utf8 reply header from backend".to_string())?
-                .trim_end_matches('\r')
-                .to_string();
-            if line.is_empty() {
-                continue;
-            }
-            let header = parse_reply(&line).map_err(|e| e.to_string())?;
-            if header.payload_bytes() > 0 {
-                self.pending = Some((line, header));
-            } else {
-                out.push(BackendFrame { raw: line, header, payload: Vec::new() });
-            }
-        }
-    }
-}
-
-/// One lazily-dialed backend connection of a session.
-struct BackendConn {
-    stream: TcpStream,
-    scanner: FrameScanner,
+/// One backend connection of one client. `stream` is `None` while the
+/// dial runs; lines queued meanwhile go out once it lands.
+struct Link {
+    stream: Option<TcpStream>,
+    frames: FrameScanner,
     out: Vec<u8>,
     out_pos: usize,
     interest: Interest,
 }
 
-impl BackendConn {
-    fn new(stream: TcpStream) -> BackendConn {
-        BackendConn {
-            stream,
-            scanner: FrameScanner::default(),
+impl Link {
+    fn dialing() -> Link {
+        Link {
+            stream: None,
+            frames: FrameScanner::default(),
             out: Vec::new(),
             out_pos: 0,
             interest: Interest::READABLE,
         }
     }
 
-    fn buffered(&self) -> usize {
-        self.out.len() - self.out_pos
-    }
-}
-
-/// What a relayed tagged request is, for failover bookkeeping.
-enum EntryKind {
-    /// Idempotent; `line` is the internal-hop request line for replay.
-    Gen { line: String, attempts: u32 },
-    /// Not replayable once frames may have reached the client.
-    Sub,
-}
-
-/// One in-flight tagged relay.
-struct Entry {
-    slot: usize,
-    kind: EntryKind,
-    t0: Instant,
-    /// Trace id minted by this router and stamped on the internal hop;
-    /// the relay span records under it at the terminal frame.
-    trace: String,
-    model: String,
-    seed: u64,
-    /// Milliseconds spent acquiring a backend (dial + failover
-    /// re-dials), accumulated across retries.
-    dial_ms: f64,
-}
-
-/// One in-flight *untagged* `GEN`. Untagged replies carry no tag to
-/// match on, so completion is matched by the `(model, t, seed, fmt)`
-/// echo in the `OK GEN` header (deterministic generation makes jobs
-/// with identical coordinates interchangeable); an untagged `ERR`
-/// resolves the oldest entry on that backend.
-struct UntaggedGen {
-    slot: usize,
-    line: String,
-    attempts: u32,
-    model: String,
-    t_len: usize,
-    seed: u64,
-    fmt: WireFormat,
-    t0: Instant,
-    trace: String,
-    dial_ms: f64,
-}
-
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum AggKind {
-    Stats,
-    Metrics,
-    Models,
-}
-
-/// One backend's contribution to a fan-out reply.
-enum Part {
-    Waiting,
-    Payload(Vec<u8>),
-    /// Unreachable, or answered with an `ERR`; carries the note shown
-    /// in the aggregate.
-    Down(String),
-}
-
-/// A `STATS`/`MODELS`/`METRICS` fan-out in progress.
-struct Aggregate {
-    kind: AggKind,
-    client_tag: Option<String>,
-    parts: Vec<Part>,
-    remaining: usize,
-}
-
-/// One client connection's relay loop. Owns a private poller watching
-/// the client socket (token 0) and this session's backend connections
-/// (token = slot + 1); everything is single-threaded.
-struct Session {
-    shared: Arc<Shared>,
-    poller: Box<dyn Poller>,
-    client: TcpStream,
-    scanner: LineScanner,
-    out: Vec<u8>,
-    out_pos: usize,
-    client_interest: Interest,
-    conns: Vec<Option<BackendConn>>,
-    inflight: HashMap<String, Entry>,
-    untagged: Vec<UntaggedGen>,
-    aggs: HashMap<u64, Aggregate>,
-    /// Internal aggregate tag → (aggregate id, slot).
-    agg_pending: HashMap<String, (u64, usize)>,
-    next_agg: u64,
-    /// Counter behind server-assigned `~<n>` SUB tags (mirrors the
-    /// reactor's numbering so a session through the router hands out
-    /// the same tags a direct connection would).
-    auto_tag: u64,
-    /// Counter behind internal `~a<n>` aggregate probe tags.
-    agg_tag: u64,
-    authed: bool,
-    tenant_id: String,
-    draining: Option<Instant>,
-    drain_tag: Option<String>,
-    closing: bool,
-}
-
-impl Session {
-    fn new(client: TcpStream, shared: Arc<Shared>) -> io::Result<Session> {
-        client.set_nonblocking(true)?;
-        let mut poller = create(shared.poller)?;
-        poller.register(raw_fd(&client), 0, Interest::READABLE)?;
-        let slots = shared.pool.len();
-        Ok(Session {
-            poller,
-            client,
-            scanner: LineScanner::default(),
-            out: Vec::new(),
-            out_pos: 0,
-            client_interest: Interest::READABLE,
-            conns: (0..slots).map(|_| None).collect(),
-            inflight: HashMap::new(),
-            untagged: Vec::new(),
-            aggs: HashMap::new(),
-            agg_pending: HashMap::new(),
-            next_agg: 0,
-            auto_tag: 0,
-            agg_tag: 0,
-            authed: false,
-            tenant_id: ANONYMOUS_TENANT.to_string(),
-            draining: None,
-            drain_tag: None,
-            closing: false,
-            shared,
-        })
-    }
-
-    fn run(mut self) {
-        let mut events: Vec<Event> = Vec::new();
-        loop {
-            if self.shared.stop.load(Ordering::SeqCst) {
-                return;
-            }
-            if self.poller.poll(&mut events, Some(TICK)).is_err() {
-                return;
-            }
-            let fired: Vec<Event> = events.clone();
-            for ev in fired {
-                if ev.token == 0 {
-                    if ev.writable && self.flush_client().is_err() {
-                        return;
-                    }
-                    if ev.readable {
-                        match self.read_client() {
-                            Ok(true) => {}
-                            // EOF or transport failure: drop everything;
-                            // the backends observe their conns closing
-                            // and cancel in-flight work themselves.
-                            Ok(false) | Err(_) => return,
-                        }
-                    }
-                } else {
-                    let slot = ev.token - 1;
-                    if self.conns.get(slot).is_some_and(Option::is_some) {
-                        if ev.writable {
-                            if let Err(e) = self.flush_backend(slot) {
-                                self.backend_failed(slot, &e.to_string());
-                            }
-                        }
-                        if self.conns[slot].is_some() && ev.readable {
-                            if let Err(e) = self.read_backend(slot) {
-                                self.backend_failed(slot, &e.to_string());
-                            }
-                        }
-                    }
-                }
-            }
-            self.check_drain();
-            if self.flush_client().is_err() {
-                return;
-            }
-            if self.closing && self.buffered_client() == 0 {
-                return;
-            }
-            if self.update_interests().is_err() {
-                return;
-            }
-        }
-    }
-
-    // ----- byte plumbing ---------------------------------------------------
-
-    fn buffered_client(&self) -> usize {
+    fn backlog(&self) -> usize {
         self.out.len() - self.out_pos
     }
 
-    fn push_client_bytes(&mut self, bytes: &[u8]) {
-        self.out.extend_from_slice(bytes);
-    }
-
-    /// Queue a router-originated reply frame to the client.
-    fn push_reply(&mut self, header: ReplyHeader, payload: &[u8]) {
-        let line = header.to_line();
-        self.out.reserve(line.len() + 1 + payload.len());
-        self.out.extend_from_slice(line.as_bytes());
-        self.out.push(b'\n');
-        self.out.extend_from_slice(payload);
-    }
-
-    fn push_err(&mut self, code: ErrorCode, tag: Option<String>, message: impl Into<String>) {
-        self.push_reply(ReplyHeader::Err { code, tag, message: message.into() }, &[]);
-    }
-
-    fn flush_client(&mut self) -> io::Result<()> {
+    /// Write queued lines until the socket would block.
+    fn flush(&mut self) -> io::Result<()> {
+        let Some(stream) = self.stream.as_mut() else { return Ok(()) };
         while self.out_pos < self.out.len() {
-            match self.client.write(&self.out[self.out_pos..]) {
+            match stream.write(&self.out[self.out_pos..]) {
                 Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
                 Ok(n) => self.out_pos += n,
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
@@ -733,194 +383,613 @@ impl Session {
         }
         Ok(())
     }
+}
 
-    fn flush_backend(&mut self, slot: usize) -> io::Result<()> {
-        let Some(conn) = self.conns[slot].as_mut() else { return Ok(()) };
-        while conn.out_pos < conn.out.len() {
-            match conn.stream.write(&conn.out[conn.out_pos..]) {
-                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
-                Ok(n) => conn.out_pos += n,
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e),
-            }
-        }
-        if conn.out_pos == conn.out.len() {
-            conn.out.clear();
-            conn.out_pos = 0;
-        }
-        Ok(())
+/// Where a relayed request is.
+#[derive(Clone, Copy, PartialEq)]
+enum Place {
+    /// Sent (or queued behind a dial) on this backend.
+    On(usize),
+    /// Its backend died; re-placed, avoiding `dead`, once `at` passes.
+    Retry { at: Instant, dead: usize },
+}
+
+/// One in-flight `GEN`/`SUB` relay. Untagged `GEN` replies carry no tag
+/// to match on, so their completion is matched by the `(model, t, seed,
+/// fmt)` echo in the `OK GEN` header (deterministic generation makes
+/// jobs with identical coordinates interchangeable); an untagged `ERR`
+/// resolves the oldest untagged relay on that backend.
+struct Relay {
+    /// The internal-hop request, tenant and trace stamped.
+    spec: GenSpec,
+    /// `SUB` streams cannot be replayed once frames may have reached
+    /// the client; `GEN` is idempotent.
+    sub: bool,
+    place: Place,
+    attempts: u32,
+    /// Since when the current placement waits for its link to connect.
+    waiting: Option<Instant>,
+    /// When the request first went out — the start of the relay stage.
+    sent: Option<Instant>,
+    /// Milliseconds spent waiting for backend links, across retries.
+    dial_ms: f64,
+}
+
+impl Relay {
+    fn line(&self) -> String {
+        let spec = self.spec.clone();
+        let req = if self.sub { Request::Sub(spec) } else { Request::Gen(spec) };
+        req.to_line()
     }
 
-    /// Recompute and apply per-fd interest: writable only while bytes
-    /// are queued, readable only while the opposite direction has room
-    /// (cross-hop backpressure).
-    fn update_interests(&mut self) -> io::Result<()> {
-        let client_room = self.buffered_client() < MAX_BUFFER;
-        let backend_room =
-            self.conns.iter().flatten().map(BackendConn::buffered).sum::<usize>() < MAX_BUFFER;
-        let want = Interest {
-            readable: !self.closing && self.draining.is_none() && backend_room,
-            writable: self.buffered_client() > 0,
-        };
-        if want != self.client_interest {
-            self.poller.reregister(raw_fd(&self.client), 0, want)?;
-            self.client_interest = want;
+    /// The request line reached a connected backend.
+    fn mark_sent(&mut self) {
+        if let Some(since) = self.waiting.take() {
+            self.dial_ms += since.elapsed().as_secs_f64() * 1e3;
         }
-        for slot in 0..self.conns.len() {
-            let Some(conn) = self.conns[slot].as_mut() else { continue };
-            let want = Interest { readable: client_room, writable: conn.out_pos < conn.out.len() };
-            if want != conn.interest {
-                // A backend re-register failure is that backend's
-                // problem, not the session's.
-                if self.poller.reregister(raw_fd(&conn.stream), slot + 1, want).is_ok() {
-                    conn.interest = want;
-                } else {
-                    self.backend_failed(slot, "poller re-registration failed");
-                }
-            }
-        }
-        Ok(())
+        self.sent.get_or_insert_with(Instant::now);
     }
 
-    // ----- client side -----------------------------------------------------
-
-    /// Drain readable client bytes; `Ok(false)` means EOF.
-    fn read_client(&mut self) -> io::Result<bool> {
-        let mut chunk = [0u8; 16 * 1024];
-        loop {
-            if self.closing || self.draining.is_some() {
-                return Ok(true);
-            }
-            match self.client.read(&mut chunk) {
-                Ok(0) => return Ok(false),
-                Ok(n) => {
-                    let mut lines: Vec<ScanLine> = Vec::new();
-                    self.scanner.feed(&chunk[..n], |line| lines.push(line));
-                    for line in lines {
-                        self.handle_client_line(line);
-                        if self.closing || self.draining.is_some() {
-                            return Ok(true);
-                        }
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(true),
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e),
-            }
-            if self.buffered_client() >= MAX_BUFFER {
-                return Ok(true);
-            }
-        }
+    fn relay_secs(&self) -> f64 {
+        self.sent.map_or(0.0, |at| at.elapsed().as_secs_f64())
     }
+}
 
-    fn handle_client_line(&mut self, line: ScanLine) {
-        let parsed = match line {
-            ScanLine::TooLong { len } => {
-                let e = ProtocolError::LineTooLong { len };
-                self.push_err(e.code(), None, e.to_string());
-                return;
-            }
-            ScanLine::Line(raw) => match String::from_utf8(raw) {
-                Err(_) => {
-                    let e = ProtocolError::NotUtf8;
-                    self.push_err(e.code(), None, e.to_string());
-                    return;
-                }
-                Ok(text) => match parse_request(&text) {
-                    Err(ProtocolError::Empty) => return,
-                    Err(e) => {
-                        self.push_err(e.code(), salvage_tag(&text), e.to_string());
-                        return;
-                    }
-                    Ok(req) => req,
-                },
-            },
-        };
-        let needs_auth = self.shared.tenants.auth_enabled() && !self.authed;
-        if needs_auth && !matches!(parsed, Request::Auth { .. }) {
-            self.push_err(ErrorCode::AuthRequired, None, "authenticate first: AUTH token=<token>");
-            self.closing = true;
-            return;
-        }
-        match parsed {
-            Request::Auth { token, tag } => self.handle_auth(token, tag),
-            Request::Gen(spec) => self.route_gen(spec),
-            Request::Sub(spec) => self.route_sub(spec),
-            Request::Cancel { tag } => self.handle_cancel(tag),
-            Request::Stats { tag } => self.start_aggregate(AggKind::Stats, tag),
-            Request::Metrics { tag } => self.start_aggregate(AggKind::Metrics, tag),
-            Request::Models { tag } => self.start_aggregate(AggKind::Models, tag),
-            Request::Ping { tag } => self.push_reply(ReplyHeader::Pong { tag }, &[]),
-            Request::Quit { tag } => {
-                self.draining = Some(Instant::now() + QUIT_DRAIN);
-                self.drain_tag = tag;
-            }
-        }
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum AggKind {
+    Stats,
+    Metrics,
+    Models,
+}
+
+/// One backend's contribution to a fan-out reply.
+enum Part {
+    /// Awaiting the reply to the internal probe tagged with this.
+    Waiting(String),
+    Payload(Vec<u8>),
+    /// Unreachable, or answered with an `ERR`; carries the note shown
+    /// in the aggregate.
+    Down(String),
+}
+
+/// A `STATS`/`MODELS`/`METRICS` fan-out in progress.
+struct Aggregate {
+    kind: AggKind,
+    client_tag: Option<String>,
+    parts: Vec<Part>,
+}
+
+impl Aggregate {
+    fn waits_on(&self, tag: &str) -> bool {
+        self.parts.iter().any(|p| matches!(p, Part::Waiting(t) if t == tag))
     }
+}
 
-    fn handle_auth(&mut self, token: String, tag: Option<String>) {
-        if !self.shared.tenants.auth_enabled() {
-            self.push_reply(ReplyHeader::Auth { tag, tenant: self.tenant_id.clone() }, &[]);
-            return;
-        }
-        if self.authed {
-            self.push_err(ErrorCode::BadRequest, tag, "connection is already authenticated");
-            return;
-        }
-        match self.shared.tenants.authenticate(&token) {
-            Some(tenant) => {
-                let id = tenant.id().to_string();
-                self.shared.logger.info(
-                    "serve.router",
-                    "connection authenticated",
-                    &[("tenant", id.clone())],
-                );
-                self.tenant_id = id.clone();
-                self.authed = true;
-                self.push_reply(ReplyHeader::Auth { tag, tenant: id }, &[]);
-            }
-            None => {
-                self.shared.logger.warn("serve.router", "auth failed: invalid token", &[]);
-                self.push_err(ErrorCode::AuthFailed, tag, "invalid token");
-                self.closing = true;
-            }
-        }
+/// Relay-mode state of one client connection.
+struct RouteConn {
+    /// One lazily dialed link per backend slot.
+    links: Vec<Option<Link>>,
+    relays: Vec<Relay>,
+    aggs: Vec<Aggregate>,
+    /// Counter behind server-assigned `~<n>` SUB tags (mirrors the
+    /// serve tier's numbering so a client through the router sees the
+    /// same tags a direct connection would).
+    auto_tag: u64,
+    /// Counter behind internal `~a<n>` aggregate probe tags.
+    agg_tag: u64,
+}
+
+impl RouteConn {
+    fn tag_taken(&self, tag: &str) -> bool {
+        self.relays.iter().any(|r| r.spec.tag.as_deref() == Some(tag))
+            || self.aggs.iter().any(|a| a.waits_on(tag))
     }
+}
 
-    fn inflight_total(&self) -> usize {
-        self.inflight.len() + self.untagged.len()
-    }
+/// The relay dispatch mode.
+struct Route {
+    shared: Arc<Shared>,
+    tenants: TenantRegistry,
+    /// Model name → artifact fingerprint, learned from backend `MODELS`
+    /// listings (startup probe + every aggregated `MODELS`). Placement
+    /// falls back to hashing the name until a fingerprint is known.
+    fingerprints: HashMap<String, u64>,
+    relay_seconds: Histogram,
+    retries: Counter,
+    relayed_frames: Counter,
+    max_inflight: usize,
+    gen_retries: u32,
+    retry_backoff: Duration,
+    pump: Pump<Dialed>,
+}
 
+impl Route {
     /// The placement key of `(model, seed)`: fingerprint when known,
     /// name hash until then (converges once any `MODELS` listing has
     /// been seen).
     fn placement_key(&self, model: &str, seed: u64) -> u64 {
-        let model_key = self
-            .shared
-            .fingerprints
-            .lock()
-            .expect("fingerprint map poisoned")
-            .get(model)
-            .copied()
-            .unwrap_or_else(|| hash_bytes(model.as_bytes()));
+        let model_key =
+            self.fingerprints.get(model).copied().unwrap_or_else(|| hash_bytes(model.as_bytes()));
         self.shared.pool.request_key(model_key, seed)
     }
 
-    /// Dial backend `slot` if this session has no connection to it yet.
-    fn ensure_conn(&mut self, slot: usize) -> io::Result<()> {
-        if self.conns[slot].is_some() {
-            return Ok(());
+    /// The backend for `key`: the full-fleet placement when that node is
+    /// up (or due a recovery probe), otherwise rendezvous over the
+    /// healthy subset — always avoiding `dead`, a backend that just
+    /// failed this request.
+    fn pick(&self, key: u64, dead: Option<usize>) -> Option<usize> {
+        let pool = &self.shared.pool;
+        if dead.is_none() {
+            if let Some(home) = pool.place(key) {
+                let meta = pool.get(home);
+                if meta.is_up() || meta.take_reprobe_slot() {
+                    return Some(home);
+                }
+            }
         }
+        pool.place_healthy(key, dead)
+    }
+
+    /// Start dialing backend `slot` for this client, off the loop: the
+    /// dial thread posts its stream back through the completion pump.
+    fn dial(&self, cx: &mut Cx<'_, RouteConn>, slot: usize) {
+        cx.state.links[slot] = Some(Link::dialing());
+        let addr = self.shared.pool.get(slot).addr();
+        let timeout = self.shared.dial_timeout;
+        let (idx, serial) = (cx.idx, cx.serial);
+        let pump = self.pump.clone();
+        let spawned =
+            std::thread::Builder::new().name("vrdag-route-dial".to_string()).spawn(move || {
+                pump.post(idx, serial, Dialed { slot, result: connect_ready(&addr, timeout) })
+            });
+        if let Err(e) = spawned {
+            self.pump.post(idx, serial, Dialed { slot, result: Err(e) });
+        }
+    }
+
+    /// Queue `line` on this client's link to `slot` (dialing it first
+    /// if there is none) and flush eagerly; a write failure routes
+    /// through the failover path, which sees whatever the caller just
+    /// recorded.
+    fn send(&mut self, cx: &mut Cx<'_, RouteConn>, slot: usize, line: &str) {
+        if cx.state.links[slot].is_none() {
+            self.dial(cx, slot);
+        }
+        let link = cx.state.links[slot].as_mut().expect("link just ensured");
+        link.out.reserve(line.len() + 1);
+        link.out.extend_from_slice(line.as_bytes());
+        link.out.push(b'\n');
+        if let Err(e) = link.flush() {
+            self.link_failed(cx, slot, &e.to_string());
+        }
+    }
+
+    /// Place `relay` (avoiding `dead`, the backend that just failed it)
+    /// and send it, or fail it with `ERR backend-unavailable`.
+    fn launch(&mut self, cx: &mut Cx<'_, RouteConn>, mut relay: Relay, dead: Option<usize>) {
+        if let Some(since) = relay.waiting.take() {
+            relay.dial_ms += since.elapsed().as_secs_f64() * 1e3;
+        }
+        let key = self.placement_key(&relay.spec.model, relay.spec.seed);
+        let Some(slot) = self.pick(key, dead) else {
+            self.record_span(cx, &relay, "error", None);
+            let message = if relay.attempts == 0 {
+                "no healthy backend for this request"
+            } else {
+                "no healthy backend left for this request"
+            };
+            cx.push(Frame::err(ErrorCode::BackendUnavailable, relay.spec.tag.clone(), message));
+            return;
+        };
+        relay.place = Place::On(slot);
+        relay.waiting = Some(Instant::now());
+        if cx.state.links[slot].as_ref().is_some_and(|l| l.stream.is_some()) {
+            relay.mark_sent();
+        }
+        let line = relay.line();
+        cx.state.relays.push(relay);
+        self.send(cx, slot, &line);
+    }
+
+    /// Record the router's relay span of one finished request: `dial`
+    /// (waiting for backend links, including failover re-dials),
+    /// `relay` (request sent → terminal frame), `total`.
+    fn record_span(
+        &self,
+        cx: &Cx<'_, RouteConn>,
+        relay: &Relay,
+        outcome: &'static str,
+        slot: Option<usize>,
+    ) {
+        let relay_ms = relay.relay_secs() * 1e3;
+        self.shared.spans.record(Span {
+            trace: relay.spec.trace.clone().unwrap_or_default(),
+            tier: "route",
+            parent: None,
+            tenant: Some(cx.tenant.id().to_string()),
+            model: relay.spec.model.clone(),
+            model_fp: self.fingerprints.get(&relay.spec.model).copied(),
+            seed: relay.spec.seed,
+            outcome,
+            backend: slot.map(|s| self.shared.pool.get(s).addr().to_string()),
+            stages_ms: vec![
+                ("dial", relay.dial_ms),
+                ("relay", relay_ms),
+                ("total", relay.dial_ms + relay_ms),
+            ],
+        });
+    }
+
+    /// A relay reached its terminal frame on `slot`.
+    fn finish(&self, cx: &mut Cx<'_, RouteConn>, at: usize, outcome: &'static str, slot: usize) {
+        let relay = cx.state.relays.remove(at);
+        self.relay_seconds.observe(relay.relay_secs());
+        self.record_span(cx, &relay, outcome, Some(slot));
+    }
+
+    /// Stamp the internal-hop assertions on a client's `GEN`/`SUB`:
+    /// the tenant (when auth is on) and a freshly minted trace id. A
+    /// client-stamped `trace=` is refused — the same trust rule as
+    /// `tenant=`, and the client side of the router is never an
+    /// internal hop.
+    fn stamp(&self, cx: &Cx<'_, RouteConn>, spec: &mut GenSpec) -> Result<(), Frame> {
+        if spec.trace.is_some() {
+            return Err(Frame::err(
+                ErrorCode::InvalidRequest,
+                spec.tag.clone(),
+                "trace= is an internal-hop assertion; this frontend does not trust it",
+            ));
+        }
+        if self.tenants.auth_enabled() {
+            spec.tenant = Some(cx.tenant.id().to_string());
+        }
+        spec.trace = Some(mint_trace_id());
+        Ok(())
+    }
+
+    fn check_room(&self, conn: &RouteConn, tag: Option<&String>) -> Result<(), Frame> {
+        if let Some(tag) = tag {
+            if conn.tag_taken(tag) {
+                return Err(Frame::err(
+                    ErrorCode::DuplicateTag,
+                    Some(tag.clone()),
+                    format!("tag {tag} is already in flight on this connection"),
+                ));
+            }
+        }
+        if conn.relays.len() >= self.max_inflight {
+            return Err(Frame::err(
+                ErrorCode::TooManyInflight,
+                tag.cloned(),
+                format!("inflight={} cap={}", conn.relays.len(), self.max_inflight),
+            ));
+        }
+        Ok(())
+    }
+
+    fn route_gen(&mut self, cx: &mut Cx<'_, RouteConn>, mut spec: GenSpec) -> Result<(), Frame> {
+        self.check_room(cx.state, spec.tag.as_ref())?;
+        self.stamp(cx, &mut spec)?;
+        self.launch(cx, Relay::new(spec, false), None);
+        Ok(())
+    }
+
+    fn route_sub(&mut self, cx: &mut Cx<'_, RouteConn>, mut spec: GenSpec) -> Result<(), Frame> {
+        // The trace assertion is checked first (like the serve tier:
+        // before any tag assignment) so a rejected hop never opens a
+        // stream and the ERR carries the client's own tag.
+        let original = spec.tag.clone();
+        self.stamp(cx, &mut spec)?;
+        // Tags are assigned at the *router* for untagged SUBs: two
+        // backends would otherwise both hand out `~1` on their own
+        // links and collide at the client's demux.
+        let tag = match original {
+            Some(tag) => tag,
+            None => loop {
+                cx.state.auto_tag += 1;
+                let candidate = format!("~{}", cx.state.auto_tag);
+                if !cx.state.tag_taken(&candidate) {
+                    break candidate;
+                }
+            },
+        };
+        self.check_room(cx.state, Some(&tag))?;
+        spec.tag = Some(tag);
+        self.launch(cx, Relay::new(spec, true), None);
+        Ok(())
+    }
+
+    fn cancel(&mut self, cx: &mut Cx<'_, RouteConn>, tag: String) {
+        let Some(at) = cx.state.relays.iter().position(|r| r.spec.tag.as_ref() == Some(&tag))
+        else {
+            cx.push(Frame::header(ReplyHeader::Cancel { tag, found: false }));
+            return;
+        };
+        match cx.state.relays[at].place {
+            // The backend owns the stream's termination: its
+            // `OK CANCEL` (and the stream's END) relay back verbatim.
+            Place::On(slot) => self.send(cx, slot, &Request::Cancel { tag }.to_line()),
+            // Backing off between backends: nothing is running, so the
+            // router answers what a backend would for a job cancelled
+            // before it ran.
+            Place::Retry { .. } => {
+                let relay = cx.state.relays.remove(at);
+                self.record_span(cx, &relay, "cancelled", None);
+                cx.push(Frame::header(ReplyHeader::Cancel { tag: tag.clone(), found: true }));
+                cx.push(Frame::err(
+                    ErrorCode::Cancelled,
+                    Some(tag),
+                    "job cancelled before its reply was produced",
+                ));
+            }
+        }
+    }
+
+    fn next_internal_tag(&self, conn: &mut RouteConn) -> String {
+        loop {
+            conn.agg_tag += 1;
+            let candidate = format!("~a{}", conn.agg_tag);
+            if !conn.tag_taken(&candidate) {
+                return candidate;
+            }
+        }
+    }
+
+    fn start_aggregate(&mut self, cx: &mut Cx<'_, RouteConn>, kind: AggKind, tag: Option<String>) {
+        let mut parts = Vec::with_capacity(self.shared.pool.len());
+        for meta in self.shared.pool.iter() {
+            parts.push(if meta.is_up() || meta.take_reprobe_slot() {
+                Part::Waiting(self.next_internal_tag(cx.state))
+            } else {
+                Part::Down(meta.addr().to_string())
+            });
+        }
+        let probes: Vec<(usize, String)> = parts
+            .iter()
+            .enumerate()
+            .filter_map(|(slot, p)| match p {
+                Part::Waiting(itag) => Some((slot, itag.clone())),
+                _ => None,
+            })
+            .collect();
+        cx.state.aggs.push(Aggregate { kind, client_tag: tag, parts });
+        for (slot, itag) in probes {
+            let line = match kind {
+                AggKind::Stats => format!("STATS tag={itag}"),
+                AggKind::Metrics => format!("METRICS tag={itag}"),
+                AggKind::Models => format!("MODELS tag={itag}"),
+            };
+            self.send(cx, slot, &line);
+        }
+        self.finish_aggregates(cx);
+    }
+
+    /// Settle the aggregate part waiting on internal probe tag `itag`.
+    fn resolve_part(&mut self, cx: &mut Cx<'_, RouteConn>, itag: &str, part: Part) {
+        for agg in &mut cx.state.aggs {
+            if let Some(p) =
+                agg.parts.iter_mut().find(|p| matches!(p, Part::Waiting(t) if t == itag))
+            {
+                *p = part;
+                break;
+            }
+        }
+        self.finish_aggregates(cx);
+    }
+
+    /// Answer every aggregate whose parts have all settled.
+    fn finish_aggregates(&mut self, cx: &mut Cx<'_, RouteConn>) {
+        while let Some(at) = cx
+            .state
+            .aggs
+            .iter()
+            .position(|a| !a.parts.iter().any(|p| matches!(p, Part::Waiting(_))))
+        {
+            let agg = cx.state.aggs.remove(at);
+            let payload = match agg.kind {
+                AggKind::Stats => render_stats_aggregate(&self.shared.pool, &agg.parts),
+                AggKind::Models => {
+                    // A MODELS sweep doubles as a fingerprint refresh, so
+                    // placement self-heals after model re-registration.
+                    for part in &agg.parts {
+                        if let Part::Payload(bytes) = part {
+                            learn_fingerprints(&mut self.fingerprints, bytes);
+                        }
+                    }
+                    render_models_aggregate(&agg.parts)
+                }
+                AggKind::Metrics => {
+                    // Own registry merges in as one more input so shared
+                    // families (`vrdag_build_info`) do not duplicate —
+                    // mirrors [`Router::metrics_text`] exactly.
+                    let own = self.shared.metrics.render();
+                    let texts: Vec<&str> = agg
+                        .parts
+                        .iter()
+                        .filter_map(|p| match p {
+                            Part::Payload(bytes) => std::str::from_utf8(bytes).ok(),
+                            _ => None,
+                        })
+                        .chain(std::iter::once(own.as_str()))
+                        .collect();
+                    merge_prometheus(&texts).into_bytes()
+                }
+            };
+            let (tag, bytes) = (agg.client_tag, payload.len());
+            let header = match agg.kind {
+                AggKind::Stats => ReplyHeader::Stats { tag, bytes },
+                AggKind::Metrics => ReplyHeader::Metrics { tag, bytes },
+                AggKind::Models => ReplyHeader::Models { tag, bytes },
+            };
+            cx.push(Frame::new(header, payload));
+        }
+    }
+
+    /// One frame from backend `slot`: an aggregate part, or a reply
+    /// relayed verbatim with its terminal-frame bookkeeping.
+    fn on_frame(&mut self, cx: &mut Cx<'_, RouteConn>, slot: usize, frame: RawFrame) {
+        let RawFrame { line, header, payload } = frame;
+        if let Some(tag) = header.tag() {
+            if cx.state.aggs.iter().any(|a| a.waits_on(tag)) {
+                let part = match &header {
+                    ReplyHeader::Err { message, .. } => Part::Down(format!(
+                        "{} answered ERR: {message}",
+                        self.shared.pool.get(slot).addr()
+                    )),
+                    _ => Part::Payload(payload),
+                };
+                self.resolve_part(cx, tag, part);
+                return;
+            }
+        }
+        cx.push(Frame::relayed(line, payload));
+        self.relayed_frames.inc();
+        // Terminal-frame bookkeeping: observe the relay latency and
+        // record the router's relay span under the request's trace id
+        // (the backend recorded its serve-tier span under the same id).
+        let on_slot = |r: &Relay| r.place == Place::On(slot);
+        let relays = &cx.state.relays;
+        let (found, outcome) = match &header {
+            ReplyHeader::Gen { tag: Some(tag), .. } | ReplyHeader::End { tag, .. } => {
+                let outcome = match &header {
+                    ReplyHeader::End { status: EndStatus::Cancelled, .. } => "cancelled",
+                    _ => "ok",
+                };
+                let at = relays.iter().position(|r| on_slot(r) && r.spec.tag.as_ref() == Some(tag));
+                (at, outcome)
+            }
+            ReplyHeader::Err { tag: Some(tag), .. } => (
+                relays.iter().position(|r| on_slot(r) && r.spec.tag.as_ref() == Some(tag)),
+                "error",
+            ),
+            ReplyHeader::Gen { tag: None, model, t_len, seed, fmt, .. } => {
+                let at = relays.iter().position(|r| {
+                    on_slot(r)
+                        && !r.sub
+                        && r.spec.tag.is_none()
+                        && r.spec.model == *model
+                        && r.spec.t_len == *t_len
+                        && r.spec.seed == *seed
+                        && r.spec.fmt == *fmt
+                });
+                (at, "ok")
+            }
+            // No tag to match: resolve the oldest untagged relay on this
+            // backend (untagged replies are inherently ambiguous — same
+            // as on a direct connection).
+            ReplyHeader::Err { tag: None, .. } => {
+                (relays.iter().position(|r| on_slot(r) && r.spec.tag.is_none()), "error")
+            }
+            _ => (None, "ok"),
+        };
+        if let Some(at) = found {
+            self.finish(cx, at, outcome, slot);
+        }
+    }
+
+    /// Backend `slot` failed this client's link: mark it down, fail
+    /// streams cleanly, schedule idempotent `GEN` retries with bounded
+    /// backoff, re-place requests that never went out, and resolve any
+    /// aggregate parts it still owed.
+    fn link_failed(&mut self, cx: &mut Cx<'_, RouteConn>, slot: usize, error: &str) {
         let meta = Arc::clone(self.shared.pool.get(slot));
-        match connect_ready(&meta.addr(), self.shared.dial_timeout) {
+        meta.mark_down();
+        if let Some(link) = cx.state.links[slot].take() {
+            if let Some(stream) = &link.stream {
+                let _ = cx.poller.deregister(raw_fd(stream), cx.link_token(slot));
+            }
+        }
+        self.shared.logger.warn(
+            "serve.router",
+            "backend connection failed",
+            &[("backend", meta.addr().to_string()), ("error", error.to_string())],
+        );
+        self.fail_over(cx, slot, &format!("{} (unreachable)", meta.addr()));
+    }
+
+    /// Move everything this client had on backend `slot` elsewhere (or
+    /// end it); `down_note` marks the aggregate parts `slot` owed.
+    fn fail_over(&mut self, cx: &mut Cx<'_, RouteConn>, slot: usize, down_note: &str) {
+        let addr = self.shared.pool.get(slot).addr();
+        let (lost, kept) = std::mem::take(&mut cx.state.relays)
+            .into_iter()
+            .partition::<Vec<Relay>, _>(|r| r.place == Place::On(slot));
+        cx.state.relays = kept;
+        for mut relay in lost {
+            if relay.sent.is_none() {
+                // Never reached a backend: place it afresh.
+                self.launch(cx, relay, Some(slot));
+            } else if relay.sub {
+                // Frames may already have reached the client, so the
+                // stream cannot be replayed — terminate it cleanly.
+                self.record_span(cx, &relay, "error", Some(slot));
+                cx.push(Frame::err(
+                    ErrorCode::BackendUnavailable,
+                    relay.spec.tag.clone(),
+                    format!("backend {addr} failed mid-stream; resubscribe to retry"),
+                ));
+            } else if relay.attempts >= self.gen_retries {
+                self.record_span(cx, &relay, "error", None);
+                cx.push(Frame::err(
+                    ErrorCode::BackendUnavailable,
+                    relay.spec.tag.clone(),
+                    format!("backend failed and retries ({}) are exhausted", self.gen_retries),
+                ));
+            } else {
+                // A loop timer, not a sleep: the backoff delays only
+                // this request.
+                relay.attempts += 1;
+                self.retries.inc();
+                relay.place = Place::Retry {
+                    at: Instant::now() + self.retry_backoff * relay.attempts,
+                    dead: slot,
+                };
+                cx.state.relays.push(relay);
+            }
+        }
+        let owed: Vec<String> = cx
+            .state
+            .aggs
+            .iter()
+            .filter_map(|a| match &a.parts[slot] {
+                Part::Waiting(itag) => Some(itag.clone()),
+                _ => None,
+            })
+            .collect();
+        for itag in owed {
+            self.resolve_part(cx, &itag, Part::Down(down_note.to_string()));
+        }
+    }
+
+    /// The dial of `slot` landed (or failed).
+    fn dialed(&mut self, cx: &mut Cx<'_, RouteConn>, slot: usize, result: io::Result<TcpStream>) {
+        let meta = Arc::clone(self.shared.pool.get(slot));
+        let token = cx.link_token(slot);
+        // A link torn down meanwhile (teardown, failover) drops the
+        // stream here.
+        let Some(link) = cx.state.links[slot].as_mut().filter(|l| l.stream.is_none()) else {
+            return;
+        };
+        let registered = result.and_then(|stream| {
+            cx.poller.register(raw_fd(&stream), token, Interest::READABLE)?;
+            Ok(stream)
+        });
+        match registered {
             Ok(stream) => {
-                self.poller.register(raw_fd(&stream), slot + 1, Interest::READABLE)?;
-                self.conns[slot] = Some(BackendConn::new(stream));
                 meta.mark_up();
-                Ok(())
+                link.stream = Some(stream);
+                link.interest = Interest::READABLE;
+                for relay in &mut cx.state.relays {
+                    if relay.place == Place::On(slot) {
+                        relay.mark_sent();
+                    }
+                }
+                if let Err(e) = cx.state.links[slot].as_mut().expect("link present").flush() {
+                    self.link_failed(cx, slot, &e.to_string());
+                }
             }
             Err(e) => {
+                cx.state.links[slot] = None;
                 meta.note_dial_failure();
                 meta.mark_down();
                 self.shared.logger.warn(
@@ -928,657 +997,195 @@ impl Session {
                     "backend dial failed",
                     &[("backend", meta.addr().to_string()), ("error", e.to_string())],
                 );
-                Err(e)
+                self.fail_over(cx, slot, &meta.addr().to_string());
             }
         }
     }
 
-    /// Pick (and connect) the backend for `key`: the full-fleet
-    /// placement when that node is up (or probes back up), otherwise
-    /// rendezvous over the healthy subset.
-    fn acquire_backend(&mut self, key: u64, exclude: Option<usize>) -> Option<usize> {
-        if exclude.is_none() {
-            if let Some(home) = self.shared.pool.place(key) {
-                let meta = self.shared.pool.get(home);
-                if (meta.is_up() || meta.take_reprobe_slot()) && self.ensure_conn(home).is_ok() {
-                    return Some(home);
-                }
-            }
-        }
-        // Each failed dial marks its backend down, shrinking the
-        // healthy set, so this terminates within pool-size attempts.
-        for _ in 0..self.shared.pool.len() {
-            let slot = self.shared.pool.place_healthy(key, exclude)?;
-            if self.ensure_conn(slot).is_ok() {
-                return Some(slot);
-            }
-        }
-        None
-    }
-
-    /// Queue `line` on backend `slot` and flush eagerly; a write
-    /// failure routes through the failover path (which sees whatever
-    /// entry the caller just recorded).
-    fn send_backend(&mut self, slot: usize, line: &str) {
-        if let Some(conn) = self.conns[slot].as_mut() {
-            conn.out.reserve(line.len() + 1);
-            conn.out.extend_from_slice(line.as_bytes());
-            conn.out.push(b'\n');
-        }
-        if let Err(e) = self.flush_backend(slot) {
-            self.backend_failed(slot, &e.to_string());
-        }
-    }
-
-    /// Reject a client-stamped `trace=` (the same trust rule as
-    /// `tenant=`: it is an internal-hop assertion, and the client side
-    /// of the router is never an internal hop), then mint the request's
-    /// trace id — the router is the first tier to see the request.
-    fn resolve_trace(&mut self, asserted: &Option<String>, tag: Option<&str>) -> Option<String> {
-        if asserted.is_some() {
-            self.push_err(
-                ErrorCode::InvalidRequest,
-                tag.map(str::to_string),
-                "trace= is an internal-hop assertion; this frontend does not trust it",
-            );
-            return None;
-        }
-        Some(mint_trace_id())
-    }
-
-    /// Record the router's relay span of one finished request: `dial`
-    /// (backend acquisition, including failover re-dials), `relay`
-    /// (request dispatched → terminal frame), `total`.
-    #[allow(clippy::too_many_arguments)]
-    fn record_route_span(
-        &self,
-        trace: &str,
-        model: &str,
-        seed: u64,
-        outcome: &'static str,
-        slot: Option<usize>,
-        dial_ms: f64,
-        t0: Instant,
-    ) {
-        let model_fp =
-            self.shared.fingerprints.lock().expect("fingerprint map poisoned").get(model).copied();
-        let relay_ms = t0.elapsed().as_secs_f64() * 1e3;
-        self.shared.spans.record(Span {
-            trace: trace.to_string(),
-            tier: "route",
-            parent: None,
-            tenant: Some(self.tenant_id.clone()),
-            model: model.to_string(),
-            model_fp,
-            seed,
-            outcome,
-            backend: slot.map(|s| self.shared.pool.get(s).addr().to_string()),
-            stages_ms: vec![("dial", dial_ms), ("relay", relay_ms), ("total", dial_ms + relay_ms)],
-        });
-    }
-
-    fn route_gen(&mut self, mut spec: GenSpec) {
-        if let Some(tag) = &spec.tag {
-            if self.inflight.contains_key(tag) || self.agg_pending.contains_key(tag) {
-                let message = format!("tag {tag} is already in flight on this connection");
-                self.push_err(ErrorCode::DuplicateTag, Some(tag.clone()), message);
-                return;
-            }
-        }
-        if self.inflight_total() >= self.shared.max_inflight {
-            let message =
-                format!("inflight={} cap={}", self.inflight_total(), self.shared.max_inflight);
-            self.push_err(ErrorCode::TooManyInflight, spec.tag.clone(), message);
-            return;
-        }
-        let Some(trace) = self.resolve_trace(&spec.trace, spec.tag.as_deref()) else { return };
-        if self.shared.tenants.auth_enabled() {
-            spec.tenant = Some(self.tenant_id.clone());
-        }
-        spec.trace = Some(trace.clone());
-        let key = self.placement_key(&spec.model, spec.seed);
-        let dial_t0 = Instant::now();
-        let Some(slot) = self.acquire_backend(key, None) else {
-            let dial_ms = dial_t0.elapsed().as_secs_f64() * 1e3;
-            self.record_route_span(
-                &trace,
-                &spec.model,
-                spec.seed,
-                "error",
-                None,
-                dial_ms,
-                Instant::now(),
-            );
-            self.push_err(
-                ErrorCode::BackendUnavailable,
-                spec.tag.clone(),
-                "no healthy backend for this request",
-            );
-            return;
-        };
-        let dial_ms = dial_t0.elapsed().as_secs_f64() * 1e3;
-        let line = Request::Gen(spec.clone()).to_line();
-        let t0 = Instant::now();
-        match spec.tag.clone() {
-            Some(tag) => {
-                let kind = EntryKind::Gen { line: line.clone(), attempts: 0 };
-                self.inflight.insert(
-                    tag,
-                    Entry {
-                        slot,
-                        kind,
-                        t0,
-                        trace,
-                        model: spec.model.clone(),
-                        seed: spec.seed,
-                        dial_ms,
-                    },
-                );
-            }
-            None => self.untagged.push(UntaggedGen {
-                slot,
-                line: line.clone(),
-                attempts: 0,
-                model: spec.model,
-                t_len: spec.t_len,
-                seed: spec.seed,
-                fmt: spec.fmt,
-                t0,
-                trace,
-                dial_ms,
-            }),
-        }
-        self.send_backend(slot, &line);
-    }
-
-    fn route_sub(&mut self, mut spec: GenSpec) {
-        // The trace assertion is checked first (like the reactor: before
-        // the ack or any tag assignment) so a rejected hop never opens
-        // a stream and the ERR carries the client's own tag.
-        let Some(trace) = self.resolve_trace(&spec.trace, spec.tag.as_deref()) else { return };
-        // Tags are assigned at the *router* for untagged SUBs: two
-        // backends would otherwise both hand out `~1` on their own
-        // connections and collide at the client's demux. The numbering
-        // mirrors the reactor's, so the client sees the same tags a
-        // direct connection would produce.
-        let tag = match spec.tag.clone() {
-            Some(tag) => {
-                if self.inflight.contains_key(&tag) || self.agg_pending.contains_key(&tag) {
-                    let message = format!("tag {tag} is already in flight on this connection");
-                    self.push_err(ErrorCode::DuplicateTag, Some(tag), message);
-                    return;
-                }
-                tag
-            }
-            None => loop {
-                self.auto_tag += 1;
-                let candidate = format!("~{}", self.auto_tag);
-                if !self.inflight.contains_key(&candidate)
-                    && !self.agg_pending.contains_key(&candidate)
-                {
-                    break candidate;
-                }
-            },
-        };
-        if self.inflight_total() >= self.shared.max_inflight {
-            let message =
-                format!("inflight={} cap={}", self.inflight_total(), self.shared.max_inflight);
-            self.push_err(ErrorCode::TooManyInflight, Some(tag), message);
-            return;
-        }
-        spec.tag = Some(tag.clone());
-        if self.shared.tenants.auth_enabled() {
-            spec.tenant = Some(self.tenant_id.clone());
-        }
-        spec.trace = Some(trace.clone());
-        let key = self.placement_key(&spec.model, spec.seed);
-        let dial_t0 = Instant::now();
-        let Some(slot) = self.acquire_backend(key, None) else {
-            let dial_ms = dial_t0.elapsed().as_secs_f64() * 1e3;
-            self.record_route_span(
-                &trace,
-                &spec.model,
-                spec.seed,
-                "error",
-                None,
-                dial_ms,
-                Instant::now(),
-            );
-            self.push_err(
-                ErrorCode::BackendUnavailable,
-                Some(tag),
-                "no healthy backend for this request",
-            );
-            return;
-        };
-        let dial_ms = dial_t0.elapsed().as_secs_f64() * 1e3;
-        let model = spec.model.clone();
-        let seed = spec.seed;
-        let line = Request::Sub(spec).to_line();
-        self.inflight.insert(
-            tag,
-            Entry { slot, kind: EntryKind::Sub, t0: Instant::now(), trace, model, seed, dial_ms },
-        );
-        self.send_backend(slot, &line);
-    }
-
-    fn handle_cancel(&mut self, tag: String) {
-        match self.inflight.get(&tag) {
-            // The backend owns the stream's termination: its
-            // `OK CANCEL` (and the stream's END) relay back verbatim.
-            Some(entry) => {
-                let slot = entry.slot;
-                let line = Request::Cancel { tag }.to_line();
-                self.send_backend(slot, &line);
-            }
-            None => self.push_reply(ReplyHeader::Cancel { tag, found: false }, &[]),
-        }
-    }
-
-    // ----- aggregation -----------------------------------------------------
-
-    fn next_internal_tag(&mut self) -> String {
-        loop {
-            self.agg_tag += 1;
-            let candidate = format!("~a{}", self.agg_tag);
-            if !self.inflight.contains_key(&candidate) && !self.agg_pending.contains_key(&candidate)
-            {
-                return candidate;
-            }
-        }
-    }
-
-    fn start_aggregate(&mut self, kind: AggKind, client_tag: Option<String>) {
-        let id = self.next_agg;
-        self.next_agg += 1;
-        let slots = self.shared.pool.len();
-        let mut parts: Vec<Part> = Vec::with_capacity(slots);
-        let mut sends: Vec<(usize, String)> = Vec::new();
-        let mut remaining = 0usize;
-        for slot in 0..slots {
-            let meta = Arc::clone(self.shared.pool.get(slot));
-            let reachable =
-                (meta.is_up() || meta.take_reprobe_slot()) && self.ensure_conn(slot).is_ok();
-            if reachable {
-                let itag = self.next_internal_tag();
-                self.agg_pending.insert(itag.clone(), (id, slot));
-                sends.push((slot, itag));
-                parts.push(Part::Waiting);
-                remaining += 1;
-            } else {
-                parts.push(Part::Down(meta.addr().to_string()));
-            }
-        }
-        self.aggs.insert(id, Aggregate { kind, client_tag, parts, remaining });
-        for (slot, itag) in sends {
-            let line = match kind {
-                AggKind::Stats => format!("STATS tag={itag}"),
-                AggKind::Metrics => format!("METRICS tag={itag}"),
-                AggKind::Models => format!("MODELS tag={itag}"),
+    /// Drain readable bytes from this client's link to `slot`, relaying
+    /// complete frames — up to the fairness quantum, and only while the
+    /// client's outbox has room.
+    fn read_link(&mut self, cx: &mut Cx<'_, RouteConn>, slot: usize) {
+        let mut chunk = [0u8; READ_CHUNK];
+        let mut consumed = 0;
+        while consumed < READ_QUANTUM && cx.out.len() < FRAME_QUEUE {
+            let Some(link) = cx.state.links[slot].as_mut() else { return };
+            let Some(stream) = link.stream.as_mut() else { return };
+            let n = match stream.read(&mut chunk) {
+                Ok(0) => return self.link_failed(cx, slot, "backend closed the connection"),
+                Ok(n) => n,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => return self.link_failed(cx, slot, &e.to_string()),
             };
-            self.send_backend(slot, &line);
-        }
-        self.finish_aggregate_if_ready(id);
-    }
-
-    fn resolve_aggregate_part(&mut self, itag: &str, part: Part) {
-        let Some((id, slot)) = self.agg_pending.remove(itag) else { return };
-        if let Some(agg) = self.aggs.get_mut(&id) {
-            if matches!(agg.parts[slot], Part::Waiting) {
-                agg.parts[slot] = part;
-                agg.remaining -= 1;
-            }
-        }
-        self.finish_aggregate_if_ready(id);
-    }
-
-    fn finish_aggregate_if_ready(&mut self, id: u64) {
-        let done = self.aggs.get(&id).is_some_and(|agg| agg.remaining == 0);
-        if !done {
-            return;
-        }
-        let agg = self.aggs.remove(&id).expect("aggregate vanished");
-        let payload = match agg.kind {
-            AggKind::Stats => render_stats_aggregate(&self.shared, &agg.parts),
-            AggKind::Models => {
-                // A MODELS sweep doubles as a fingerprint refresh, so
-                // placement self-heals after model re-registration.
-                for part in &agg.parts {
-                    if let Part::Payload(bytes) = part {
-                        learn_fingerprints(&self.shared, bytes);
-                    }
+            consumed += n;
+            link.frames.push(&chunk[..n]);
+            let mut frames = Vec::new();
+            let scanned = loop {
+                match link.frames.next_frame() {
+                    Ok(Some(frame)) => frames.push(frame),
+                    Ok(None) => break Ok(()),
+                    Err(e) => break Err(e),
                 }
-                render_models_aggregate(&agg.parts)
-            }
-            AggKind::Metrics => {
-                // Own registry merges in as one more input so shared
-                // families (`vrdag_build_info`) do not duplicate —
-                // mirrors [`Router::metrics_text`] exactly.
-                let own = self.shared.metrics.render();
-                let texts: Vec<&str> = agg
-                    .parts
-                    .iter()
-                    .filter_map(|p| match p {
-                        Part::Payload(bytes) => std::str::from_utf8(bytes).ok(),
-                        _ => None,
-                    })
-                    .chain(std::iter::once(own.as_str()))
-                    .collect();
-                merge_prometheus(&texts).into_bytes()
-            }
-        };
-        let bytes = payload.len();
-        let header = match agg.kind {
-            AggKind::Stats => ReplyHeader::Stats { tag: agg.client_tag, bytes },
-            AggKind::Metrics => ReplyHeader::Metrics { tag: agg.client_tag, bytes },
-            AggKind::Models => ReplyHeader::Models { tag: agg.client_tag, bytes },
-        };
-        self.push_reply(header, &payload);
-    }
-
-    // ----- backend side ----------------------------------------------------
-
-    /// Drain readable bytes from backend `slot`, relaying complete
-    /// frames. `Err` means the backend connection is gone.
-    fn read_backend(&mut self, slot: usize) -> io::Result<()> {
-        let mut chunk = [0u8; 16 * 1024];
-        loop {
-            let mut frames: Vec<BackendFrame> = Vec::new();
-            {
-                let Some(conn) = self.conns[slot].as_mut() else { return Ok(()) };
-                match conn.stream.read(&mut chunk) {
-                    Ok(0) => {
-                        return Err(io::Error::new(
-                            io::ErrorKind::UnexpectedEof,
-                            "backend closed the connection",
-                        ))
-                    }
-                    Ok(n) => {
-                        conn.scanner
-                            .feed(&chunk[..n], &mut frames)
-                            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(e) => return Err(e),
-                }
-            }
+            };
             for frame in frames {
-                self.handle_backend_frame(slot, frame);
+                self.on_frame(cx, slot, frame);
             }
-            if self.buffered_client() >= MAX_BUFFER {
-                return Ok(());
+            if let Err(e) = scanned {
+                return self.link_failed(cx, slot, &e);
+            }
+        }
+    }
+}
+
+impl Relay {
+    /// A fresh request, due for placement by [`Route::launch`].
+    fn new(spec: GenSpec, sub: bool) -> Relay {
+        Relay {
+            spec,
+            sub,
+            place: Place::Retry { at: Instant::now(), dead: usize::MAX },
+            attempts: 0,
+            waiting: None,
+            sent: None,
+            dial_ms: 0.0,
+        }
+    }
+}
+
+impl Dispatch for Route {
+    type Conn = RouteConn;
+    type Done = Dialed;
+    const TARGET: &'static str = "serve.router";
+
+    fn links(&self) -> usize {
+        self.shared.pool.len()
+    }
+
+    fn tenants(&self) -> &TenantRegistry {
+        &self.tenants
+    }
+
+    fn auth_required(&self) -> bool {
+        self.tenants.auth_enabled()
+    }
+
+    fn logger(&self) -> &Logger {
+        &self.shared.logger
+    }
+
+    fn open(&self) -> RouteConn {
+        RouteConn {
+            links: (0..self.shared.pool.len()).map(|_| None).collect(),
+            relays: Vec::new(),
+            aggs: Vec::new(),
+            auto_tag: 0,
+            agg_tag: 0,
+        }
+    }
+
+    fn dispatch(&mut self, cx: &mut Cx<'_, RouteConn>, req: Request) {
+        let outcome = match req {
+            Request::Gen(spec) => self.route_gen(cx, spec),
+            Request::Sub(spec) => self.route_sub(cx, spec),
+            Request::Cancel { tag } => {
+                self.cancel(cx, tag);
+                Ok(())
+            }
+            Request::Stats { tag } => {
+                self.start_aggregate(cx, AggKind::Stats, tag);
+                Ok(())
+            }
+            Request::Metrics { tag } => {
+                self.start_aggregate(cx, AggKind::Metrics, tag);
+                Ok(())
+            }
+            Request::Models { tag } => {
+                self.start_aggregate(cx, AggKind::Models, tag);
+                Ok(())
+            }
+            Request::Auth { .. } | Request::Ping { .. } | Request::Quit { .. } => {
+                unreachable!("answered by the event loop")
+            }
+        };
+        if let Err(frame) = outcome {
+            cx.push(frame);
+        }
+    }
+
+    fn done(&mut self, cx: &mut Cx<'_, RouteConn>, done: Dialed) {
+        self.dialed(cx, done.slot, done.result);
+    }
+
+    fn in_flight(conn: &RouteConn) -> usize {
+        conn.relays.len() + conn.aggs.len()
+    }
+
+    /// Drop every link and relay: the backends see their connections
+    /// close and cancel the work themselves.
+    fn cancel_all(&mut self, cx: &mut Cx<'_, RouteConn>) {
+        for slot in 0..cx.state.links.len() {
+            if let Some(stream) = cx.state.links[slot].take().and_then(|l| l.stream) {
+                let _ = cx.poller.deregister(raw_fd(&stream), cx.link_token(slot));
+            }
+        }
+        cx.state.relays.clear();
+        cx.state.aggs.clear();
+    }
+
+    fn link_ready(&mut self, cx: &mut Cx<'_, RouteConn>, slot: usize, ev: Event) {
+        if ev.writable {
+            if let Some(Err(e)) = cx.state.links[slot].as_mut().map(Link::flush) {
+                self.link_failed(cx, slot, &e.to_string());
+            }
+        }
+        if ev.readable {
+            self.read_link(cx, slot);
+        }
+    }
+
+    /// Links are read only while the client's outbox has room, and
+    /// watched for writability only while they hold unsent lines.
+    fn sync_links(&mut self, cx: &mut Cx<'_, RouteConn>) {
+        let room = cx.out.len() < FRAME_QUEUE;
+        for slot in 0..cx.state.links.len() {
+            let token = cx.link_token(slot);
+            let Some(link) = cx.state.links[slot].as_mut() else { continue };
+            let Some(stream) = &link.stream else { continue };
+            let want = Interest { readable: room, writable: link.backlog() > 0 };
+            if want != link.interest && cx.poller.reregister(raw_fd(stream), token, want).is_ok() {
+                link.interest = want;
             }
         }
     }
 
-    fn handle_backend_frame(&mut self, slot: usize, frame: BackendFrame) {
-        if let Some(tag) = frame.header.tag() {
-            if self.agg_pending.contains_key(tag) {
-                let itag = tag.to_string();
-                let part = match &frame.header {
-                    ReplyHeader::Err { message, .. } => Part::Down(format!(
-                        "{} answered ERR: {message}",
-                        self.shared.pool.get(slot).addr()
-                    )),
-                    _ => Part::Payload(frame.payload),
-                };
-                self.resolve_aggregate_part(&itag, part);
-                return;
-            }
-        }
-        // Everything else relays verbatim: raw header line + payload,
-        // exactly as the backend framed them.
-        self.push_client_bytes(frame.raw.clone().as_bytes());
-        self.push_client_bytes(b"\n");
-        self.push_client_bytes(&frame.payload);
-        self.shared.relayed_frames.inc();
-        // Terminal-frame bookkeeping: observe the relay latency and
-        // record the router's relay span under the request's trace id
-        // (the backend recorded its serve-tier span under the same id).
-        match &frame.header {
-            ReplyHeader::Gen { tag: Some(tag), .. } | ReplyHeader::End { tag, .. } => {
-                let outcome = match &frame.header {
-                    ReplyHeader::End { status: EndStatus::Cancelled, .. } => "cancelled",
-                    _ => "ok",
-                };
-                if let Some(entry) = self.inflight.remove(tag.as_str()) {
-                    self.shared.relay_seconds.observe(entry.t0.elapsed().as_secs_f64());
-                    self.record_route_span(
-                        &entry.trace,
-                        &entry.model,
-                        entry.seed,
-                        outcome,
-                        Some(entry.slot),
-                        entry.dial_ms,
-                        entry.t0,
-                    );
-                }
-            }
-            ReplyHeader::Err { tag: Some(tag), .. } => {
-                if let Some(entry) = self.inflight.remove(tag.as_str()) {
-                    self.shared.relay_seconds.observe(entry.t0.elapsed().as_secs_f64());
-                    self.record_route_span(
-                        &entry.trace,
-                        &entry.model,
-                        entry.seed,
-                        "error",
-                        Some(entry.slot),
-                        entry.dial_ms,
-                        entry.t0,
-                    );
-                }
-            }
-            ReplyHeader::Gen { tag: None, model, t_len, seed, fmt, .. } => {
-                if let Some(at) = self.untagged.iter().position(|u| {
-                    u.slot == slot
-                        && u.model == *model
-                        && u.t_len == *t_len
-                        && u.seed == *seed
-                        && u.fmt == *fmt
-                }) {
-                    let u = self.untagged.remove(at);
-                    self.shared.relay_seconds.observe(u.t0.elapsed().as_secs_f64());
-                    self.record_route_span(
-                        &u.trace,
-                        &u.model,
-                        u.seed,
-                        "ok",
-                        Some(u.slot),
-                        u.dial_ms,
-                        u.t0,
-                    );
-                }
-            }
-            ReplyHeader::Err { tag: None, .. } => {
-                // No tag to match: resolve the oldest untagged job on
-                // this backend (untagged replies are inherently
-                // ambiguous — same as on a direct connection).
-                if let Some(at) = self.untagged.iter().position(|u| u.slot == slot) {
-                    let u = self.untagged.remove(at);
-                    self.shared.relay_seconds.observe(u.t0.elapsed().as_secs_f64());
-                    self.record_route_span(
-                        &u.trace,
-                        &u.model,
-                        u.seed,
-                        "error",
-                        Some(u.slot),
-                        u.dial_ms,
-                        u.t0,
-                    );
-                }
-            }
-            _ => {}
-        }
+    /// Stop reading the client while a link holds a queue's worth of
+    /// unsent request lines.
+    fn paused(conn: &RouteConn) -> bool {
+        conn.links.iter().flatten().any(|l| l.backlog() > FRAME_QUEUE * MAX_LINE_BYTES)
     }
 
-    /// Backend `slot` died: mark it down, fail streams cleanly, retry
-    /// idempotent `GEN`s with bounded backoff, and resolve any
-    /// aggregate parts it still owed.
-    fn backend_failed(&mut self, slot: usize, error: &str) {
-        let meta = Arc::clone(self.shared.pool.get(slot));
-        meta.mark_down();
-        if let Some(conn) = self.conns[slot].take() {
-            let _ = self.poller.deregister(raw_fd(&conn.stream), slot + 1);
-        }
-        self.shared.logger.warn(
-            "serve.router",
-            "backend connection failed",
-            &[("backend", meta.addr().to_string()), ("error", error.to_string())],
-        );
-        let addr = meta.addr().to_string();
-        // Streams: frames may already have reached the client, so the
-        // stream cannot be replayed — terminate it cleanly instead.
-        let dead_tags: Vec<String> = self
-            .inflight
+    fn timer(conn: &RouteConn) -> Option<Instant> {
+        conn.relays
             .iter()
-            .filter(|(_, e)| e.slot == slot)
-            .map(|(tag, _)| tag.clone())
-            .collect();
-        for tag in dead_tags {
-            let entry = self.inflight.remove(&tag).expect("inflight entry vanished");
-            match entry.kind {
-                EntryKind::Sub => {
-                    self.record_route_span(
-                        &entry.trace,
-                        &entry.model,
-                        entry.seed,
-                        "error",
-                        Some(slot),
-                        entry.dial_ms,
-                        entry.t0,
-                    );
-                    self.push_err(
-                        ErrorCode::BackendUnavailable,
-                        Some(tag),
-                        format!("backend {addr} failed mid-stream; resubscribe to retry"),
-                    );
-                }
-                EntryKind::Gen { line, attempts } => {
-                    self.retry_gen(Some(tag), line, attempts, entry.t0, entry.dial_ms, slot);
-                }
-            }
-        }
-        let dead_untagged: Vec<UntaggedGen> = {
-            let mut kept = Vec::new();
-            let mut dead = Vec::new();
-            for u in self.untagged.drain(..) {
-                if u.slot == slot {
-                    dead.push(u);
-                } else {
-                    kept.push(u);
-                }
-            }
-            self.untagged = kept;
-            dead
-        };
-        for u in dead_untagged {
-            self.retry_untagged(u, slot);
-        }
-        // Aggregate parts this backend still owed become a down note.
-        let owed: Vec<String> = self
-            .agg_pending
+            .filter_map(|r| match r.place {
+                Place::Retry { at, .. } => Some(at),
+                Place::On(_) => None,
+            })
+            .min()
+    }
+
+    /// Re-place the `GEN`s whose retry backoff has elapsed.
+    fn fire(&mut self, cx: &mut Cx<'_, RouteConn>, now: Instant) {
+        while let Some(at) = cx
+            .state
+            .relays
             .iter()
-            .filter(|(_, &(_, s))| s == slot)
-            .map(|(itag, _)| itag.clone())
-            .collect();
-        for itag in owed {
-            self.resolve_aggregate_part(&itag, Part::Down(format!("{addr} (unreachable)")));
-        }
-    }
-
-    /// Re-place one tagged `GEN` whose backend died. The backoff sleep
-    /// blocks only this session's thread.
-    fn retry_gen(
-        &mut self,
-        tag: Option<String>,
-        line: String,
-        attempts: u32,
-        t0: Instant,
-        dial_ms: f64,
-        dead: usize,
-    ) {
-        let attempts = attempts + 1;
-        // The internal-hop line carries the trace= stamp, so a replay
-        // keeps (and a failure span records) the original trace id.
-        let Ok(Request::Gen(spec)) = parse_request(&line) else {
-            self.push_err(ErrorCode::Internal, tag, "unreplayable relay line");
-            return;
-        };
-        let trace = spec.trace.clone().unwrap_or_default();
-        if attempts > self.shared.gen_retries {
-            self.record_route_span(&trace, &spec.model, spec.seed, "error", None, dial_ms, t0);
-            self.push_err(
-                ErrorCode::BackendUnavailable,
-                tag,
-                format!("backend failed and retries ({}) are exhausted", self.shared.gen_retries),
-            );
-            return;
-        }
-        self.shared.retries.inc();
-        std::thread::sleep(self.shared.retry_backoff * attempts);
-        let key = self.placement_key(&spec.model, spec.seed);
-        let dial_t0 = Instant::now();
-        let Some(slot) = self.acquire_backend(key, Some(dead)) else {
-            let dial_ms = dial_ms + dial_t0.elapsed().as_secs_f64() * 1e3;
-            self.record_route_span(&trace, &spec.model, spec.seed, "error", None, dial_ms, t0);
-            self.push_err(
-                ErrorCode::BackendUnavailable,
-                tag,
-                "no healthy backend left for this request",
-            );
-            return;
-        };
-        let dial_ms = dial_ms + dial_t0.elapsed().as_secs_f64() * 1e3;
-        match tag {
-            Some(tag) => {
-                let kind = EntryKind::Gen { line: line.clone(), attempts };
-                self.inflight.insert(
-                    tag,
-                    Entry {
-                        slot,
-                        kind,
-                        t0,
-                        trace,
-                        model: spec.model.clone(),
-                        seed: spec.seed,
-                        dial_ms,
-                    },
-                );
-            }
-            None => self.untagged.push(UntaggedGen {
-                slot,
-                line: line.clone(),
-                attempts,
-                model: spec.model,
-                t_len: spec.t_len,
-                seed: spec.seed,
-                fmt: spec.fmt,
-                t0,
-                trace,
-                dial_ms,
-            }),
-        }
-        self.send_backend(slot, &line);
-    }
-
-    fn retry_untagged(&mut self, u: UntaggedGen, dead: usize) {
-        self.retry_gen(None, u.line, u.attempts, u.t0, u.dial_ms, dead);
-    }
-
-    // ----- teardown --------------------------------------------------------
-
-    /// After `QUIT`: once nothing is in flight (or the drain deadline
-    /// passes), acknowledge and flush-close.
-    fn check_drain(&mut self) {
-        let Some(deadline) = self.draining else { return };
-        let drained =
-            self.inflight_total() == 0 && self.aggs.is_empty() && self.agg_pending.is_empty();
-        if drained || Instant::now() >= deadline {
-            let tag = self.drain_tag.take();
-            self.push_reply(ReplyHeader::Bye { tag }, &[]);
-            self.draining = None;
-            self.closing = true;
+            .position(|r| matches!(r.place, Place::Retry { at, .. } if at <= now))
+        {
+            let relay = cx.state.relays.remove(at);
+            let Place::Retry { dead, .. } = relay.place else { unreachable!() };
+            self.launch(cx, relay, Some(dead));
         }
     }
 }
@@ -1634,7 +1241,7 @@ fn parse_backend_stats(text: &str) -> ParsedStats {
     out
 }
 
-fn render_stats_aggregate(shared: &Shared, parts: &[Part]) -> Vec<u8> {
+fn render_stats_aggregate(pool: &BackendPool, parts: &[Part]) -> Vec<u8> {
     use std::fmt::Write as _;
     let mut totals = ParsedStats::default();
     let mut tenant_sums: Vec<(String, [u64; 6])> = Vec::new();
@@ -1669,7 +1276,7 @@ fn render_stats_aggregate(shared: &Shared, parts: &[Part]) -> Vec<u8> {
         out,
         "route: {} backends ({} up)  {} submitted / {} completed across the fleet",
         parts.len(),
-        shared.pool.up_count(),
+        pool.up_count(),
         totals.submitted,
         totals.completed,
     );
@@ -1688,7 +1295,7 @@ fn render_stats_aggregate(shared: &Shared, parts: &[Part]) -> Vec<u8> {
         }
     }
     for (slot, part) in parts.iter().enumerate() {
-        let addr = shared.pool.get(slot).addr();
+        let addr = pool.get(slot).addr();
         match part {
             Part::Payload(bytes) => {
                 let _ = writeln!(out, "--- backend {addr} ---");
@@ -1700,7 +1307,7 @@ fn render_stats_aggregate(shared: &Shared, parts: &[Part]) -> Vec<u8> {
             Part::Down(note) => {
                 let _ = writeln!(out, "--- backend {addr} DOWN ({note}) ---");
             }
-            Part::Waiting => {
+            Part::Waiting(_) => {
                 let _ = writeln!(out, "--- backend {addr} (no reply) ---");
             }
         }
@@ -1809,6 +1416,57 @@ mod tests {
         assert_eq!(bronze.1, [2, 2, 0, 0, 2, 6]);
     }
 
+    /// The aggregate token-indexes `ServeStats::render()`, so every
+    /// parsed field carries a distinct value here: a wording change to
+    /// the render that shifts a token fails this test instead of
+    /// silently zeroing fleet totals.
+    #[test]
+    fn backend_stats_parse_recovers_every_rendered_counter() {
+        let tenant = |id: &str, base: u64| crate::TenantStats {
+            id: id.to_string(),
+            weight: 3,
+            submitted: base + 1,
+            completed: base + 2,
+            failed: base + 3,
+            cancelled: base + 4,
+            rejected: base + 5,
+            bytes_streamed: (base + 6) * 1024,
+            p50_seconds: 0.001,
+            p95_seconds: 0.002,
+        };
+        let stats = crate::ServeStats {
+            workers: 2,
+            uptime_seconds: 1.5,
+            submitted: 101,
+            completed: 102,
+            failed: 103,
+            cancelled: 104,
+            dropped_jobs: 105,
+            queue_depth: 1,
+            in_flight: 2,
+            max_in_flight: 3,
+            snapshots: 4,
+            edges: 5,
+            cache: crate::CacheStats { hits: 106, misses: 107, ..Default::default() },
+            affinity: Default::default(),
+            latency: Default::default(),
+            stages: Default::default(),
+            tenants: vec![tenant("bronze", 200), tenant("gold", 300)],
+        };
+        let parsed = parse_backend_stats(&stats.render());
+        assert_eq!(
+            (parsed.submitted, parsed.completed, parsed.cache_hits, parsed.cache_misses),
+            (101, 102, 106, 107)
+        );
+        assert_eq!(
+            parsed.tenants,
+            vec![
+                ("bronze".to_string(), [201, 202, 203, 204, 205, 206]),
+                ("gold".to_string(), [301, 302, 303, 304, 305, 306]),
+            ]
+        );
+    }
+
     #[test]
     fn prometheus_merge_sums_series_and_keeps_comments_once() {
         let a = "# TYPE vrdag_jobs_total counter\nvrdag_jobs_total{outcome=\"ok\"} 3\nvrdag_open_connections 1\n";
@@ -1839,29 +1497,5 @@ mod tests {
         ];
         let merged = String::from_utf8(render_models_aggregate(&parts)).unwrap();
         assert_eq!(merged, format!("{line}\n"));
-    }
-
-    #[test]
-    fn frame_scanner_reassembles_split_payloads() {
-        let mut scanner = FrameScanner::default();
-        let mut frames = Vec::new();
-        // A payload containing '\n' must not confuse the line splitter.
-        let wire = b"OK GEN id=1 model=m t=2 seed=0 fmt=tsv snapshots=2 edges=3 cache=miss bytes=8\nab\ncd\nefOK PONG\n";
-        for chunk in wire.chunks(5) {
-            scanner.feed(chunk, &mut frames).unwrap();
-        }
-        assert_eq!(frames.len(), 2);
-        assert_eq!(frames[0].payload, b"ab\ncd\nef");
-        assert!(matches!(frames[0].header, ReplyHeader::Gen { bytes: 8, .. }));
-        assert!(matches!(frames[1].header, ReplyHeader::Pong { tag: None }));
-        assert_eq!(frames[1].raw, "OK PONG");
-    }
-
-    #[test]
-    fn frame_scanner_rejects_oversized_headers() {
-        let mut scanner = FrameScanner::default();
-        let mut frames = Vec::new();
-        let junk = vec![b'x'; MAX_LINE_BYTES + 2];
-        assert!(scanner.feed(&junk, &mut frames).is_err());
     }
 }

@@ -329,3 +329,114 @@ fn ten_thousand_sequential_jobs_keep_rss_bounded() {
     drop(frontend);
     handle.shutdown();
 }
+
+/// Live threads of this process (`/proc/self/status`; Linux only).
+fn thread_count() -> Option<usize> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    status.lines().find_map(|line| line.strip_prefix("Threads:")?.trim().parse().ok())
+}
+
+/// The router runs on the same event loop as the frontend: a parked
+/// herd costs it sockets, not threads, and tagged GEN + SUB relayed
+/// through the herd stay byte-identical to the direct path.
+#[test]
+fn router_parks_the_herd_without_a_thread_per_connection() {
+    let _guard = herd_lock();
+    let target = herd_size();
+    if target < 512 {
+        eprintln!("router c10k smoke skipped: fd budget allows only {target} connections");
+        return;
+    }
+    let expected = direct_tsv_payload(3, 5);
+    let registry = ModelRegistry::new();
+    registry.register("m", &fitted_model(11)).unwrap();
+    let handle = ServeHandle::with_config(
+        registry,
+        ServeConfig { workers: 2, cache: CacheBudget::entries(8), ..Default::default() },
+    )
+    .unwrap();
+    // Internal mode: the router stamps trace ids on the hop.
+    let frontend = Frontend::bind_with(
+        handle.clone(),
+        "127.0.0.1:0",
+        FrontendConfig { trust_tenant_assertion: true, ..Default::default() },
+    )
+    .unwrap();
+    let router = Router::bind(
+        "127.0.0.1:0",
+        vec![frontend.local_addr()],
+        RouterConfig { logger: Logger::disabled(), ..Default::default() },
+    )
+    .unwrap();
+    let addr = router.local_addr();
+    let threads_before = thread_count();
+
+    const ACTIVE: usize = 8;
+    let idle_target = target - ACTIVE;
+    let herd: Vec<TcpStream> =
+        (0..idle_target).map(|_| TcpStream::connect(addr).expect("connect")).collect();
+    let deadline = Instant::now() + Duration::from_secs(120);
+    while router.open_connections() < idle_target && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert!(
+        router.open_connections() >= idle_target,
+        "herd never landed: {} of {idle_target} connections open",
+        router.open_connections(),
+    );
+
+    let workers: Vec<_> = (0..ACTIVE)
+        .map(|i| {
+            let expected = expected.clone();
+            std::thread::spawn(move || {
+                let mut client = LineClient::connect(addr).expect("active connect");
+                let (gen_tag, sub_tag) = (format!("g{i}"), format!("s{i}"));
+                let spec = GenSpec::new("m", 3, 5, WireFormat::Tsv);
+                client.send(&Request::Gen(spec.clone().with_tag(&gen_tag))).unwrap();
+                client.send(&Request::Sub(spec.with_tag(&sub_tag))).unwrap();
+                let (mut gen_payload, mut stream, mut done) = (None, Vec::new(), false);
+                while !(done && gen_payload.is_some()) {
+                    let reply = client.read_frame().unwrap();
+                    match reply.header {
+                        ReplyHeader::Gen { .. } => gen_payload = Some(reply.payload),
+                        ReplyHeader::Sub { .. } => {}
+                        ReplyHeader::Evt { .. } => stream.extend_from_slice(&reply.payload),
+                        ReplyHeader::End { status, .. } => {
+                            assert_eq!(status, EndStatus::Ok);
+                            done = true;
+                        }
+                        other => panic!("unexpected frame: {other:?}"),
+                    }
+                }
+                assert_eq!(gen_payload.unwrap(), expected, "routed GEN diverged under load");
+                assert_eq!(stream, expected, "routed SUB diverged under load");
+            })
+        })
+        .collect();
+    for w in workers {
+        w.join().expect("active client panicked");
+    }
+
+    match (threads_before, thread_count()) {
+        (Some(before), Some(_)) => {
+            // Backend dials run on short-lived threads; give the last
+            // ones a moment to exit.
+            let settle = Instant::now() + Duration::from_secs(2);
+            let mut after = thread_count().unwrap_or(0);
+            while after >= before + 16 && Instant::now() < settle {
+                std::thread::sleep(Duration::from_millis(10));
+                after = thread_count().unwrap_or(0);
+            }
+            assert!(
+                after < before + 16,
+                "{} parked connections grew the process from {before} to {after} threads",
+                herd.len(),
+            );
+        }
+        _ => eprintln!("thread bound skipped: /proc/self/status unavailable"),
+    }
+    drop(herd);
+    drop(router);
+    drop(frontend);
+    handle.shutdown();
+}

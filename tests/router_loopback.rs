@@ -590,3 +590,155 @@ fn trace_assertion_is_refused_outside_the_internal_hop() {
     assert_eq!(span.parent, Some("route"), "propagated ids are parented to the upstream hop");
     router.shutdown();
 }
+
+#[test]
+fn a_backend_declaring_a_huge_payload_is_marked_down_not_fatal() {
+    // A fake backend that answers the startup MODELS probe (and any
+    // later request) with a header declaring 2^64-1 payload bytes, then
+    // sends nothing more. The probe must fail cleanly on its read
+    // timeout instead of allocating the declared size.
+    let fake = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = fake.local_addr().unwrap();
+    let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let server = {
+        let stop = std::sync::Arc::clone(&stop);
+        fake.set_nonblocking(true).unwrap();
+        std::thread::spawn(move || {
+            let mut held = Vec::new();
+            while !stop.load(std::sync::atomic::Ordering::SeqCst) {
+                if let Ok((mut conn, _)) = fake.accept() {
+                    use std::io::Write;
+                    let _ = conn.write_all(b"OK MODELS bytes=18446744073709551615\n");
+                    held.push(conn);
+                }
+                std::thread::sleep(std::time::Duration::from_millis(5));
+            }
+        })
+    };
+    let cfg = RouterConfig {
+        dial_timeout: std::time::Duration::from_millis(300),
+        ..quiet_router_config()
+    };
+    let router = Router::bind("127.0.0.1:0", vec![addr], cfg).expect("bind must survive the probe");
+    assert!(!router.backend_up(0), "a backend that cannot answer MODELS starts down");
+    // The HTTP /metrics fan-out reads through the same bounded reader;
+    // with the backend down it renders the router's own registry.
+    assert!(router.metrics_text().contains("vrdag_route_backend_up"));
+    drop(router);
+    stop.store(true, std::sync::atomic::Ordering::SeqCst);
+    server.join().unwrap();
+}
+
+#[test]
+fn pipelined_bad_auth_through_the_router_fails_closed_without_a_reset() {
+    use std::io::{Read, Write};
+    let model = fitted_model(37);
+    let a = backend(&model, 1, CacheBudget::entries(4), Some(fixture_tenants()), true);
+    let b = backend(&model, 1, CacheBudget::entries(4), Some(fixture_tenants()), true);
+    let cfg = RouterConfig { tenants: fixture_tenants(), ..quiet_router_config() };
+    let mut router = router(&[&a, &b], cfg);
+
+    // A bad AUTH with 64 KiB of pipelined GENs behind it in one write:
+    // most of the burst is still unread input when the router closes,
+    // which must not turn the close into a reset — the client reads
+    // the error and then a clean EOF.
+    let mut burst = b"AUTH token=nope\n".to_vec();
+    while burst.len() < 64 * 1024 {
+        burst.extend_from_slice(b"GEN model=m t=2 seed=7 fmt=tsv\n");
+    }
+    let mut conn = std::net::TcpStream::connect(router.local_addr()).unwrap();
+    conn.write_all(&burst).expect("the burst must not be reset mid-write");
+    let mut reply = Vec::new();
+    conn.read_to_end(&mut reply).expect("the close must be a FIN, not a reset");
+    let text = String::from_utf8(reply).unwrap();
+    let mut lines = text.lines();
+    let header = vrdag_suite::serve::protocol::parse_reply(lines.next().unwrap()).unwrap();
+    assert!(
+        matches!(header, ReplyHeader::Err { code: ErrorCode::AuthFailed, .. }),
+        "got {header:?}"
+    );
+    assert_eq!(lines.next(), None, "nothing may follow the auth failure: {text:?}");
+    for node in [&a, &b] {
+        assert_eq!(node.handle.stats().submitted, 0, "no job may reach a backend");
+    }
+    router.shutdown();
+}
+
+#[test]
+fn retry_backoff_does_not_block_the_connection() {
+    let model = fitted_model(41);
+    let a = backend(&model, 1, CacheBudget::entries(16), None, true);
+    let mut b = backend(&model, 1, CacheBudget::entries(16), None, true);
+    let backoff = std::time::Duration::from_millis(500);
+    let cfg = RouterConfig { seed_range: 1, retry_backoff: backoff, ..quiet_router_config() };
+    let mut router = router(&[&a, &b], cfg);
+    let fp = a.registry.handles()[0].fingerprint();
+    let pool = BackendPool::new(
+        vec![a.frontend.local_addr(), b.frontend.local_addr()],
+        1,
+        &MetricsRegistry::default(),
+    );
+    let seed_on_b = (0..).find(|&s| pool.place(pool.request_key(fp, s)) == Some(1)).unwrap();
+
+    // Pin B's only worker so the tagged GEN waits there.
+    let (started_tx, started_rx) = std::sync::mpsc::channel();
+    let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+    let mut fired = false;
+    let blocker = b
+        .handle
+        .submit(GenRequest::new(
+            "m",
+            1,
+            seed_on_b + 1,
+            GenSink::Callback(Box::new(move |_, _| {
+                if !fired {
+                    fired = true;
+                    started_tx.send(()).unwrap();
+                    let _ = release_rx.recv();
+                }
+            })),
+        ))
+        .unwrap();
+    started_rx.recv().unwrap();
+
+    let expected = direct_payload(&a.registry, 3, seed_on_b, WireFormat::Bin);
+    let mut client = LineClient::connect(router.local_addr()).unwrap();
+    client
+        .send(&Request::Gen(GenSpec::new("m", 3, seed_on_b, WireFormat::Bin).with_tag("g1")))
+        .unwrap();
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    while b.handle.stats().submitted < 2 {
+        assert!(std::time::Instant::now() < deadline, "B never took g1");
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+
+    // Kill B, wait for the router to schedule the retry, then PING on
+    // the same connection: the answer must not wait out the backoff.
+    let killed = std::time::Instant::now();
+    b.frontend.shutdown();
+    let retries = router.metrics().counter("vrdag_route_retries_total", &[]);
+    while retries.get() < 1 {
+        assert!(std::time::Instant::now() < deadline, "the router never scheduled a retry");
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+    let pong = client.request(&Request::Ping { tag: Some("p".to_string()) }).unwrap();
+    assert!(matches!(pong.header, ReplyHeader::Pong { .. }), "got {:?}", pong.header);
+    assert!(
+        killed.elapsed() < backoff,
+        "PING answered only after {:?}, the backoff is {backoff:?}",
+        killed.elapsed()
+    );
+
+    // The backed-off GEN still lands on the survivor, byte-identical.
+    let reply = client.read_frame().unwrap();
+    match &reply.header {
+        ReplyHeader::Gen { tag: Some(tag), .. } => assert_eq!(tag, "g1"),
+        other => panic!("expected the retried OK GEN, got {other:?}"),
+    }
+    assert_eq!(reply.payload, expected, "failover reply must stay byte-identical");
+    assert!(killed.elapsed() >= backoff, "the retry must still honour its backoff");
+
+    release_tx.send(()).unwrap();
+    let _ = blocker.wait();
+    router.shutdown();
+}
