@@ -8,7 +8,7 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use vrdag::{Vrdag, VrdagConfig};
-use vrdag_serve::{CacheBudget, GenRequest, GenSink, ModelRegistry, Scheduler, SchedulerConfig};
+use vrdag_serve::{CacheBudget, GenRequest, GenSink, ModelRegistry, Scheduler, ServeConfig};
 
 const DISTINCT_SEEDS: u64 = 4;
 const ROUNDS: usize = 4;
@@ -32,7 +32,7 @@ fn registry() -> ModelRegistry {
 fn drain_repeated(registry: &ModelRegistry, cache: CacheBudget) -> f64 {
     let mut scheduler = Scheduler::with_config(
         registry.clone(),
-        SchedulerConfig { workers: WORKERS, cache, ..Default::default() },
+        ServeConfig { workers: WORKERS, cache, ..Default::default() },
     )
     .unwrap();
     for _round in 0..ROUNDS {

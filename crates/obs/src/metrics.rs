@@ -24,9 +24,10 @@ use std::sync::{Arc, Mutex};
 pub const DURATION_BUCKETS: &[f64] =
     &[0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0, 60.0];
 
-/// A monotonic counter. `set` exists for mirror metrics that are
-/// refreshed from an external authoritative source at render time; it
-/// must only ever move the value forward.
+/// A monotonic counter: only [`inc`](Counter::inc) and
+/// [`add`](Counter::add) move it. Clones share one atomic, so the handle
+/// a component increments is also the value its snapshots read — the
+/// registry is the only store, never a copy refreshed at render time.
 #[derive(Clone)]
 pub struct Counter(Arc<AtomicU64>);
 
@@ -37,11 +38,6 @@ impl Counter {
 
     pub fn add(&self, n: u64) {
         self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Overwrite the value (refresh-from-source pattern).
-    pub fn set(&self, n: u64) {
-        self.0.store(n, Ordering::Relaxed);
     }
 
     pub fn get(&self) -> u64 {

@@ -18,14 +18,16 @@
 //! projection: metrics code touching a *cached* graph can materialize
 //! those projections after admission, and charging the reserve keeps the
 //! budget honest instead of drifting over it. Eviction is
-//! least-recently-used; every `get` hit refreshes recency. Counters
-//! ([`CacheStats`]) feed `BatchReport` and the service `stats()` snapshot.
+//! least-recently-used; every `get` hit refreshes recency. The traffic
+//! counters are live `vrdag_cache_*_total` handles in the metrics
+//! registry passed to [`SnapshotCache::new`]; [`CacheStats`] reads them.
 
 use crate::tenant::TenantId;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use std::sync::Mutex;
 use vrdag_graph::DynamicGraph;
+use vrdag_obs::{Counter, Registry};
 
 /// Identity of a cached generation: which artifact, how many snapshots,
 /// which seed.
@@ -132,11 +134,6 @@ struct Inner {
     by_owner: HashMap<TenantId, usize>,
     clock: u64,
     bytes: usize,
-    hits: u64,
-    misses: u64,
-    insertions: u64,
-    evictions: u64,
-    evicted_bytes: u64,
 }
 
 impl Inner {
@@ -165,12 +162,21 @@ impl Inner {
 #[derive(Clone)]
 pub struct SnapshotCache {
     inner: Arc<Mutex<Inner>>,
+    /// Traffic counters (`vrdag_cache_*_total`). They only move under
+    /// the lock, so [`stats`](Self::stats) reads one consistent snapshot.
+    hits: Counter,
+    misses: Counter,
+    insertions: Counter,
+    evictions: Counter,
+    evicted_bytes: Counter,
     budget: CacheBudget,
 }
 
 impl SnapshotCache {
-    /// An empty cache bounded by `budget`.
-    pub fn new(budget: CacheBudget) -> Self {
+    /// An empty cache bounded by `budget`, counting its traffic into
+    /// `registry` (caches sharing a registry share those counters).
+    pub fn new(budget: CacheBudget, registry: &Registry) -> Self {
+        let counter = |name: &str| registry.counter(name, &[]);
         SnapshotCache {
             inner: Arc::new(Mutex::new(Inner {
                 map: HashMap::new(),
@@ -178,12 +184,12 @@ impl SnapshotCache {
                 by_owner: HashMap::new(),
                 clock: 0,
                 bytes: 0,
-                hits: 0,
-                misses: 0,
-                insertions: 0,
-                evictions: 0,
-                evicted_bytes: 0,
             })),
+            hits: counter("vrdag_cache_hits_total"),
+            misses: counter("vrdag_cache_misses_total"),
+            insertions: counter("vrdag_cache_insertions_total"),
+            evictions: counter("vrdag_cache_evictions_total"),
+            evicted_bytes: counter("vrdag_cache_evicted_bytes_total"),
             budget,
         }
     }
@@ -217,13 +223,13 @@ impl SnapshotCache {
                 inner.clock += 1;
                 entry.stamp = inner.clock;
                 inner.recency.push_back((inner.clock, *key));
-                inner.hits += 1;
+                self.hits.inc();
                 let graph = Arc::clone(&entry.graph);
                 Self::maybe_compact(inner);
                 Some(graph)
             }
             None => {
-                inner.misses += 1;
+                self.misses.inc();
                 None
             }
         }
@@ -285,8 +291,7 @@ impl SnapshotCache {
                 match victim {
                     Some(k) => {
                         let freed = inner.remove_entry(&k).map_or(0, |e| e.bytes);
-                        inner.evictions += 1;
-                        inner.evicted_bytes += freed as u64;
+                        self.evicted(freed);
                     }
                     None => break,
                 }
@@ -296,7 +301,7 @@ impl SnapshotCache {
         inner.bytes += bytes;
         *inner.by_owner.entry(owner).or_insert(0) += bytes;
         inner.recency.push_back((stamp, key));
-        inner.insertions += 1;
+        self.insertions.inc();
         while inner.map.len() > self.budget.max_entries || inner.bytes > self.budget.max_bytes {
             let (old_stamp, old_key) =
                 inner.recency.pop_front().expect("budget exceeded with empty recency queue");
@@ -304,8 +309,7 @@ impl SnapshotCache {
             let is_current = inner.map.get(&old_key).is_some_and(|e| e.stamp == old_stamp);
             if is_current {
                 let freed = inner.remove_entry(&old_key).expect("checked above").bytes;
-                inner.evictions += 1;
-                inner.evicted_bytes += freed as u64;
+                self.evicted(freed);
             }
         }
         Self::maybe_compact(inner);
@@ -330,14 +334,19 @@ impl SnapshotCache {
     pub fn stats(&self) -> CacheStats {
         let inner = self.inner.lock().expect("cache lock poisoned");
         CacheStats {
-            hits: inner.hits,
-            misses: inner.misses,
-            insertions: inner.insertions,
-            evictions: inner.evictions,
-            evicted_bytes: inner.evicted_bytes,
+            hits: self.hits.get(),
+            misses: self.misses.get(),
+            insertions: self.insertions.get(),
+            evictions: self.evictions.get(),
+            evicted_bytes: self.evicted_bytes.get(),
             entries: inner.map.len(),
             bytes: inner.bytes,
         }
+    }
+
+    fn evicted(&self, bytes: usize) {
+        self.evictions.inc();
+        self.evicted_bytes.add(bytes as u64);
     }
 
     /// Keep the ticket queue proportional to the live entry count: when
@@ -382,7 +391,7 @@ mod tests {
 
     #[test]
     fn hit_returns_the_same_arc() {
-        let cache = SnapshotCache::new(CacheBudget::entries(4));
+        let cache = SnapshotCache::new(CacheBudget::entries(4), &Registry::new());
         let g = tiny_graph(3);
         assert!(cache.insert(key(1), Arc::clone(&g)));
         let hit = cache.get(&key(1)).expect("hit");
@@ -393,7 +402,7 @@ mod tests {
 
     #[test]
     fn miss_on_any_key_component_change() {
-        let cache = SnapshotCache::new(CacheBudget::entries(4));
+        let cache = SnapshotCache::new(CacheBudget::entries(4), &Registry::new());
         cache.insert(key(1), tiny_graph(1));
         assert!(cache.get(&CacheKey { seed: 2, ..key(1) }).is_none());
         assert!(cache.get(&CacheKey { t_len: 3, ..key(1) }).is_none());
@@ -404,7 +413,7 @@ mod tests {
 
     #[test]
     fn evicts_least_recently_used_first() {
-        let cache = SnapshotCache::new(CacheBudget::entries(2));
+        let cache = SnapshotCache::new(CacheBudget::entries(2), &Registry::new());
         cache.insert(key(1), tiny_graph(1));
         cache.insert(key(2), tiny_graph(1));
         // Touch key 1 so key 2 becomes the LRU entry.
@@ -420,8 +429,10 @@ mod tests {
     #[test]
     fn byte_budget_evicts_and_rejects() {
         let unit = tiny_graph(2).approx_bytes_reserved();
-        let cache =
-            SnapshotCache::new(CacheBudget { max_entries: 100, max_bytes: 2 * unit + unit / 2 });
+        let cache = SnapshotCache::new(
+            CacheBudget { max_entries: 100, max_bytes: 2 * unit + unit / 2 },
+            &Registry::new(),
+        );
         assert!(cache.insert(key(1), tiny_graph(2)));
         assert!(cache.insert(key(2), tiny_graph(2)));
         // Third entry exceeds the byte budget: the oldest is evicted.
@@ -445,7 +456,7 @@ mod tests {
         // The resident accounting is the *reserved* size: building the
         // undirected CSR on a cached snapshot (as metrics do) must never
         // push actual residency past what the budget was charged.
-        let cache = SnapshotCache::new(CacheBudget::default());
+        let cache = SnapshotCache::new(CacheBudget::default(), &Registry::new());
         let g = tiny_graph(6);
         assert!(cache.insert(key(1), Arc::clone(&g)));
         let charged = cache.stats().bytes;
@@ -456,7 +467,7 @@ mod tests {
 
     #[test]
     fn disabled_cache_stores_nothing() {
-        let cache = SnapshotCache::new(CacheBudget::disabled());
+        let cache = SnapshotCache::new(CacheBudget::disabled(), &Registry::new());
         assert!(!cache.is_enabled());
         assert!(!cache.insert(key(1), tiny_graph(1)));
         assert!(cache.get(&key(1)).is_none());
@@ -466,7 +477,7 @@ mod tests {
 
     #[test]
     fn reinsert_replaces_and_accounts_bytes() {
-        let cache = SnapshotCache::new(CacheBudget::entries(4));
+        let cache = SnapshotCache::new(CacheBudget::entries(4), &Registry::new());
         cache.insert(key(1), tiny_graph(1));
         let small = cache.stats().bytes;
         cache.insert(key(1), tiny_graph(6));
@@ -478,7 +489,7 @@ mod tests {
 
     #[test]
     fn heavy_touching_compacts_recency_queue() {
-        let cache = SnapshotCache::new(CacheBudget::entries(2));
+        let cache = SnapshotCache::new(CacheBudget::entries(2), &Registry::new());
         cache.insert(key(1), tiny_graph(1));
         cache.insert(key(2), tiny_graph(1));
         for _ in 0..10_000 {
@@ -497,7 +508,10 @@ mod tests {
     fn tenant_share_evicts_own_entries_first() {
         let unit = tiny_graph(2).approx_bytes_reserved();
         // Room for ~6 units globally; tenant `a` is capped at ~2 units.
-        let cache = SnapshotCache::new(CacheBudget { max_entries: 100, max_bytes: 6 * unit + 8 });
+        let cache = SnapshotCache::new(
+            CacheBudget { max_entries: 100, max_bytes: 6 * unit + 8 },
+            &Registry::new(),
+        );
         let a = TenantId::new("a").unwrap();
         let b = TenantId::new("b").unwrap();
         let a_share = 2 * unit + 8;
@@ -528,7 +542,7 @@ mod tests {
 
     #[test]
     fn replacing_a_key_transfers_the_owner_charge() {
-        let cache = SnapshotCache::new(CacheBudget::default());
+        let cache = SnapshotCache::new(CacheBudget::default(), &Registry::new());
         let a = TenantId::new("a").unwrap();
         let b = TenantId::new("b").unwrap();
         assert!(cache.insert_charged(key(1), tiny_graph(2), a.clone(), None));
@@ -548,7 +562,10 @@ mod tests {
         // a third thread mid-flight and at the end), and the counters
         // add up.
         let unit = tiny_graph(2).approx_bytes_reserved();
-        let cache = SnapshotCache::new(CacheBudget { max_entries: 64, max_bytes: 2 * unit + 8 });
+        let cache = SnapshotCache::new(
+            CacheBudget { max_entries: 64, max_bytes: 2 * unit + 8 },
+            &Registry::new(),
+        );
         let writers: Vec<_> = (0..2u64)
             .map(|thread| {
                 let cache = cache.clone();
@@ -577,7 +594,7 @@ mod tests {
 
     #[test]
     fn clear_empties_but_keeps_counters() {
-        let cache = SnapshotCache::new(CacheBudget::entries(4));
+        let cache = SnapshotCache::new(CacheBudget::entries(4), &Registry::new());
         cache.insert(key(1), tiny_graph(1));
         cache.get(&key(1)).unwrap();
         cache.clear();
@@ -585,5 +602,29 @@ mod tests {
         assert_eq!((stats.entries, stats.bytes), (0, 0));
         assert_eq!((stats.hits, stats.insertions), (1, 1));
         assert!(cache.get(&key(1)).is_none());
+    }
+
+    #[test]
+    fn traffic_is_counted_in_the_given_registry() {
+        let registry = Registry::new();
+        let cache = SnapshotCache::new(CacheBudget::entries(1), &registry);
+        cache.insert(key(1), tiny_graph(1));
+        cache.insert(key(2), tiny_graph(1));
+        cache.get(&key(2)).unwrap();
+        assert!(cache.get(&key(1)).is_none());
+        let count = |name: &str| registry.counter(name, &[]).get();
+        let stats = cache.stats();
+        assert_eq!(
+            (stats.hits, stats.misses, stats.insertions, stats.evictions, stats.evicted_bytes),
+            (
+                count("vrdag_cache_hits_total"),
+                count("vrdag_cache_misses_total"),
+                count("vrdag_cache_insertions_total"),
+                count("vrdag_cache_evictions_total"),
+                count("vrdag_cache_evicted_bytes_total"),
+            )
+        );
+        assert_eq!((stats.hits, stats.misses, stats.insertions, stats.evictions), (1, 1, 2, 1));
+        assert!(stats.evicted_bytes > 0);
     }
 }

@@ -329,10 +329,6 @@ pub struct ServeConfig {
     pub intra_threads: Option<usize>,
 }
 
-/// The pre-refactor name of [`ServeConfig`], kept as an alias for the
-/// batch-era API surface.
-pub type SchedulerConfig = ServeConfig;
-
 impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
@@ -681,41 +677,57 @@ impl LatencyRing {
     }
 }
 
-/// Running per-tenant counters (see [`TenantStats`] for the snapshot).
-struct TenantRunning {
-    submitted: u64,
-    completed: u64,
-    failed: u64,
-    cancelled: u64,
-    rejected: u64,
-    bytes_streamed: u64,
-    latency: LatencyRing,
+/// The `outcome` labels of `vrdag_tenant_jobs_total`.
+pub(crate) const TENANT_OUTCOMES: [&str; 5] =
+    ["submitted", "completed", "failed", "cancelled", "rejected"];
+
+/// One tenant's live counters, `vrdag_tenant_jobs_total{outcome}` and
+/// `vrdag_tenant_streamed_bytes_total`, labelled `tenant=<id>` and
+/// registered on the tenant's first submit.
+struct TenantSeries {
+    submitted: Counter,
+    completed: Counter,
+    failed: Counter,
+    cancelled: Counter,
+    rejected: Counter,
+    streamed_bytes: Counter,
 }
 
-impl Default for TenantRunning {
-    fn default() -> Self {
-        TenantRunning {
-            submitted: 0,
-            completed: 0,
-            failed: 0,
-            cancelled: 0,
-            rejected: 0,
-            bytes_streamed: 0,
-            latency: LatencyRing::new(TENANT_LATENCY_WINDOW),
+impl TenantSeries {
+    fn new(id: &TenantId, registry: &MetricsRegistry) -> TenantSeries {
+        let tenant = id.as_str();
+        let [submitted, completed, failed, cancelled, rejected] = TENANT_OUTCOMES.map(|outcome| {
+            registry.counter("vrdag_tenant_jobs_total", &[("tenant", tenant), ("outcome", outcome)])
+        });
+        TenantSeries {
+            submitted,
+            completed,
+            failed,
+            cancelled,
+            rejected,
+            streamed_bytes: registry
+                .counter("vrdag_tenant_streamed_bytes_total", &[("tenant", tenant)]),
         }
     }
 }
 
+/// Per-tenant running state (see [`TenantStats`] for the snapshot).
+struct TenantRunning {
+    series: Arc<TenantSeries>,
+    latency: LatencyRing,
+}
+
 impl TenantRunning {
     fn record_result(&mut self, result: &JobResult) {
-        self.completed += 1;
+        let series = &self.series;
+        series.completed.inc();
         if result.error.is_some() {
-            self.failed += 1;
+            series.failed.inc();
         }
         if result.cancelled {
-            self.cancelled += 1;
+            series.cancelled.inc();
         }
-        self.bytes_streamed += result.bytes as u64;
+        series.streamed_bytes.add(result.bytes as u64);
         self.latency.record(result.seconds);
     }
 
@@ -768,8 +780,11 @@ impl RunningStats {
         }
     }
 
-    fn tenant_mut(&mut self, id: &TenantId) -> &mut TenantRunning {
-        self.tenants.entry(id.clone()).or_default()
+    fn tenant_mut(&mut self, id: &TenantId, registry: &MetricsRegistry) -> &mut TenantRunning {
+        self.tenants.entry(id.clone()).or_insert_with(|| TenantRunning {
+            series: Arc::new(TenantSeries::new(id, registry)),
+            latency: LatencyRing::new(TENANT_LATENCY_WINDOW),
+        })
     }
 
     fn close_run(&mut self, worker: usize) {
@@ -856,13 +871,21 @@ fn ring_stats(ring: &LatencyRing, total: u64) -> LatencyStats {
 /// Wall time past which a completed job earns a warn-level log event.
 const SLOW_JOB_WARN_SECONDS: f64 = 10.0;
 
-/// Natively instrumented metric handles — values only the hot path can
-/// see (busy time, stage durations). Families that mirror counters the
-/// core already tracks elsewhere (jobs, cache, queue) are refreshed from
-/// those sources at render time instead, so `METRICS` and `STATS` can
-/// never drift apart (see `ServeHandle::metrics_text`).
+/// The core's live metric handles. The registry is the only store of
+/// every counter: [`ServeHandle::stats`] reads these same handles (and
+/// the cache's and tenants'), so `METRICS` and `STATS` cannot drift
+/// apart. Only derived gauges are sampled at render time. Counters are
+/// `Relaxed` statistics that publish no other data; a caller who saw a
+/// job finish reads its counts after the result channel's hand-off.
 struct CoreMetrics {
     registry: MetricsRegistry,
+    submitted: Counter,
+    completed: Counter,
+    failed: Counter,
+    cancelled: Counter,
+    dropped: Counter,
+    snapshots: Counter,
+    edges: Counter,
     /// Milliseconds workers spent executing jobs (all workers summed).
     worker_busy_ms: Counter,
     /// `vrdag_job_stage_seconds{stage=...}`, indexed like [`STAGE_NAMES`].
@@ -876,8 +899,16 @@ impl CoreMetrics {
         let stage_seconds = std::array::from_fn(|i| {
             registry.histogram("vrdag_job_stage_seconds", &[("stage", STAGE_NAMES[i])])
         });
+        let counter = |name: &str| registry.counter(name, &[]);
         CoreMetrics {
-            worker_busy_ms: registry.counter("vrdag_worker_busy_ms_total", &[]),
+            submitted: counter("vrdag_jobs_submitted_total"),
+            completed: counter("vrdag_jobs_completed_total"),
+            failed: counter("vrdag_jobs_failed_total"),
+            cancelled: counter("vrdag_jobs_cancelled_total"),
+            dropped: counter("vrdag_jobs_dropped_total"),
+            snapshots: counter("vrdag_snapshots_total"),
+            edges: counter("vrdag_edges_total"),
+            worker_busy_ms: counter("vrdag_worker_busy_ms_total"),
             stage_seconds,
             registry,
         }
@@ -908,13 +939,6 @@ struct Shared {
     /// (the requested/default value, clamped against oversubscription).
     intra_threads: usize,
     stats: Mutex<RunningStats>,
-    submitted: AtomicU64,
-    completed: AtomicU64,
-    failed: AtomicU64,
-    cancelled: AtomicU64,
-    dropped: AtomicU64,
-    snapshots: AtomicU64,
-    edges: AtomicU64,
     /// Completion sequence; see [`JobResult::seq`].
     seq: AtomicU64,
     closed: AtomicBool,
@@ -940,7 +964,7 @@ impl Drop for Core {
         // right until the counters themselves go away with the core.
         self.shared.closed.store(true, Ordering::SeqCst);
         let dropped = self.shared.queue.close_discard();
-        self.shared.dropped.fetch_add(dropped as u64, Ordering::SeqCst);
+        self.shared.metrics.dropped.add(dropped as u64);
         for handle in self.workers.get_mut().expect("workers lock poisoned").drain(..) {
             let _ = handle.join();
         }
@@ -975,25 +999,20 @@ impl ServeHandle {
         if config.workers == 0 {
             return Err(ServeError::NoWorkers);
         }
-        let cache = SnapshotCache::new(config.cache);
+        let metrics = CoreMetrics::new();
+        let cache = SnapshotCache::new(config.cache, &metrics.registry);
         // Coalescing only pays off when finished twins can be served
         // from the cache.
         let queue = JobQueue::with_cache(cache.is_enabled().then(|| cache.clone()));
         let intra_threads = effective_intra_threads(config.workers, config.intra_threads);
+        metrics.registry.gauge("vrdag_intra_threads", &[]).set(intra_threads as u64);
         let shared = Arc::new(Shared {
             queue,
             cache,
             logger: config.logger.clone(),
-            metrics: CoreMetrics::new(),
+            metrics,
             intra_threads,
             stats: Mutex::new(RunningStats::new(config.workers)),
-            submitted: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-            failed: AtomicU64::new(0),
-            cancelled: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
-            snapshots: AtomicU64::new(0),
-            edges: AtomicU64::new(0),
             seq: AtomicU64::new(0),
             closed: AtomicBool::new(false),
         });
@@ -1088,8 +1107,11 @@ impl ServeHandle {
             })?,
         };
         let handle = self.core.registry.resolve(&req.model)?;
+        // Registered before the push, so every queued lane's tenant is
+        // known to the lane gauges by the time a scrape samples them.
+        let series = self.tenant_series(tenant.id());
         if !self.core.tenants.try_acquire_rate(&tenant) {
-            self.note_rejected(tenant.id());
+            series.rejected.inc();
             return Err(ServeError::QuotaExceeded {
                 tenant: tenant.id().to_string(),
                 quota: "rate",
@@ -1099,7 +1121,6 @@ impl ServeHandle {
         let (tx, rx) = mpsc::channel();
         let id = JobId(self.core.next_id.fetch_add(1, Ordering::SeqCst));
         let ticket = Ticket { id, model: req.model, t_len: req.t_len, seed: req.seed, rx };
-        let tenant_id = tenant.id().clone();
         let trace = req.trace.unwrap_or_default();
         trace.mark_submitted();
         let job = Job {
@@ -1117,10 +1138,8 @@ impl ServeHandle {
         };
         match self.core.shared.queue.push_checked(job, self.core.max_queue_depth) {
             Ok(()) => {
-                self.core.shared.submitted.fetch_add(1, Ordering::SeqCst);
-                let mut stats = self.core.shared.stats.lock().expect("stats lock poisoned");
-                stats.tenant_mut(&tenant_id).submitted += 1;
-                drop(stats);
+                self.core.shared.metrics.submitted.inc();
+                series.submitted.inc();
                 Ok(ticket)
             }
             // A close/abort from another handle clone can win the race
@@ -1133,7 +1152,7 @@ impl ServeHandle {
             }
             Err(crate::queue::PushRejected::Full { depth }) => {
                 self.core.tenants.refund_rate(&tenant);
-                self.note_rejected(&tenant_id);
+                series.rejected.inc();
                 Err(ServeError::QueueFull {
                     depth,
                     cap: self.core.max_queue_depth.expect("cap enforced implies cap set"),
@@ -1141,16 +1160,17 @@ impl ServeHandle {
             }
             Err(crate::queue::PushRejected::Quota { tenant: t, quota, cap }) => {
                 self.core.tenants.refund_rate(&tenant);
-                self.note_rejected(&t);
+                series.rejected.inc();
                 Err(ServeError::QuotaExceeded { tenant: t.to_string(), quota, cap: cap as u64 })
             }
         }
     }
 
-    /// Count one refused submission into the tenant's `rejected` stat.
-    fn note_rejected(&self, tenant: &TenantId) {
-        let mut stats = self.core.shared.stats.lock().expect("stats lock poisoned");
-        stats.tenant_mut(tenant).rejected += 1;
+    /// `tenant`'s live series, registering them on first use.
+    fn tenant_series(&self, tenant: &TenantId) -> Arc<TenantSeries> {
+        let shared = &self.core.shared;
+        let mut stats = shared.stats.lock().expect("stats lock poisoned");
+        Arc::clone(&stats.tenant_mut(tenant, &shared.metrics.registry).series)
     }
 
     /// Stop accepting submissions; workers finish everything already
@@ -1167,7 +1187,7 @@ impl ServeHandle {
     pub fn abort(&self) {
         self.core.shared.closed.store(true, Ordering::SeqCst);
         let dropped = self.core.shared.queue.close_discard();
-        self.core.shared.dropped.fetch_add(dropped as u64, Ordering::SeqCst);
+        self.core.shared.metrics.dropped.add(dropped as u64);
     }
 
     /// Block until every worker thread has exited. Only meaningful after
@@ -1202,15 +1222,16 @@ impl ServeHandle {
                 .iter()
                 .map(|(id, t)| {
                     let (p50, p95) = t.percentiles();
+                    let series = &t.series;
                     TenantStats {
                         id: id.to_string(),
                         weight: self.core.tenants.get(id).map_or(1, |cfg| cfg.weight),
-                        submitted: t.submitted,
-                        completed: t.completed,
-                        failed: t.failed,
-                        cancelled: t.cancelled,
-                        rejected: t.rejected,
-                        bytes_streamed: t.bytes_streamed,
+                        submitted: series.submitted.get(),
+                        completed: series.completed.get(),
+                        failed: series.failed.get(),
+                        cancelled: series.cancelled.get(),
+                        rejected: series.rejected.get(),
+                        bytes_streamed: series.streamed_bytes.get(),
                         p50_seconds: p50,
                         p95_seconds: p95,
                     }
@@ -1219,19 +1240,20 @@ impl ServeHandle {
             (stats.affinity(), stats.latency_stats(), stats.stage_stats(), tenants)
         };
         tenants.sort_by(|a, b| a.id.cmp(&b.id));
+        let m = &shared.metrics;
         ServeStats {
             workers: self.core.worker_count,
             uptime_seconds: self.core.started.elapsed().as_secs_f64().max(1e-9),
-            submitted: shared.submitted.load(Ordering::SeqCst),
-            completed: shared.completed.load(Ordering::SeqCst),
-            failed: shared.failed.load(Ordering::SeqCst),
-            cancelled: shared.cancelled.load(Ordering::SeqCst),
-            dropped_jobs: shared.dropped.load(Ordering::SeqCst),
+            submitted: m.submitted.get(),
+            completed: m.completed.get(),
+            failed: m.failed.get(),
+            cancelled: m.cancelled.get(),
+            dropped_jobs: m.dropped.get(),
             queue_depth: shared.queue.depth(),
             in_flight: shared.queue.in_flight(),
             max_in_flight: shared.queue.max_in_flight(),
-            snapshots: shared.snapshots.load(Ordering::SeqCst),
-            edges: shared.edges.load(Ordering::SeqCst),
+            snapshots: m.snapshots.get(),
+            edges: m.edges.get(),
             cache: shared.cache.stats(),
             affinity,
             latency,
@@ -1262,10 +1284,10 @@ impl ServeHandle {
         &self.core.shared.metrics.registry
     }
 
-    /// Prometheus text exposition of every registered family. Mirror
-    /// families (jobs, cache, queue, uptime) are refreshed from the same
-    /// authoritative sources [`stats`](Self::stats) reads immediately
-    /// before rendering, so `METRICS` and `STATS` agree exactly.
+    /// Prometheus text exposition of every registered family. Counters
+    /// are the live handles [`stats`](Self::stats) reads, so `METRICS`
+    /// and `STATS` agree exactly; derived gauges (queue, in-flight, cache
+    /// residency, uptime, tenant lanes) are sampled just before rendering.
     pub fn metrics_text(&self) -> String {
         self.refresh_metrics();
         self.core.shared.metrics.registry.render()
@@ -1278,37 +1300,25 @@ impl ServeHandle {
         self.core.shared.metrics.registry.render_json()
     }
 
-    /// Re-derive the mirror metric families from the counters `stats()`
-    /// reads. Registering is idempotent (name + labels key), so repeated
-    /// renders reuse the same handles.
+    /// Sample the derived gauges. A tenant whose lane has drained reads
+    /// 0 — the queue drops empty lanes, so absence means empty.
     fn refresh_metrics(&self) {
         let shared = &self.core.shared;
         let reg = &shared.metrics.registry;
-        let set = |name: &str, v: u64| reg.counter(name, &[]).set(v);
-        set("vrdag_jobs_submitted_total", shared.submitted.load(Ordering::SeqCst));
-        set("vrdag_jobs_completed_total", shared.completed.load(Ordering::SeqCst));
-        set("vrdag_jobs_failed_total", shared.failed.load(Ordering::SeqCst));
-        set("vrdag_jobs_cancelled_total", shared.cancelled.load(Ordering::SeqCst));
-        set("vrdag_jobs_dropped_total", shared.dropped.load(Ordering::SeqCst));
-        set("vrdag_snapshots_total", shared.snapshots.load(Ordering::SeqCst));
-        set("vrdag_edges_total", shared.edges.load(Ordering::SeqCst));
         let cache = shared.cache.stats();
-        set("vrdag_cache_hits_total", cache.hits);
-        set("vrdag_cache_misses_total", cache.misses);
-        set("vrdag_cache_insertions_total", cache.insertions);
-        set("vrdag_cache_evictions_total", cache.evictions);
-        set("vrdag_cache_evicted_bytes_total", cache.evicted_bytes);
         reg.gauge("vrdag_cache_entries", &[]).set(cache.entries as u64);
         reg.gauge("vrdag_cache_bytes", &[]).set(cache.bytes as u64);
-        reg.gauge("vrdag_intra_threads", &[]).set(shared.intra_threads as u64);
         reg.gauge("vrdag_queue_depth", &[]).set(shared.queue.depth() as u64);
         reg.gauge("vrdag_jobs_inflight", &[]).set(shared.queue.in_flight() as u64);
         reg.gauge("vrdag_jobs_inflight_peak", &[]).set(shared.queue.max_in_flight() as u64);
         reg.gauge("vrdag_uptime_seconds", &[]).set(self.core.started.elapsed().as_secs());
-        for lane in shared.queue.lane_stats() {
-            let labels = [("tenant", lane.tenant.as_str())];
-            reg.gauge("vrdag_tenant_queue_depth", &labels).set(lane.queued as u64);
-            reg.gauge("vrdag_tenant_lane_deficit", &labels).set(lane.deficit);
+        let lanes = shared.queue.lane_stats();
+        let stats = shared.stats.lock().expect("stats lock poisoned");
+        for id in stats.tenants.keys() {
+            let lane = lanes.iter().find(|l| l.tenant == id.as_str());
+            let labels = [("tenant", id.as_str())];
+            reg.gauge("vrdag_tenant_queue_depth", &labels).set(lane.map_or(0, |l| l.queued as u64));
+            reg.gauge("vrdag_tenant_lane_deficit", &labels).set(lane.map_or(0, |l| l.deficit));
         }
     }
 }
@@ -1404,22 +1414,23 @@ fn worker_loop(worker: usize, shared: &Shared) {
                 }
             }
         };
-        shared.completed.fetch_add(1, Ordering::SeqCst);
+        let m = &shared.metrics;
+        m.completed.inc();
         if result.error.is_some() {
-            shared.failed.fetch_add(1, Ordering::SeqCst);
+            m.failed.inc();
         }
         if result.cancelled {
-            shared.cancelled.fetch_add(1, Ordering::SeqCst);
+            m.cancelled.inc();
         }
-        shared.snapshots.fetch_add(result.snapshots as u64, Ordering::SeqCst);
-        shared.edges.fetch_add(result.edges as u64, Ordering::SeqCst);
+        m.snapshots.add(result.snapshots as u64);
+        m.edges.add(result.edges as u64);
         result.seq = shared.seq.fetch_add(1, Ordering::SeqCst) + 1;
         // "Delivered" is marked at handoff (just before the ticket send
         // below) so the derived durations can ride on the result itself.
         trace.mark_delivered();
         result.stages = trace.durations();
-        shared.metrics.worker_busy_ms.add((result.seconds * 1e3) as u64);
-        shared.metrics.observe_stages(&result.stages);
+        m.worker_busy_ms.add((result.seconds * 1e3) as u64);
+        m.observe_stages(&result.stages);
         if result.seconds >= SLOW_JOB_WARN_SECONDS {
             shared.logger.warn(
                 "serve.worker",
@@ -1439,7 +1450,7 @@ fn worker_loop(worker: usize, shared: &Shared) {
             stats.open_runs[worker].1 += 1;
             stats.record_latency(result.seconds);
             stats.record_stages(&result.stages);
-            stats.tenant_mut(tenant.id()).record_result(&result);
+            stats.tenant_mut(tenant.id(), &m.registry).record_result(&result);
         }
         // Release the queue's accounting (busy key, per-tenant
         // executing count) *before* delivering the result: a client
@@ -2624,5 +2635,114 @@ mod tests {
         assert!(follow.wait().unwrap().is_ok());
         assert_eq!(ran.load(Ordering::SeqCst), 1, "forgotten job still ran");
         assert_eq!(handle.stats().completed, 2);
+    }
+
+    /// The value of one exposition sample (`series` includes its labels).
+    fn sample(text: &str, series: &str) -> Option<u64> {
+        text.lines().find_map(|l| l.strip_prefix(series)?.strip_prefix(' ')?.parse().ok())
+    }
+
+    #[test]
+    fn drained_tenant_lanes_read_zero_in_the_exposition() {
+        let (registry, _) = registry_with_tiny();
+        let handle = ServeHandle::with_config(
+            registry,
+            ServeConfig { workers: 1, tenants: two_tier_tenants(), ..Default::default() },
+        )
+        .unwrap();
+        let (started_tx, started_rx) = std::sync::mpsc::channel();
+        let (release_tx, release_rx) = std::sync::mpsc::channel();
+        let blocker = handle.submit(blocking_request("tiny", 0, started_tx, release_rx)).unwrap();
+        started_rx.recv().unwrap();
+        let gold = TenantId::new("gold").unwrap();
+        let tickets: Vec<Ticket> = (1..=3u64)
+            .map(|seed| {
+                let req = GenRequest::new("tiny", 1, seed, GenSink::Discard);
+                handle.submit(req.with_tenant(gold.clone())).unwrap()
+            })
+            .collect();
+        let depth = "vrdag_tenant_queue_depth{tenant=\"gold\"}";
+        let text = handle.metrics_text();
+        assert_eq!(sample(&text, depth), Some(3), "{text}");
+        release_tx.send(()).unwrap();
+        blocker.wait().unwrap();
+        for ticket in tickets {
+            assert!(ticket.wait().unwrap().is_ok());
+        }
+        assert_eq!(handle.queue_depth(), 0);
+        let text = handle.metrics_text();
+        assert_eq!(sample(&text, depth), Some(0), "a drained lane must read 0\n{text}");
+        assert_eq!(sample(&text, "vrdag_tenant_lane_deficit{tenant=\"gold\"}"), Some(0));
+    }
+
+    #[test]
+    fn tenant_stats_equal_their_registry_series() {
+        // Deterministic two-tenant workload behind a blocker: gold fills
+        // its in-flight quota and is refused once; bronze has one job
+        // cancelled while queued, one failing sink and one success.
+        let (registry, _) = registry_with_tiny();
+        let tenants = TenantRegistry::builder()
+            .tenant(
+                crate::tenant::Tenant::new(TenantId::new("gold").unwrap()).with_max_inflight(3),
+                "tok-gold",
+            )
+            .unwrap()
+            .tenant(crate::tenant::Tenant::new(TenantId::new("bronze").unwrap()), "tok-bronze")
+            .unwrap()
+            .build();
+        let handle = ServeHandle::with_config(
+            registry,
+            ServeConfig { workers: 1, tenants, ..Default::default() },
+        )
+        .unwrap();
+        let (started_tx, started_rx) = std::sync::mpsc::channel();
+        let (release_tx, release_rx) = std::sync::mpsc::channel();
+        let blocker = handle.submit(blocking_request("tiny", 0, started_tx, release_rx)).unwrap();
+        started_rx.recv().unwrap();
+        let (gold, bronze) = (TenantId::new("gold").unwrap(), TenantId::new("bronze").unwrap());
+        let mut tickets = Vec::new();
+        for seed in 1..=3u64 {
+            let req = GenRequest::new("tiny", 2, seed, GenSink::InMemory).with_tenant(gold.clone());
+            tickets.push(handle.submit(req).unwrap());
+        }
+        let refused = GenRequest::new("tiny", 2, 4, GenSink::InMemory).with_tenant(gold.clone());
+        assert!(matches!(handle.submit(refused), Err(ServeError::QuotaExceeded { .. })));
+        let token = CancelToken::new();
+        let cancelled = GenRequest::new("tiny", 2, 5, GenSink::InMemory).with_cancel(token.clone());
+        let bomb =
+            GenRequest::new("tiny", 1, 6, GenSink::Callback(Box::new(|_, _| panic!("boom"))));
+        let ok = GenRequest::new("tiny", 3, 7, GenSink::InMemory);
+        for req in [cancelled, bomb, ok] {
+            tickets.push(handle.submit(req.with_tenant(bronze.clone())).unwrap());
+        }
+        token.cancel();
+        release_tx.send(()).unwrap();
+        blocker.wait().unwrap();
+        for ticket in tickets {
+            ticket.wait().unwrap();
+        }
+
+        let stats = handle.stats();
+        let text = handle.metrics_text();
+        let row = |id: &str| stats.tenants.iter().find(|t| t.id == id).unwrap().clone();
+        for t in ["gold", "bronze"].map(row) {
+            let jobs = |outcome: &str| {
+                let series =
+                    format!("vrdag_tenant_jobs_total{{outcome=\"{outcome}\",tenant=\"{}\"}}", t.id);
+                sample(&text, &series)
+            };
+            assert_eq!(jobs("submitted"), Some(t.submitted), "{text}");
+            assert_eq!(jobs("completed"), Some(t.completed), "{text}");
+            assert_eq!(jobs("failed"), Some(t.failed), "{text}");
+            assert_eq!(jobs("cancelled"), Some(t.cancelled), "{text}");
+            assert_eq!(jobs("rejected"), Some(t.rejected), "{text}");
+            let bytes = format!("vrdag_tenant_streamed_bytes_total{{tenant=\"{}\"}}", t.id);
+            assert_eq!(sample(&text, &bytes), Some(t.bytes_streamed), "{text}");
+        }
+        // And the workload's shape pins the values themselves.
+        let counts = |t: TenantStats| (t.submitted, t.completed, t.failed, t.cancelled, t.rejected);
+        assert_eq!(counts(row("gold")), (3, 3, 0, 0, 1));
+        assert_eq!(counts(row("bronze")), (3, 3, 1, 1, 0));
+        assert!(row("gold").bytes_streamed > 0 && row("bronze").bytes_streamed > 0);
     }
 }

@@ -101,8 +101,8 @@ pub use backend::{BackendMeta, BackendPool};
 pub use cache::{CacheBudget, CacheKey, CacheStats, SnapshotCache};
 pub use core::{
     AffinityStats, CancelToken, CompletionNotify, GenRequest, GenSink, JobId, JobResult,
-    LatencyStats, SchedulerConfig, ServeConfig, ServeHandle, ServeStats, SnapshotCallback,
-    StageLatencyStats, TenantStats, Ticket,
+    LatencyStats, ServeConfig, ServeHandle, ServeStats, SnapshotCallback, StageLatencyStats,
+    TenantStats, Ticket,
 };
 pub use frontend::{Frontend, FrontendConfig, LineClient, Reply};
 pub use httpexpo::{HttpEndpoints, HttpExpo};

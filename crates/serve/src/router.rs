@@ -33,9 +33,11 @@
 //!   terminates with a clean `ERR backend-unavailable tag=…` instead —
 //!   the connection stays usable.
 //! * **Aggregation** — `STATS`/`MODELS`/`METRICS` fan out to every
-//!   reachable backend and come back as one reply: per-tenant counters
-//!   summed across nodes, the model listing deduplicated, Prometheus
-//!   series summed and merged with the router's own registry.
+//!   reachable backend and come back as one reply: Prometheus series
+//!   summed and merged with the router's own registry, the model
+//!   listing deduplicated, and fleet `STATS` totals (jobs, cache,
+//!   per-tenant) read from the backends' merged `METRICS` series, with
+//!   each backend's own `STATS` text kept verbatim for drill-down.
 //!
 //! The router is the event loop of [`reactor`](crate::reactor) in
 //! **relay mode**: one loop thread owns every client connection, and
@@ -52,6 +54,7 @@
 
 use crate::backend::{hash_bytes, BackendPool};
 use crate::codec::{FrameScanner, RawFrame};
+use crate::core::TENANT_OUTCOMES;
 use crate::frontend::{listen, LineClient, Reply};
 use crate::protocol::{EndStatus, ErrorCode, GenSpec, ReplyHeader, Request, MAX_LINE_BYTES};
 use crate::reactor::{
@@ -442,6 +445,19 @@ enum AggKind {
     Models,
 }
 
+impl AggKind {
+    /// The commands sent to each backend, in part order. Fleet `STATS`
+    /// sums its totals from the `METRICS` series and shows the `STATS`
+    /// text as each backend's drill-down section.
+    fn probes(self) -> &'static [&'static str] {
+        match self {
+            AggKind::Stats => &["STATS", "METRICS"],
+            AggKind::Metrics => &["METRICS"],
+            AggKind::Models => &["MODELS"],
+        }
+    }
+}
+
 /// One backend's contribution to a fan-out reply.
 enum Part {
     /// Awaiting the reply to the internal probe tagged with this.
@@ -456,12 +472,19 @@ enum Part {
 struct Aggregate {
     kind: AggKind,
     client_tag: Option<String>,
+    /// One part per [`AggKind::probes`] entry per backend, slot-major.
     parts: Vec<Part>,
 }
 
 impl Aggregate {
     fn waits_on(&self, tag: &str) -> bool {
         self.parts.iter().any(|p| matches!(p, Part::Waiting(t) if t == tag))
+    }
+
+    /// The parts backend `slot` owes.
+    fn slot_parts(&self, slot: usize) -> &[Part] {
+        let n = self.kind.probes().len();
+        &self.parts[slot * n..(slot + 1) * n]
     }
 }
 
@@ -736,29 +759,23 @@ impl Route {
     }
 
     fn start_aggregate(&mut self, cx: &mut Cx<'_, RouteConn>, kind: AggKind, tag: Option<String>) {
-        let mut parts = Vec::with_capacity(self.shared.pool.len());
-        for meta in self.shared.pool.iter() {
-            parts.push(if meta.is_up() || meta.take_reprobe_slot() {
-                Part::Waiting(self.next_internal_tag(cx.state))
-            } else {
-                Part::Down(meta.addr().to_string())
-            });
+        let probes = kind.probes();
+        let mut parts = Vec::with_capacity(self.shared.pool.len() * probes.len());
+        let mut lines = Vec::new();
+        for (slot, meta) in self.shared.pool.iter().enumerate() {
+            let live = meta.is_up() || meta.take_reprobe_slot();
+            for probe in probes {
+                parts.push(if live {
+                    let itag = self.next_internal_tag(cx.state);
+                    lines.push((slot, format!("{probe} tag={itag}")));
+                    Part::Waiting(itag)
+                } else {
+                    Part::Down(meta.addr().to_string())
+                });
+            }
         }
-        let probes: Vec<(usize, String)> = parts
-            .iter()
-            .enumerate()
-            .filter_map(|(slot, p)| match p {
-                Part::Waiting(itag) => Some((slot, itag.clone())),
-                _ => None,
-            })
-            .collect();
         cx.state.aggs.push(Aggregate { kind, client_tag: tag, parts });
-        for (slot, itag) in probes {
-            let line = match kind {
-                AggKind::Stats => format!("STATS tag={itag}"),
-                AggKind::Metrics => format!("METRICS tag={itag}"),
-                AggKind::Models => format!("MODELS tag={itag}"),
-            };
+        for (slot, line) in lines {
             self.send(cx, slot, &line);
         }
         self.finish_aggregates(cx);
@@ -951,7 +968,8 @@ impl Route {
             .state
             .aggs
             .iter()
-            .filter_map(|a| match &a.parts[slot] {
+            .flat_map(|a| a.slot_parts(slot))
+            .filter_map(|p| match p {
                 Part::Waiting(itag) => Some(itag.clone()),
                 _ => None,
             })
@@ -1192,122 +1210,79 @@ impl Dispatch for Route {
 
 // ----- aggregate rendering (pure helpers, unit-tested below) ---------------
 
-/// Counters harvested from one backend's rendered stats payload.
-#[derive(Default)]
-struct ParsedStats {
-    submitted: u64,
-    completed: u64,
-    cache_hits: u64,
-    cache_misses: u64,
-    /// id → (submitted, completed, failed, cancelled, rejected, KiB).
-    tenants: Vec<(String, [u64; 6])>,
-}
-
-/// Parse the counters the aggregate sums out of one
-/// `ServeStats::render()` payload. The format is our own (stable,
-/// loopback-tested); anything unparseable is skipped, never fatal.
-fn parse_backend_stats(text: &str) -> ParsedStats {
-    let mut out = ParsedStats::default();
-    let mut in_tenants = false;
-    for line in text.lines() {
-        let tokens: Vec<&str> = line.split_whitespace().collect();
-        if line.starts_with("serve: ") && tokens.len() >= 5 {
-            // serve: A submitted / B completed (...)
-            out.submitted = tokens[1].parse().unwrap_or(0);
-            out.completed = tokens[4].parse().unwrap_or(0);
-        } else if tokens.first() == Some(&"cache:") && tokens.len() >= 6 {
-            // cache: H hits / M misses (...)
-            out.cache_hits = tokens[1].parse().unwrap_or(0);
-            out.cache_misses = tokens[4].parse().unwrap_or(0);
-        } else if line.trim_end() == "  tenants:" {
-            in_tenants = true;
-        } else if in_tenants && line.starts_with("    ") && tokens.len() >= 14 {
-            // id w=K A submitted / B completed (C failed, D cancelled,
-            // E rejected) KIB KiB streamed p50 ...
-            let id = tokens[0].to_string();
-            let nums = [
-                tokens[2].parse().unwrap_or(0),
-                tokens[5].parse().unwrap_or(0),
-                tokens[7].trim_start_matches('(').parse().unwrap_or(0),
-                tokens[9].parse().unwrap_or(0),
-                tokens[11].parse().unwrap_or(0),
-                tokens[13].parse().unwrap_or(0),
-            ];
-            out.tenants.push((id, nums));
-        } else if in_tenants && !line.starts_with("    ") {
-            in_tenants = false;
-        }
-    }
-    out
-}
-
+/// Fleet `STATS`: the header, cache line and tenant lines are summed
+/// from the backends' merged `METRICS` series; each backend's own
+/// `STATS` text follows verbatim as its drill-down section. `parts`
+/// holds a `[STATS, METRICS]` pair per backend slot.
 fn render_stats_aggregate(pool: &BackendPool, parts: &[Part]) -> Vec<u8> {
     use std::fmt::Write as _;
-    let mut totals = ParsedStats::default();
-    let mut tenant_sums: Vec<(String, [u64; 6])> = Vec::new();
-    let parsed: Vec<Option<ParsedStats>> = parts
-        .iter()
-        .map(|part| match part {
-            Part::Payload(bytes) => {
-                let stats = parse_backend_stats(&String::from_utf8_lossy(bytes));
-                totals.submitted += stats.submitted;
-                totals.completed += stats.completed;
-                totals.cache_hits += stats.cache_hits;
-                totals.cache_misses += stats.cache_misses;
-                for (id, nums) in &stats.tenants {
-                    match tenant_sums.iter_mut().find(|(i, _)| i == id) {
-                        Some((_, acc)) => {
-                            for (a, n) in acc.iter_mut().zip(nums) {
-                                *a += n;
-                            }
-                        }
-                        None => tenant_sums.push((id.clone(), *nums)),
-                    }
-                }
-                Some(stats)
-            }
+    let texts: Vec<&str> = parts
+        .chunks(2)
+        .filter_map(|pair| match &pair[1] {
+            Part::Payload(bytes) => std::str::from_utf8(bytes).ok(),
             _ => None,
         })
         .collect();
-    drop(parsed);
-    tenant_sums.sort_by(|a, b| a.0.cmp(&b.0));
+    let merged = merge_prometheus(&texts);
+    // Series are looked up by their exact rendering: the registry sorts
+    // labels, and tenant ids need no escaping.
+    let value = |series: &str| -> u64 {
+        let sample = merged.lines().find_map(|l| l.strip_prefix(series)?.strip_prefix(' '));
+        sample.and_then(|v| v.parse::<f64>().ok()).unwrap_or(0.0) as u64
+    };
+    let mut tenants: Vec<&str> = merged
+        .lines()
+        .filter_map(|l| {
+            l.strip_prefix("vrdag_tenant_streamed_bytes_total{tenant=\"")?.split_once('"')
+        })
+        .map(|(id, _)| id)
+        .collect();
+    tenants.sort_unstable();
     let mut out = String::new();
     let _ = writeln!(
         out,
         "route: {} backends ({} up)  {} submitted / {} completed across the fleet",
-        parts.len(),
+        pool.len(),
         pool.up_count(),
-        totals.submitted,
-        totals.completed,
+        value("vrdag_jobs_submitted_total"),
+        value("vrdag_jobs_completed_total"),
     );
     let _ = writeln!(
         out,
         "  cache: {} hits / {} misses fleet-wide",
-        totals.cache_hits, totals.cache_misses
+        value("vrdag_cache_hits_total"),
+        value("vrdag_cache_misses_total"),
     );
-    if !tenant_sums.is_empty() {
+    // Like a single node's render: the tenant section appears once named
+    // tenants show up.
+    if tenants.iter().any(|id| *id != crate::tenant::ANONYMOUS_TENANT) {
         let _ = writeln!(out, "  tenants (summed across backends):");
-        for (id, [submitted, completed, failed, cancelled, rejected, kib]) in &tenant_sums {
+        for id in tenants {
+            let [submitted, completed, failed, cancelled, rejected] = TENANT_OUTCOMES.map(|o| {
+                value(&format!("vrdag_tenant_jobs_total{{outcome=\"{o}\",tenant=\"{id}\"}}"))
+            });
+            let kib =
+                value(&format!("vrdag_tenant_streamed_bytes_total{{tenant=\"{id}\"}}")) / 1024;
             let _ = writeln!(
                 out,
                 "    {id:<16} {submitted} submitted / {completed} completed ({failed} failed, {cancelled} cancelled, {rejected} rejected)  {kib} KiB streamed",
             );
         }
     }
-    for (slot, part) in parts.iter().enumerate() {
+    for (slot, pair) in parts.chunks(2).enumerate() {
         let addr = pool.get(slot).addr();
-        match part {
-            Part::Payload(bytes) => {
+        match pair {
+            [Part::Payload(bytes), _] => {
                 let _ = writeln!(out, "--- backend {addr} ---");
                 out.push_str(&String::from_utf8_lossy(bytes));
                 if !out.ends_with('\n') {
                     out.push('\n');
                 }
             }
-            Part::Down(note) => {
+            [Part::Down(note), _] => {
                 let _ = writeln!(out, "--- backend {addr} DOWN ({note}) ---");
             }
-            Part::Waiting(_) => {
+            _ => {
                 let _ = writeln!(out, "--- backend {addr} (no reply) ---");
             }
         }
@@ -1341,58 +1316,60 @@ fn render_models_aggregate(parts: &[Part]) -> Vec<u8> {
 /// Merge Prometheus text expositions by summing series with identical
 /// names+labels across backends (counters and histogram buckets sum
 /// exactly; summed gauges read as fleet totals). `# TYPE`/`# HELP`
-/// comment lines are kept once. Order is first-seen, so the merge of
+/// comment lines are kept once. Families keep first-seen order, and a
+/// series first seen in a later input joins the end of its family's
+/// group, so every family stays one contiguous block. The merge of
 /// deterministic inputs is deterministic.
 fn merge_prometheus(texts: &[&str]) -> String {
-    enum Item {
-        Comment(String),
-        Series(String),
-    }
-    let mut order: Vec<Item> = Vec::new();
-    let mut sums: HashMap<String, f64> = HashMap::new();
-    let mut seen_comments: Vec<String> = Vec::new();
+    // family → its lines: comments verbatim, series as their sum keys.
+    let mut families: Vec<(&str, Vec<&str>)> = Vec::new();
+    let mut sums: HashMap<&str, f64> = HashMap::new();
     for text in texts {
-        for line in text.lines() {
-            if line.is_empty() {
-                continue;
-            }
-            if line.starts_with('#') {
-                if !seen_comments.iter().any(|c| c == line) {
-                    seen_comments.push(line.to_string());
-                    order.push(Item::Comment(line.to_string()));
+        // The family of this input's latest `# TYPE`, which also owns
+        // its `_bucket`/`_sum`/`_count` series.
+        let mut typed = "";
+        for line in text.lines().filter(|l| !l.is_empty()) {
+            let (family, item) = if line.starts_with('#') {
+                let mut words = line.split_whitespace().skip(1);
+                let (kind, name) = (words.next().unwrap_or(""), words.next().unwrap_or(""));
+                if kind == "TYPE" {
+                    typed = name;
                 }
-                continue;
-            }
-            let Some((series, value)) = line.rsplit_once(' ') else { continue };
-            let Ok(v) = value.parse::<f64>() else { continue };
-            match sums.get_mut(series) {
-                Some(acc) => *acc += v,
-                None => {
-                    sums.insert(series.to_string(), v);
-                    order.push(Item::Series(series.to_string()));
+                (name, line)
+            } else {
+                let Some((series, value)) = line.rsplit_once(' ') else { continue };
+                let Ok(v) = value.parse::<f64>() else { continue };
+                if let Some(acc) = sums.get_mut(series) {
+                    *acc += v;
+                    continue;
                 }
+                sums.insert(series, v);
+                let name = series.split('{').next().unwrap_or(series);
+                let owned = ["", "_bucket", "_sum", "_count"]
+                    .iter()
+                    .any(|suffix| !typed.is_empty() && name.strip_suffix(suffix) == Some(typed));
+                (if owned { typed } else { name }, series)
+            };
+            match families.iter_mut().find(|(f, _)| *f == family) {
+                Some((_, lines)) if item.starts_with('#') && lines.contains(&item) => {}
+                Some((_, lines)) => lines.push(item),
+                None => families.push((family, vec![item])),
             }
         }
     }
     let mut out = String::new();
-    for item in order {
-        match item {
-            Item::Comment(line) => {
-                out.push_str(&line);
-                out.push('\n');
-            }
-            Item::Series(series) => {
-                let v = sums[&series];
-                out.push_str(&series);
-                out.push(' ');
-                if v.fract() == 0.0 && v.abs() < 9.0e15 {
-                    out.push_str(&format!("{}", v as i64));
-                } else {
-                    out.push_str(&format!("{v}"));
-                }
-                out.push('\n');
+    for item in families.iter().flat_map(|(_, lines)| lines) {
+        out.push_str(item);
+        if !item.starts_with('#') {
+            let v = sums[item];
+            out.push(' ');
+            if v.fract() == 0.0 && v.abs() < 9.0e15 {
+                out.push_str(&format!("{}", v as i64));
+            } else {
+                out.push_str(&format!("{v}"));
             }
         }
+        out.push('\n');
     }
     out
 }
@@ -1402,69 +1379,68 @@ mod tests {
     use super::*;
 
     #[test]
-    fn backend_stats_parse_and_sum() {
-        let a = "serve: 7 submitted / 6 completed (1 failed, 0 cancelled, 0 dropped) on 2 workers in 1.000s  (peak 2 in flight, 0 queued now)\n  throughput: 12 snapshots / 30 edges total\n  cache: 3 hits / 4 misses (43% hit rate), 0 evictions, 4 entries / 12 KiB resident\n  tenants:\n    gold             w=3  5 submitted / 4 completed (1 failed, 0 cancelled, 0 rejected)  18 KiB streamed  p50 1.00ms p95 2.00ms\n    bronze           w=1  2 submitted / 2 completed (0 failed, 0 cancelled, 2 rejected)  6 KiB streamed  p50 1.00ms p95 2.00ms\n";
-        let parsed = parse_backend_stats(a);
-        assert_eq!(parsed.submitted, 7);
-        assert_eq!(parsed.completed, 6);
-        assert_eq!(parsed.cache_hits, 3);
-        assert_eq!(parsed.cache_misses, 4);
-        assert_eq!(parsed.tenants.len(), 2);
-        let gold = parsed.tenants.iter().find(|(id, _)| id == "gold").unwrap();
-        assert_eq!(gold.1, [5, 4, 1, 0, 0, 18]);
-        let bronze = parsed.tenants.iter().find(|(id, _)| id == "bronze").unwrap();
-        assert_eq!(bronze.1, [2, 2, 0, 0, 2, 6]);
-    }
-
-    /// The aggregate token-indexes `ServeStats::render()`, so every
-    /// parsed field carries a distinct value here: a wording change to
-    /// the render that shifts a token fails this test instead of
-    /// silently zeroing fleet totals.
-    #[test]
-    fn backend_stats_parse_recovers_every_rendered_counter() {
-        let tenant = |id: &str, base: u64| crate::TenantStats {
-            id: id.to_string(),
-            weight: 3,
-            submitted: base + 1,
-            completed: base + 2,
-            failed: base + 3,
-            cancelled: base + 4,
-            rejected: base + 5,
-            bytes_streamed: (base + 6) * 1024,
-            p50_seconds: 0.001,
-            p95_seconds: 0.002,
+    fn stats_aggregate_sums_metrics_series_and_keeps_backend_text() {
+        let addrs: Vec<SocketAddr> = ["127.0.0.1:7401", "127.0.0.1:7402", "127.0.0.1:7403"]
+            .map(|a| a.parse().unwrap())
+            .into();
+        let pool = BackendPool::new(addrs, 1, &Registry::new());
+        pool.get(2).mark_down();
+        let metrics = |submitted: u64, hits: u64, tenants: &[(&str, [u64; 6])]| {
+            let mut text = format!(
+                "# TYPE vrdag_cache_hits_total counter\nvrdag_cache_hits_total {hits}\n\
+                 # TYPE vrdag_cache_misses_total counter\nvrdag_cache_misses_total 2\n\
+                 # TYPE vrdag_jobs_completed_total counter\nvrdag_jobs_completed_total {}\n\
+                 # TYPE vrdag_jobs_submitted_total counter\nvrdag_jobs_submitted_total {submitted}\n\
+                 # TYPE vrdag_tenant_jobs_total counter\n",
+                submitted - 1
+            );
+            for (id, counts) in tenants {
+                for (outcome, n) in TENANT_OUTCOMES.iter().zip(counts) {
+                    text += &format!(
+                        "vrdag_tenant_jobs_total{{outcome=\"{outcome}\",tenant=\"{id}\"}} {n}\n"
+                    );
+                }
+            }
+            text += "# TYPE vrdag_tenant_streamed_bytes_total counter\n";
+            for (id, counts) in tenants {
+                text += &format!(
+                    "vrdag_tenant_streamed_bytes_total{{tenant=\"{id}\"}} {}\n",
+                    counts[5]
+                );
+            }
+            Part::Payload(text.into_bytes())
         };
-        let stats = crate::ServeStats {
-            workers: 2,
-            uptime_seconds: 1.5,
-            submitted: 101,
-            completed: 102,
-            failed: 103,
-            cancelled: 104,
-            dropped_jobs: 105,
-            queue_depth: 1,
-            in_flight: 2,
-            max_in_flight: 3,
-            snapshots: 4,
-            edges: 5,
-            cache: crate::CacheStats { hits: 106, misses: 107, ..Default::default() },
-            affinity: Default::default(),
-            latency: Default::default(),
-            stages: Default::default(),
-            tenants: vec![tenant("bronze", 200), tenant("gold", 300)],
-        };
-        let parsed = parse_backend_stats(&stats.render());
+        let parts = vec![
+            Part::Payload(b"serve: node a\n".to_vec()),
+            metrics(5, 1, &[("anonymous", [1, 1, 0, 0, 0, 600]), ("gold", [4, 3, 1, 0, 2, 1000])]),
+            Part::Payload(b"serve: node b".to_vec()),
+            metrics(7, 4, &[("gold", [6, 6, 0, 1, 0, 100])]),
+            Part::Down("127.0.0.1:7403".to_string()),
+            Part::Down("127.0.0.1:7403".to_string()),
+        ];
+        let text = String::from_utf8(render_stats_aggregate(&pool, &parts)).unwrap();
+        // KiB streamed is the floor of the fleet's byte sum (1100 → 1),
+        // not a sum of per-backend floors (0 + 0).
         assert_eq!(
-            (parsed.submitted, parsed.completed, parsed.cache_hits, parsed.cache_misses),
-            (101, 102, 106, 107)
+            text,
+            "route: 3 backends (2 up)  12 submitted / 10 completed across the fleet\n\
+             \x20 cache: 5 hits / 4 misses fleet-wide\n\
+             \x20 tenants (summed across backends):\n\
+             \x20   anonymous        1 submitted / 1 completed (0 failed, 0 cancelled, 0 rejected)  0 KiB streamed\n\
+             \x20   gold             10 submitted / 9 completed (1 failed, 1 cancelled, 2 rejected)  1 KiB streamed\n\
+             --- backend 127.0.0.1:7401 ---\n\
+             serve: node a\n\
+             --- backend 127.0.0.1:7402 ---\n\
+             serve: node b\n\
+             --- backend 127.0.0.1:7403 DOWN (127.0.0.1:7403) ---\n"
         );
-        assert_eq!(
-            parsed.tenants,
-            vec![
-                ("bronze".to_string(), [201, 202, 203, 204, 205, 206]),
-                ("gold".to_string(), [301, 302, 303, 304, 305, 306]),
-            ]
-        );
+        // Anonymous-only traffic keeps the single-tenant summary.
+        let parts = vec![
+            Part::Payload(b"serve: node a\n".to_vec()),
+            metrics(1, 0, &[("anonymous", [1, 0, 0, 0, 0, 0])]),
+        ];
+        let text = String::from_utf8(render_stats_aggregate(&pool, &parts)).unwrap();
+        assert!(!text.contains("tenants"), "{text}");
     }
 
     #[test]
@@ -1478,9 +1454,17 @@ mod tests {
             vec![
                 "# TYPE vrdag_jobs_total counter",
                 "vrdag_jobs_total{outcome=\"ok\"} 7",
-                "vrdag_open_connections 3",
                 "vrdag_jobs_total{outcome=\"failed\"} 1",
+                "vrdag_open_connections 3",
             ]
+        );
+        // A series only a later input has joins its family's group, so
+        // every family stays contiguous.
+        let a = "# TYPE vrdag_a counter\nvrdag_a{tenant=\"anonymous\"} 1\n# TYPE vrdag_b gauge\nvrdag_b 2\n";
+        let b = "# TYPE vrdag_a counter\nvrdag_a{tenant=\"anonymous\"} 1\nvrdag_a{tenant=\"gold\"} 5\n# TYPE vrdag_b gauge\nvrdag_b 3\n";
+        assert_eq!(
+            merge_prometheus(&[a, b]),
+            "# TYPE vrdag_a counter\nvrdag_a{tenant=\"anonymous\"} 2\nvrdag_a{tenant=\"gold\"} 5\n# TYPE vrdag_b gauge\nvrdag_b 5\n"
         );
         // Merging is value-summing, never value-concatenating: floats
         // survive with their fractional part.

@@ -40,8 +40,8 @@ pub mod prelude {
     pub use vrdag_serve::{
         BatchReport, CacheBudget, CacheStats, CancelToken, Frontend, FrontendConfig, GenRequest,
         GenSink, HttpEndpoints, HttpExpo, LineClient, ModelRegistry, PollerBackend, Router,
-        RouterConfig, Scheduler, SchedulerConfig, ServeConfig, ServeError, ServeHandle, ServeStats,
-        SnapshotCache, SnapshotStream, Tenant, TenantId, TenantRegistry, TenantStats, Ticket,
+        RouterConfig, Scheduler, ServeConfig, ServeError, ServeHandle, ServeStats, SnapshotCache,
+        SnapshotStream, Tenant, TenantId, TenantRegistry, TenantStats, Ticket,
     };
     pub use vrdag_tensor::{Matrix, Tensor};
 }

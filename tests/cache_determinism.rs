@@ -36,7 +36,7 @@ fn cached_scheduler(cache: CacheBudget) -> Scheduler {
     let registry = ModelRegistry::new();
     registry.register_bytes("m", model_bytes().clone()).unwrap();
     // One worker so hit/miss accounting is deterministic.
-    Scheduler::with_config(registry, SchedulerConfig { workers: 1, cache, ..Default::default() })
+    Scheduler::with_config(registry, ServeConfig { workers: 1, cache, ..Default::default() })
         .unwrap()
 }
 

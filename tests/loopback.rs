@@ -763,8 +763,8 @@ fn metrics_exposition_agrees_exactly_with_stats_after_deterministic_workload() {
     };
     assert!(text.starts_with("# TYPE "), "exposition must lead with a TYPE line: {text}");
 
-    // Every mirrored job/cache counter agrees *exactly* with the STATS
-    // snapshot — same sources, refreshed at exposition time.
+    // Every job/cache counter agrees *exactly* with the STATS snapshot —
+    // both read the same live registry handles.
     let stats = handle.stats();
     let expect = [
         ("vrdag_jobs_submitted_total", stats.submitted),

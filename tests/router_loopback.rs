@@ -299,6 +299,25 @@ fn auth_terminates_at_router_and_stats_aggregates_tenant_counters() {
     assert_eq!(submitted, seeds.len() as u64, "aggregate must sum per-tenant submits");
     // Both backends' verbatim sections ride along for drill-down.
     assert_eq!(payload.matches("--- backend ").count(), 2, "got: {payload}");
+    // The fleet cache line and gold's `completed` equal the sums of the
+    // backends' own counters.
+    let on_backends = [a.handle.stats(), b.handle.stats()];
+    let sum = |f: fn(&ServeStats) -> u64| on_backends.iter().map(f).sum::<u64>();
+    let cache_line = payload.lines().find(|l| l.starts_with("  cache: ")).unwrap();
+    assert_eq!(
+        cache_line,
+        format!(
+            "  cache: {} hits / {} misses fleet-wide",
+            sum(|s| s.cache.hits),
+            sum(|s| s.cache.misses)
+        )
+    );
+    let gold_completed: u64 = gold_line.split_whitespace().nth(4).unwrap().parse().unwrap();
+    assert_eq!(
+        gold_completed,
+        sum(|s| s.tenants.iter().find(|t| t.id == "gold").map_or(0, |t| t.completed)),
+        "got: {payload}"
+    );
 
     // A client cannot smuggle its own tenant= past a *non-internal*
     // node: direct to a plain backend, the assertion is refused.

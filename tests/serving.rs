@@ -136,10 +136,9 @@ fn facade_prelude_exposes_the_serving_surface() {
     let registry: ModelRegistry = ModelRegistry::new();
     assert!(registry.is_empty());
     let _stats: vrdag_suite::serve::StreamStats = Default::default();
-    let _cache: SnapshotCache = SnapshotCache::new(CacheBudget::entries(2));
+    let _cache: SnapshotCache =
+        SnapshotCache::new(CacheBudget::entries(2), &MetricsRegistry::new());
     let _cache_stats: CacheStats = _cache.stats();
-    // SchedulerConfig is the compatibility alias of ServeConfig.
-    let _config: SchedulerConfig = ServeConfig::default();
     let model = fitted_model(6);
     let mut rng = StdRng::seed_from_u64(0);
     let state: GenerationState = model.begin_generation(&mut rng).unwrap();
@@ -193,7 +192,7 @@ fn admission_control_rejects_overflow_and_report_stays_consistent() {
     registry.register("m", &model).unwrap();
     let mut scheduler = Scheduler::with_config(
         registry,
-        SchedulerConfig { workers: 1, max_queue_depth: Some(1), ..Default::default() },
+        ServeConfig { workers: 1, max_queue_depth: Some(1), ..Default::default() },
     )
     .unwrap();
 
