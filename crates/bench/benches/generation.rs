@@ -1,14 +1,17 @@
 //! The headline comparison at micro scale: VRDAG's one-shot snapshot
 //! decode vs. walk-based sampling + merging (TIGGER-like) for the same
 //! edge budget — the algorithmic asymmetry behind Fig. 9 and Tables
-//! III/IV.
+//! III/IV — and one snapshot's decode at the serving shape, in a group
+//! named after the instruction set the decode kernel was dispatched to.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use vrdag::decoder::MixBernoulliDecoder;
 use vrdag::{Vrdag, VrdagConfig};
 use vrdag_baselines::TiggerLike;
 use vrdag_graph::DynamicGraphGenerator;
+use vrdag_tensor::{simd, Matrix};
 
 fn bench_generation(c: &mut Criterion) {
     let spec = vrdag_datasets::email().scaled(0.05);
@@ -39,5 +42,31 @@ fn bench_generation(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_generation);
+/// One calibrated `DecodePlan::generate_edges` call at the shape the
+/// served model decodes: Email ×0.1 (N=189) under the default config
+/// (`decoder_hidden` 32, K=3), calibrated to the dataset's mean edge count
+/// per snapshot. This call is nearly all of a cold generation step.
+fn bench_decode(c: &mut Criterion) {
+    let cfg = VrdagConfig::default();
+    let spec = vrdag_datasets::email().scaled(0.1);
+    let mut rng = StdRng::seed_from_u64(3);
+    let dec = MixBernoulliDecoder::new(
+        cfg.d_s(),
+        cfg.decoder_hidden,
+        cfg.k_mix,
+        cfg.leaky_slope,
+        &mut rng,
+    );
+    let plan = dec.plan();
+    let s = Matrix::rand_normal(spec.n, cfg.d_s(), 0.0, 1.0, &mut rng);
+    let m_target = spec.m as f64 / spec.t as f64;
+    let mut group = c.benchmark_group(format!("decode/{}", simd::isa().name()));
+    let id = format!("generate_edges/n{}_h{}_k{}", spec.n, cfg.decoder_hidden, cfg.k_mix);
+    group.bench_function(id, |b| {
+        b.iter(|| black_box(plan.generate_edges(black_box(&s), Some(m_target), 7)));
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_generation, bench_decode);
 criterion_main!(benches);

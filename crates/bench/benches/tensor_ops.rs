@@ -1,15 +1,17 @@
 //! Micro-benchmarks for the tensor substrate: matmul kernels, sparse
-//! aggregation, and autograd overhead.
+//! aggregation, and autograd overhead. The matmul group is named after the
+//! instruction set the kernel was dispatched to (`matmul/avx2` or
+//! `matmul/baseline`).
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::rc::Rc;
 use vrdag_tensor::ops::{self, SparseAdj};
-use vrdag_tensor::{Matrix, Tensor};
+use vrdag_tensor::{simd, Matrix, Tensor};
 
 fn bench_matmul(c: &mut Criterion) {
-    let mut group = c.benchmark_group("matmul");
+    let mut group = c.benchmark_group(format!("matmul/{}", simd::isa().name()));
     let mut rng = StdRng::seed_from_u64(1);
     for &n in &[64usize, 256] {
         let a = Matrix::rand_uniform(n, n, -1.0, 1.0, &mut rng);

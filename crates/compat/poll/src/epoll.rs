@@ -65,6 +65,8 @@ pub(crate) struct EventFd {
 
 impl EventFd {
     fn new() -> io::Result<EventFd> {
+        // SAFETY: `eventfd` takes no pointers; a failure is a negative
+        // return, which `cvt` turns into an error.
         let fd = cvt(unsafe { eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK) })?;
         Ok(EventFd { fd })
     }
@@ -74,6 +76,10 @@ impl EventFd {
     /// overflow matters) so this never blocks.
     pub(crate) fn signal(&self) {
         let one: u64 = 1;
+        // SAFETY: the buffer is `one`, a live local of exactly the 8 bytes
+        // passed as the count, and the kernel only reads it. `self.fd` is
+        // open until this `EventFd` drops. A failed write (a saturated
+        // counter) leaves no state to repair.
         let _ = unsafe { write(self.fd, (&one as *const u64).cast(), 8) };
     }
 
@@ -81,12 +87,19 @@ impl EventFd {
     /// reporting it.
     fn drain(&self) {
         let mut buf = [0u8; 8];
+        // SAFETY: `buf` is a live, writable local of exactly the 8 bytes
+        // passed as the count. `self.fd` is open until this `EventFd`
+        // drops, and it is non-blocking, so an empty counter returns
+        // `EAGAIN` rather than hanging.
         let _ = unsafe { read(self.fd, buf.as_mut_ptr(), 8) };
     }
 }
 
 impl Drop for EventFd {
     fn drop(&mut self) {
+        // SAFETY: this `EventFd` owns `fd` (opened in `new`, never
+        // duplicated or closed elsewhere), and `drop` runs once, so the
+        // descriptor is closed exactly once.
         unsafe {
             close(self.fd);
         }
@@ -117,10 +130,14 @@ const EVENT_BATCH: usize = 1024;
 
 impl EpollPoller {
     pub fn new() -> io::Result<EpollPoller> {
+        // SAFETY: `epoll_create1` takes no pointers; a failure is a
+        // negative return, which `cvt` turns into an error.
         let epfd = cvt(unsafe { epoll_create1(EPOLL_CLOEXEC) })?;
         let wake = match EventFd::new() {
             Ok(w) => Arc::new(w),
             Err(e) => {
+                // SAFETY: `epfd` was just opened above and no `EpollPoller`
+                // owns it yet, so this is its only close.
                 unsafe {
                     close(epfd);
                 }
@@ -135,6 +152,10 @@ impl EpollPoller {
 
     fn ctl(&mut self, op: c_int, fd: OsFd, token: Token, interest: Interest) -> io::Result<()> {
         let mut ev = EpollEvent { events: interest_mask(interest), data: token as u64 };
+        // SAFETY: `ev` is a live local `EpollEvent` laid out as the
+        // kernel's `struct epoll_event` (packed on x86-64); the kernel
+        // reads it during the call only. `self.epfd` is open while `self`
+        // lives, and a bad `fd` is an error return, not undefined behaviour.
         cvt(unsafe { epoll_ctl(self.epfd, op, fd, &mut ev) })?;
         Ok(())
     }
@@ -156,6 +177,9 @@ impl Poller for EpollPoller {
 
     fn deregister(&mut self, fd: OsFd, _token: Token) -> io::Result<()> {
         let mut ev = EpollEvent { events: 0, data: 0 };
+        // SAFETY: as in `ctl`: `ev` is a live local in the kernel's layout
+        // (ignored for `EPOLL_CTL_DEL` since Linux 2.6.9, but non-null for
+        // older kernels), and `self.epfd` is open while `self` lives.
         cvt(unsafe { epoll_ctl(self.epfd, EPOLL_CTL_DEL, fd, &mut ev) })?;
         Ok(())
     }
@@ -170,6 +194,11 @@ impl Poller for EpollPoller {
             Some(d) => d.as_millis().clamp(1, c_int::MAX as u128) as c_int,
         };
         let n = loop {
+            // SAFETY: the kernel writes at most `self.buf.len()` events
+            // into `self.buf`, which is that long and borrowed mutably for
+            // the call; `EpollEvent` is plain data in the kernel's layout,
+            // so any bytes it writes are a valid value. `self.epfd` is open
+            // while `self` lives.
             let ret = unsafe {
                 epoll_wait(self.epfd, self.buf.as_mut_ptr(), self.buf.len() as c_int, timeout_ms)
             };
@@ -209,6 +238,8 @@ impl Poller for EpollPoller {
 
 impl Drop for EpollPoller {
     fn drop(&mut self) {
+        // SAFETY: this poller owns `epfd` (opened in `new`, never
+        // duplicated or closed elsewhere), and `drop` runs once.
         unsafe {
             close(self.epfd);
         }

@@ -27,11 +27,16 @@ mod linux {
 
     pub fn raise_nofile_limit() -> Option<u64> {
         let mut lim = Rlimit { rlim_cur: 0, rlim_max: 0 };
+        // SAFETY: `lim` is a live, writable `#[repr(C)]` pair of `u64`s,
+        // the layout of `struct rlimit` on 64-bit Linux, and the kernel
+        // writes only that struct.
         if unsafe { getrlimit(RLIMIT_NOFILE, &mut lim) } != 0 {
             return None;
         }
         if lim.rlim_cur < lim.rlim_max {
             let raised = Rlimit { rlim_cur: lim.rlim_max, rlim_max: lim.rlim_max };
+            // SAFETY: `raised` is a live `struct rlimit` (see above) that
+            // the kernel only reads; a refused raise is a non-zero return.
             if unsafe { setrlimit(RLIMIT_NOFILE, &raised) } == 0 {
                 return Some(lim.rlim_max);
             }
@@ -42,6 +47,8 @@ mod linux {
     pub fn current_rss_bytes() -> Option<u64> {
         let statm = std::fs::read_to_string("/proc/self/statm").ok()?;
         let resident_pages: u64 = statm.split_whitespace().nth(1)?.parse().ok()?;
+        // SAFETY: `sysconf` takes no pointers; an unknown name returns -1,
+        // which the check below rejects.
         let page = unsafe { sysconf(SC_PAGESIZE) };
         if page <= 0 {
             return None;
@@ -52,6 +59,8 @@ mod linux {
     pub fn widen_backlog(fd: i32, backlog: i32) -> bool {
         // Calling listen() again on a listening socket just updates the
         // backlog on Linux.
+        // SAFETY: `listen` takes no pointers; a bad or non-socket `fd` is
+        // an error return, not undefined behaviour.
         unsafe { listen(fd, backlog) == 0 }
     }
 }

@@ -22,6 +22,7 @@ use std::rc::Rc;
 use vrdag_graph::Snapshot;
 use vrdag_tensor::nn::{leaky_relu, Activation, Linear, Mlp};
 use vrdag_tensor::ops::{self, Segments};
+use vrdag_tensor::simd::{self, Isa};
 use vrdag_tensor::{par, Matrix, Tensor};
 
 /// Sampled pair batch for the structure reconstruction loss (Eq. 17 with
@@ -226,16 +227,30 @@ impl DecodePlan {
     ///
     /// Pair logits come from one block routine that scores 8 destinations
     /// at once without reordering any pair's float operations, so the bytes
-    /// are those of a plain per-pair loop (see `docs/ARCHITECTURE.md`,
-    /// "Decode kernel").
+    /// are those of a plain per-pair loop on every instruction set (see
+    /// `docs/ARCHITECTURE.md`, "Decode kernel").
     pub fn generate_edges(&self, s: &Matrix, m_target: Option<f64>, seed: u64) -> Vec<(u32, u32)> {
+        self.generate_edges_on(simd::isa(), s, m_target, seed)
+    }
+
+    /// [`DecodePlan::generate_edges`] with the pair logits compiled for
+    /// `isa`, which this CPU must support.
+    fn generate_edges_on(
+        &self,
+        isa: Isa,
+        s: &Matrix,
+        m_target: Option<f64>,
+        seed: u64,
+    ) -> Vec<(u32, u32)> {
         let n = s.rows();
         if n < 2 {
             return Vec::new();
         }
         let k = self.k;
-        let alpha_mlp = PairMlp::new(s, &self.w1a, &self.b1a, &self.w2a, &self.b2a, self.slope);
-        let theta_mlp = PairMlp::new(s, &self.w1t, &self.b1t, &self.w2t, &self.b2t, self.slope);
+        let alpha_mlp =
+            PairMlp::new(isa, s, &self.w1a, &self.b1a, &self.w2a, &self.b2a, self.slope);
+        let theta_mlp =
+            PairMlp::new(isa, s, &self.w1t, &self.b1t, &self.w2t, &self.b2t, self.slope);
         let calibrate = m_target.is_some();
 
         // Pass A: exact mixture weights per row (Eq. 11's Σ_j), plus — when
@@ -330,7 +345,7 @@ impl DecodePlan {
 }
 
 /// Destinations scored together by [`PairMlp::logits`]: eight `f32` lanes,
-/// two SSE2 registers on the baseline x86-64 target.
+/// one AVX2 register, or two SSE2 registers on the baseline x86-64 target.
 const LANES: usize = 8;
 
 /// One pairwise decoder MLP (`f_α` or `f_θ`) laid out for a decode call.
@@ -341,6 +356,9 @@ const LANES: usize = 8;
 /// padded to a multiple of [`LANES`]) so the destinations of one block are
 /// a contiguous lane vector for every `x`: O(n·h) memory, no `n²` buffer.
 struct PairMlp<'a> {
+    /// The instruction set [`PairMlp::logits`] runs on; `new` checks that
+    /// this CPU supports it.
+    isa: Isa,
     u: Matrix,
     u_t: Vec<f32>,
     n_pad: usize,
@@ -352,7 +370,10 @@ struct PairMlp<'a> {
 }
 
 impl<'a> PairMlp<'a> {
+    /// # Panics
+    /// Panics when this CPU does not support `isa`.
     fn new(
+        isa: Isa,
         s: &Matrix,
         w1: &Matrix,
         b1: &'a Matrix,
@@ -360,6 +381,7 @@ impl<'a> PairMlp<'a> {
         b2: &'a Matrix,
         slope: f32,
     ) -> Self {
+        assert!(isa.is_supported(), "this CPU does not support {}", isa.name());
         let u = s.matmul(w1);
         let (n, h) = (u.rows(), u.cols());
         let n_pad = n.div_ceil(LANES) * LANES;
@@ -369,7 +391,17 @@ impl<'a> PairMlp<'a> {
                 u_t[x * n_pad + j] = v;
             }
         }
-        PairMlp { u, u_t, n_pad, b1: b1.data(), w2: w2.data(), b2: b2.data(), k: w2.cols(), slope }
+        PairMlp {
+            isa,
+            u,
+            u_t,
+            n_pad,
+            b1: b1.data(),
+            w2: w2.data(),
+            b2: b2.data(),
+            k: w2.cols(),
+            slope,
+        }
     }
 
     /// Output logits of components `k0..k0 + out.len()` for the pairs
@@ -382,6 +414,26 @@ impl<'a> PairMlp<'a> {
     /// skip them, as they skip `j == i`.
     #[inline]
     fn logits(&self, i: usize, j0: usize, k0: usize, out: &mut [[f32; LANES]]) {
+        match self.isa {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: AVX2 detected at runtime: `new` keeps only an
+            // instruction set this CPU supports.
+            Isa::Avx2 => unsafe { self.logits_avx2(i, j0, k0, out) },
+            _ => self.lane_logits(i, j0, k0, out),
+        }
+    }
+
+    /// [`PairMlp::lane_logits`] compiled with AVX2, where the eight lanes
+    /// fill one register.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn logits_avx2(&self, i: usize, j0: usize, k0: usize, out: &mut [[f32; LANES]]) {
+        self.lane_logits(i, j0, k0, out)
+    }
+
+    /// The body of [`PairMlp::logits`], compiled once per instruction set.
+    #[inline(always)]
+    fn lane_logits(&self, i: usize, j0: usize, k0: usize, out: &mut [[f32; LANES]]) {
         let u_i = self.u.row(i);
         let (b2, k) = (&self.b2[k0..k0 + out.len()], self.k);
         for (o, &b) in out.iter_mut().zip(b2) {
@@ -746,7 +798,8 @@ mod tests {
         /// The lane-batched kernel returns exactly the scalar oracle's
         /// edges: below one block (n < 8), whole blocks, a partial last
         /// block, and `i` inside that block, with and without calibration,
-        /// on one and three threads.
+        /// on every instruction set this CPU supports, on one and three
+        /// threads.
         #[test]
         fn lane_kernel_matches_the_scalar_oracle(case_seed in 0u64..u64::MAX, d_s in 1usize..7) {
             let mut rng = StdRng::seed_from_u64(case_seed);
@@ -759,14 +812,14 @@ mod tests {
                         let target = rng.gen_range(0.5..(n * n) as f64);
                         for m_target in [None, Some(target)] {
                             let want = scalar_generate_edges(&plan, &s, m_target, seed);
-                            for threads in [1, 3] {
+                            for (isa, threads) in simd::supported().flat_map(|isa| [(isa, 1), (isa, 3)]) {
                                 let got = par::with_threads(threads, || {
-                                    plan.generate_edges(&s, m_target, seed)
+                                    plan.generate_edges_on(isa, &s, m_target, seed)
                                 });
                                 prop_assert_eq!(
                                     &got, &want,
-                                    "n={} h={} k={} calibrate={} threads={}",
-                                    n, h, k, m_target.is_some(), threads
+                                    "n={} h={} k={} calibrate={} isa={} threads={}",
+                                    n, h, k, m_target.is_some(), isa.name(), threads
                                 );
                             }
                         }
@@ -800,7 +853,8 @@ mod tests {
         /// Sampled edges hide sub-ulp logit drift (it almost never flips a
         /// Bernoulli draw), so the block routine is also checked directly:
         /// every lane's logit, for all components at once (pass A) and one
-        /// at a time (pass B), has the scalar loop's exact bits.
+        /// at a time (pass B), has the scalar loop's exact bits on every
+        /// instruction set this CPU supports.
         #[test]
         fn lane_logits_are_bitwise_the_scalar_pair_logits(case_seed in 0u64..u64::MAX, d_s in 1usize..7) {
             let mut rng = StdRng::seed_from_u64(case_seed);
@@ -808,24 +862,67 @@ mod tests {
                 for (h, k) in [(3, 1), (8, 3), (32, 4)] {
                     let plan = random_decoder(d_s, h, k, &mut rng).plan();
                     let s = Matrix::rand_normal(n, d_s, 0.0, 1.5, &mut rng);
-                    let mlp = PairMlp::new(&s, &plan.w1t, &plan.b1t, &plan.w2t, &plan.b2t, plan.slope);
                     let u = s.matmul(&plan.w1t);
                     let layer = (&plan.b1t, &plan.w2t, &plan.b2t);
                     let mut all = vec![[0.0f32; LANES]; k];
                     let mut one = [[0.0f32; LANES]; 1];
-                    for i in 0..n {
-                        for j0 in (0..n).step_by(LANES) {
-                            mlp.logits(i, j0, 0, &mut all);
-                            for c in 0..k {
-                                mlp.logits(i, j0, c, &mut one);
-                                for j in j0..n.min(j0 + LANES) {
-                                    let want = scalar_logit(&u, i, j, layer, plan.slope, c).to_bits();
-                                    prop_assert_eq!(all[c][j - j0].to_bits(), want, "pass A n={} i={} j={} c={}", n, i, j, c);
-                                    prop_assert_eq!(one[0][j - j0].to_bits(), want, "pass B n={} i={} j={} c={}", n, i, j, c);
+                    for isa in simd::supported() {
+                        let mlp = PairMlp::new(isa, &s, &plan.w1t, &plan.b1t, &plan.w2t, &plan.b2t, plan.slope);
+                        let isa = isa.name();
+                        for i in 0..n {
+                            for j0 in (0..n).step_by(LANES) {
+                                mlp.logits(i, j0, 0, &mut all);
+                                for c in 0..k {
+                                    mlp.logits(i, j0, c, &mut one);
+                                    for j in j0..n.min(j0 + LANES) {
+                                        let want = scalar_logit(&u, i, j, layer, plan.slope, c).to_bits();
+                                        prop_assert_eq!(all[c][j - j0].to_bits(), want, "pass A n={} i={} j={} c={} isa={}", n, i, j, c, isa);
+                                        prop_assert_eq!(one[0][j - j0].to_bits(), want, "pass B n={} i={} j={} c={} isa={}", n, i, j, c, isa);
+                                    }
                                 }
                             }
                         }
                     }
+                }
+            }
+        }
+    }
+
+    /// At the model shape `tests/decode_golden.rs` pins (the `test_small`
+    /// configuration on the `tiny` dataset), the AVX2 decode gives exactly
+    /// the baseline edges, calibrated and not, on one and three threads.
+    #[test]
+    fn avx2_decode_gives_the_baseline_edges_at_the_golden_shape() {
+        if !Isa::Avx2.is_supported() {
+            println!("skipped: this CPU does not support avx2");
+            return;
+        }
+        let cfg = crate::VrdagConfig::test_small();
+        let n = vrdag_datasets::tiny().n;
+        let mut rng = StdRng::seed_from_u64(10);
+        let dec = MixBernoulliDecoder::new(
+            cfg.d_s(),
+            cfg.decoder_hidden,
+            cfg.k_mix,
+            cfg.leaky_slope,
+            &mut rng,
+        );
+        let plan = dec.plan();
+        let s = Matrix::rand_normal(n, cfg.d_s(), 0.0, 1.0, &mut rng);
+        for m_target in [None, Some(4.0 * n as f64)] {
+            for seed in [0, 7, 4242] {
+                let want = plan.generate_edges_on(Isa::Baseline, &s, m_target, seed);
+                assert!(!want.is_empty(), "an empty graph pins no decode");
+                for threads in [1, 3] {
+                    let got = par::with_threads(threads, || {
+                        plan.generate_edges_on(Isa::Avx2, &s, m_target, seed)
+                    });
+                    assert_eq!(
+                        got,
+                        want,
+                        "calibrate={} seed={seed} threads={threads}",
+                        m_target.is_some()
+                    );
                 }
             }
         }

@@ -1006,6 +1006,8 @@ impl ServeHandle {
         let queue = JobQueue::with_cache(cache.is_enabled().then(|| cache.clone()));
         let intra_threads = effective_intra_threads(config.workers, config.intra_threads);
         metrics.registry.gauge("vrdag_intra_threads", &[]).set(intra_threads as u64);
+        let isa = vrdag_tensor::simd::isa().name();
+        metrics.registry.gauge("vrdag_kernel_isa", &[("isa", isa)]).set(1);
         let shared = Arc::new(Shared {
             queue,
             cache,
@@ -2120,6 +2122,11 @@ mod tests {
         .unwrap();
         assert_eq!(handle.intra_threads(), effective_intra_threads(1, Some(3)));
         assert!(handle.intra_threads() >= 1);
+        // So is the instruction set the kernels were dispatched to.
+        let text = handle.metrics_text();
+        let isa = vrdag_tensor::simd::isa().name();
+        assert_eq!(sample(&text, &format!("vrdag_kernel_isa{{isa=\"{isa}\"}}")), Some(1), "{text}");
+        assert_eq!(text.matches("vrdag_kernel_isa{").count(), 1, "{text}");
     }
 
     #[test]

@@ -18,6 +18,8 @@
 //! * [`nn`] — `Linear`, `Mlp`, `GruCell`, activations.
 //! * [`optim`] — Adam / SGD and global-norm gradient clipping.
 //! * [`par`] — scoped-thread helpers used by the hot kernels.
+//! * [`simd`] — the runtime instruction-set selection (baseline or AVX2)
+//!   behind the dispatched kernels.
 //! * [`testing`] — finite-difference gradient checking, shared by the tests
 //!   of every downstream crate.
 //!
@@ -47,6 +49,7 @@ pub mod nn;
 pub mod ops;
 pub mod optim;
 pub mod par;
+pub mod simd;
 pub mod testing;
 
 pub use autograd::{grad_enabled, no_grad, Tensor};

@@ -6,6 +6,7 @@
 //! scalar loss `[1, 1]`.
 
 use crate::par;
+use crate::simd;
 use rand::Rng;
 
 /// Row-major dense matrix of `f32`.
@@ -383,7 +384,8 @@ const PAR_WORK: usize = 1 << 20;
 /// `out[m, n] = a[m, k] · b[k, n]`, the kernel behind every matrix product
 /// (docs/ARCHITECTURE.md, "Dense kernels"). Lanes run over output columns.
 /// Every element starts at `+0.0` and adds `a[i, kk] · b[kk, j]` in ascending
-/// `kk`, product and sum rounded apart, so tiles, lanes and threads keep bits.
+/// `kk`, product and sum rounded apart, so tiles, lanes, threads and the
+/// instruction set ([`simd::isa`]) keep bits.
 ///
 /// `skip_zeros` leaves out products whose `a` entry is zero. Only a non-finite
 /// `b` needs that: any other such product is `±0.0`, and adding `±0.0` keeps
@@ -395,36 +397,68 @@ fn gemm(a: &Matrix, b: &Matrix, skip_zeros: bool) -> Matrix {
         return out;
     }
     let skip = skip_zeros && b.has_non_finite();
-    let (a, b) = (&a.data, &b.data);
     // The last, partial column strip, zero-padded to NR lanes so that edge
     // tiles run the same code; the padding lanes are never stored.
     let n_full = n - n % NR;
     let mut pad = vec![0.0f32; if n_full < n { k * NR } else { 0 }];
-    for (dst, src) in pad.chunks_exact_mut(NR).zip(b.chunks_exact(n)) {
+    for (dst, src) in pad.chunks_exact_mut(NR).zip(b.data.chunks_exact(n)) {
         dst[..n - n_full].copy_from_slice(&src[n_full..]);
     }
-    par::par_row_chunks_mut(&mut out.data, n, PAR_WORK.div_ceil(k * n), |row0, chunk| {
-        let rows = chunk.len() / n;
-        for i0 in (0..rows).step_by(MR) {
-            // A last odd row fills both tile rows and is stored once.
-            let h = MR.min(rows - i0);
-            let a_rows: [&[f32]; MR] =
-                std::array::from_fn(|r| &a[(row0 + i0 + r.min(h - 1)) * k..][..k]);
-            for j0 in (0..n).step_by(NR) {
-                let (panel, stride) = if j0 < n_full { (&b[j0..], n) } else { (&pad[..], NR) };
-                let acc = if skip {
-                    tile::<true>(a_rows, panel, stride)
-                } else {
-                    tile::<false>(a_rows, panel, stride)
-                };
-                let w = NR.min(n - j0);
-                for (r, acc_r) in acc.iter().take(h).enumerate() {
-                    chunk[(i0 + r) * n + j0..][..w].copy_from_slice(&acc_r[..w]);
-                }
-            }
-        }
+    let ops = Operands { a: &a.data, b: &b.data, pad: &pad, k, n, skip };
+    let isa = simd::isa();
+    par::par_row_chunks_mut(&mut out.data, n, PAR_WORK.div_ceil(k * n), |row0, chunk| match isa {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: AVX2 detected at runtime: `simd::isa` names only an
+        // instruction set this CPU supports.
+        simd::Isa::Avx2 => unsafe { gemm_rows_avx2(&ops, row0, chunk) },
+        _ => gemm_rows(&ops, row0, chunk),
     });
     out
+}
+
+/// What every row chunk of one [`gemm`] call reads.
+struct Operands<'a> {
+    a: &'a [f32],
+    b: &'a [f32],
+    /// The zero-padded last column strip, empty when `NR` divides `n`.
+    pad: &'a [f32],
+    k: usize,
+    n: usize,
+    skip: bool,
+}
+
+/// The output rows `row0..` of [`gemm`] that `chunk` holds.
+#[inline(always)]
+fn gemm_rows(ops: &Operands, row0: usize, chunk: &mut [f32]) {
+    let &Operands { a, b, pad, k, n, skip } = ops;
+    let n_full = n - n % NR;
+    let rows = chunk.len() / n;
+    for i0 in (0..rows).step_by(MR) {
+        // A last odd row fills both tile rows and is stored once.
+        let h = MR.min(rows - i0);
+        let a_rows: [&[f32]; MR] =
+            std::array::from_fn(|r| &a[(row0 + i0 + r.min(h - 1)) * k..][..k]);
+        for j0 in (0..n).step_by(NR) {
+            let (panel, stride) = if j0 < n_full { (&b[j0..], n) } else { (pad, NR) };
+            let acc = if skip {
+                tile::<true>(a_rows, panel, stride)
+            } else {
+                tile::<false>(a_rows, panel, stride)
+            };
+            let w = NR.min(n - j0);
+            for (r, acc_r) in acc.iter().take(h).enumerate() {
+                chunk[(i0 + r) * n + j0..][..w].copy_from_slice(&acc_r[..w]);
+            }
+        }
+    }
+}
+
+/// [`gemm_rows`] compiled with AVX2: each `NR`-lane accumulator row takes
+/// two 256-bit registers instead of four SSE2 ones.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn gemm_rows_avx2(ops: &Operands, row0: usize, chunk: &mut [f32]) {
+    gemm_rows(ops, row0, chunk)
 }
 
 /// One `MR × NR` tile of [`gemm`]: `a_rows` (each of length `k`) times the
@@ -512,8 +546,8 @@ mod tests {
     }
 
     /// `matmul`, `matmul_nt` and `matmul_tn` of `[m, k] · [k, n]` equal
-    /// their oracles bit for bit (two NaNs count as equal) on 1 and 3
-    /// threads.
+    /// their oracles bit for bit (two NaNs count as equal) on every
+    /// instruction set this CPU supports, on 1 and 3 threads.
     fn assert_entry_points_match_oracles(m: usize, k: usize, n: usize, rng: &mut StdRng) {
         let inf = rng.gen_bool(0.5);
         let a = special_matrix(m, k, inf, rng);
@@ -522,18 +556,25 @@ mod tests {
         let a_tn = special_matrix(k, m, inf, rng);
         let want =
             [oracle_matmul(&a, &b), oracle_matmul_nt(&a, &b_nt), oracle_matmul_tn(&a_tn, &b)];
-        for threads in [1, 3] {
-            let got = par::with_threads(threads, || {
-                [a.matmul(&b), a.matmul_nt(&b_nt), a_tn.matmul_tn(&b)]
-            });
-            for ((name, g), w) in ["matmul", "matmul_nt", "matmul_tn"].iter().zip(&got).zip(&want) {
-                assert_eq!(g.shape(), w.shape(), "{name} shape");
-                let same = g
-                    .data
-                    .iter()
-                    .zip(&w.data)
-                    .all(|(x, y)| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()));
-                assert!(same, "{name} m={m} k={k} n={n} inf={inf} threads={threads}");
+        for isa in simd::supported() {
+            for threads in [1, 3] {
+                let got = simd::with_isa(isa, || {
+                    par::with_threads(threads, || {
+                        [a.matmul(&b), a.matmul_nt(&b_nt), a_tn.matmul_tn(&b)]
+                    })
+                });
+                for ((name, g), w) in
+                    ["matmul", "matmul_nt", "matmul_tn"].iter().zip(&got).zip(&want)
+                {
+                    assert_eq!(g.shape(), w.shape(), "{name} shape");
+                    let same = g
+                        .data
+                        .iter()
+                        .zip(&w.data)
+                        .all(|(x, y)| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()));
+                    let isa = isa.name();
+                    assert!(same, "{name} m={m} k={k} n={n} inf={inf} isa={isa} threads={threads}");
+                }
             }
         }
     }

@@ -126,8 +126,14 @@ where
 /// Pointer wrapper asserting cross-thread transfer is safe for our
 /// disjoint-range writes.
 struct SendPtr<T>(*mut T);
-unsafe impl<T> Sync for SendPtr<T> {}
-unsafe impl<T> Send for SendPtr<T> {}
+// SAFETY: the one field is a pointer into a `Vec<T>` that outlives every
+// worker; workers write (moving a `T` in and dropping the old one) only
+// the disjoint slots of their own range, so sharing the pointer shares no
+// element, and `T: Send` lets those values cross threads.
+unsafe impl<T: Send> Sync for SendPtr<T> {}
+// SAFETY: as for `Sync`: the pointer is only used for disjoint-slot
+// writes of `T: Send` values while the `Vec` is alive.
+unsafe impl<T: Send> Send for SendPtr<T> {}
 
 /// Run `f` on disjoint mutable row chunks of `data` (row-major with `cols`
 /// columns). The closure receives the starting row index and the chunk.
