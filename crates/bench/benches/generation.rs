@@ -42,10 +42,12 @@ fn bench_generation(c: &mut Criterion) {
     group.finish();
 }
 
-/// One calibrated `DecodePlan::generate_edges` call at the shape the
-/// served model decodes: Email ×0.1 (N=189) under the default config
-/// (`decoder_hidden` 32, K=3), calibrated to the dataset's mean edge count
-/// per snapshot. This call is nearly all of a cold generation step.
+/// One `DecodePlan::generate_edges` call at the shape the served model
+/// decodes: Email ×0.1 (N=189) under the default config (`decoder_hidden`
+/// 32, K=3), calibrated to the dataset's mean edge count per snapshot.
+/// This call is nearly all of a cold generation step. The uncalibrated
+/// case (`m_target = None`) makes every pair a candidate of pass B, so it
+/// times the path on which no pair is skipped.
 fn bench_decode(c: &mut Criterion) {
     let cfg = VrdagConfig::default();
     let spec = vrdag_datasets::email().scaled(0.1);
@@ -64,6 +66,11 @@ fn bench_decode(c: &mut Criterion) {
     let id = format!("generate_edges/n{}_h{}_k{}", spec.n, cfg.decoder_hidden, cfg.k_mix);
     group.bench_function(id, |b| {
         b.iter(|| black_box(plan.generate_edges(black_box(&s), Some(m_target), 7)));
+    });
+    let id =
+        format!("generate_edges_uncalibrated/n{}_h{}_k{}", spec.n, cfg.decoder_hidden, cfg.k_mix);
+    group.bench_function(id, |b| {
+        b.iter(|| black_box(plan.generate_edges(black_box(&s), None, 7)));
     });
     group.finish();
 }

@@ -6,11 +6,12 @@
 //! Training evaluates the pairwise MLPs `f_α`, `f_θ` on *sampled* pairs
 //! (positives + `Q` negatives per node, with importance weights that keep
 //! the expected loss equal to the full-matrix BCE of Eq. 17). Generation
-//! evaluates **all** `N²` pairs using the difference factorization: the
-//! first Linear layer distributes over `s_i − s_j`, so `W·s_i` is
-//! precomputed once and each pair costs only `O(h + hK)` — the CPU analogue
-//! of the paper's batched GPU decode (`docs/ARCHITECTURE.md`, "Decode
-//! kernel").
+//! samples **all** `N(N−1)` ordered pairs using the difference
+//! factorization: the first Linear layer distributes over `s_i − s_j`, so
+//! `W·s_i` is precomputed once and each pair costs only `O(h + hK)` — the
+//! CPU analogue of the paper's batched GPU decode. The sampling pass scores
+//! only the pairs whose uniform draw can still accept them, with the same
+//! output bits (`docs/ARCHITECTURE.md`, "Decode kernel").
 
 // Index-based loops below walk several parallel arrays in hot paths;
 // iterator zips would obscure them. (clippy::needless_range_loop)
@@ -228,23 +229,38 @@ impl DecodePlan {
     /// Pair logits come from one block routine that scores 8 destinations
     /// at once without reordering any pair's float operations, so the bytes
     /// are those of a plain per-pair loop on every instruction set (see
-    /// `docs/ARCHITECTURE.md`, "Decode kernel").
+    /// `docs/ARCHITECTURE.md`, "Decode kernel"). The sampling pass still
+    /// draws one uniform per pair, but scores only the candidates, the
+    /// pairs whose draw lies below the density scale `c`: an edge
+    /// probability `min(c·θ, 1)` never exceeds `c`, so the others are
+    /// rejected whatever their logit.
     pub fn generate_edges(&self, s: &Matrix, m_target: Option<f64>, seed: u64) -> Vec<(u32, u32)> {
+        self.generate_edges_counted(s, m_target, seed).0
+    }
+
+    /// [`DecodePlan::generate_edges`], also returning how many pairs the
+    /// call decoded and scored.
+    pub(crate) fn generate_edges_counted(
+        &self,
+        s: &Matrix,
+        m_target: Option<f64>,
+        seed: u64,
+    ) -> (Vec<(u32, u32)>, DecodeCounts) {
         self.generate_edges_on(simd::isa(), s, m_target, seed)
     }
 
-    /// [`DecodePlan::generate_edges`] with the pair logits compiled for
-    /// `isa`, which this CPU must support.
+    /// [`DecodePlan::generate_edges_counted`] with the pair logits compiled
+    /// for `isa`, which this CPU must support.
     fn generate_edges_on(
         &self,
         isa: Isa,
         s: &Matrix,
         m_target: Option<f64>,
         seed: u64,
-    ) -> Vec<(u32, u32)> {
+    ) -> (Vec<(u32, u32)>, DecodeCounts) {
         let n = s.rows();
         if n < 2 {
-            return Vec::new();
+            return (Vec::new(), DecodeCounts::default());
         }
         let k = self.k;
         let alpha_mlp =
@@ -309,39 +325,114 @@ impl DecodePlan {
 
         // Pass B: choose a mixture component per row and Bernoulli-sample
         // its adjacency list (rows are independent given α — the paper's
-        // "different rows can be computed in parallel").
-        let rows: Vec<Vec<u32>> = par::par_map_collect(n, 1, |i| {
+        // "different rows can be computed in parallel"). Only candidates
+        // are scored; see `sample_row`.
+        let rows: Vec<(Vec<u32>, u64)> = par::par_map_collect(n, 1, |i| {
             let mut rng = StdRng::seed_from_u64(splitmix64(
                 seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
             ));
             let kk = sample_categorical(&stats[i].alpha, &mut rng);
-            let mut out = Vec::new();
-            let mut o = [[0.0f32; LANES]; 1];
-            for j0 in (0..n).step_by(LANES) {
-                theta_mlp.logits(i, j0, kk, &mut o);
-                for l in 0..LANES.min(n - j0) {
-                    let j = j0 + l;
-                    if j == i {
-                        continue;
-                    }
-                    let theta = 1.0 / (1.0 + (-o[0][l] as f64).exp());
-                    let p = (c * theta).min(1.0);
-                    if (rng.gen::<f64>()) < p {
-                        out.push(j as u32);
-                    }
-                }
-            }
-            out
+            sample_row(&theta_mlp, i, kk, c, &mut rng)
         });
 
-        let mut edges = Vec::with_capacity(rows.iter().map(|r| r.len()).sum());
-        for (i, dsts) in rows.into_iter().enumerate() {
+        let counts =
+            DecodeCounts { pairs: (n * (n - 1)) as u64, scored: rows.iter().map(|r| r.1).sum() };
+        let mut edges = Vec::with_capacity(rows.iter().map(|r| r.0.len()).sum());
+        for (i, (dsts, _)) in rows.into_iter().enumerate() {
             for j in dsts {
                 edges.push((i as u32, j));
             }
         }
-        edges
+        (edges, counts)
     }
+}
+
+/// Pair counts of decode calls, summed by
+/// [`GenerationState::decode_counts`](crate::GenerationState::decode_counts).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct DecodeCounts {
+    /// Ordered pairs `(i, j)`, `j ≠ i`, that were decoded: `n(n−1)` per call.
+    pub pairs: u64,
+    /// Pairs whose sampling logit pass B computed: the pairs whose uniform
+    /// draw did not already reject them.
+    pub scored: u64,
+}
+
+/// Pass B of row `i` on mixture component `kk`: Bernoulli-samples every
+/// pair `(i, j)`, `j ≠ i`, with probability `p = min(c·θ, 1)`. Returns the
+/// accepted destinations, ascending, and the number of pairs scored.
+///
+/// One uniform `u` is drawn per pair in ascending `j`, as a plain pair
+/// loop draws them, but only the candidates are scored, with the same
+/// bits:
+///
+/// - `θ = 1/(1+e^{−o})` lies in `[0, 1]` unless the logit is NaN, and
+///   rounding is monotone, so for `c > 0` `p ≤ c` and a draw `u >= c`
+///   rejects its pair whatever the logit.
+/// - A NaN logit also makes pass A's `theta_sum` NaN, which sends `c` to
+///   1 (without calibration `c` is 1 anyway). As `u < 1`, every pair is
+///   then a candidate, and the row is scored block by block as it is
+///   drawn.
+/// - A NaN target makes `c` NaN, and every pair is a candidate too. The
+///   test is written `u >= c`, never `!(u < c)`, so that a NaN `c` can
+///   never reject.
+///
+/// Otherwise the candidates are collected into groups of [`LANES`] as
+/// they are drawn. A full group of consecutive destinations is scored
+/// with the contiguous logits, any other with the gathered ones.
+fn sample_row(mlp: &PairMlp, i: usize, kk: usize, c: f64, rng: &mut StdRng) -> (Vec<u32>, u64) {
+    let n = mlp.u.rows();
+    let mut out = Vec::new();
+    let mut o = [[0.0f32; LANES]; 1];
+    let mut sample = |o: &[f32; LANES], l: usize, u: f64, j: usize| {
+        let theta = 1.0 / (1.0 + (-o[l] as f64).exp());
+        let p = (c * theta).min(1.0);
+        if u < p {
+            out.push(j as u32);
+        }
+    };
+    if c >= 1.0 || c.is_nan() {
+        for j0 in (0..n).step_by(LANES) {
+            mlp.logits(i, j0, kk, &mut o);
+            for l in 0..LANES.min(n - j0) {
+                if j0 + l != i {
+                    sample(&o[0], l, rng.gen::<f64>(), j0 + l);
+                }
+            }
+        }
+        return (out, (n - 1) as u64);
+    }
+    // Candidates `js[..len]` with their draws `us`; the lanes past `len`
+    // hold earlier destinations, valid indices whose logits are ignored.
+    let (mut js, mut us, mut len) = ([0usize; LANES], [0.0f64; LANES], 0);
+    let mut scored = 0u64;
+    let mut score = |js: &[usize; LANES], us: &[f64; LANES], len: usize| {
+        if len == LANES && js[LANES - 1] - js[0] == LANES - 1 {
+            mlp.logits(i, js[0], kk, &mut o);
+        } else {
+            mlp.gathered_logits(i, js, kk, &mut o);
+        }
+        for l in 0..len {
+            sample(&o[0], l, us[l], js[l]);
+        }
+        scored += len as u64;
+    };
+    for j in (0..n).filter(|&j| j != i) {
+        let u = rng.gen::<f64>();
+        if u >= c {
+            continue;
+        }
+        (js[len], us[len]) = (j, u);
+        len += 1;
+        if len == LANES {
+            score(&js, &us, len);
+            len = 0;
+        }
+    }
+    if len > 0 {
+        score(&js, &us, len);
+    }
+    (out, scored)
 }
 
 /// Destinations scored together by [`PairMlp::logits`]: eight `f32` lanes,
@@ -414,12 +505,44 @@ impl<'a> PairMlp<'a> {
     /// skip them, as they skip `j == i`.
     #[inline]
     fn logits(&self, i: usize, j0: usize, k0: usize, out: &mut [[f32; LANES]]) {
+        let n_pad = self.n_pad;
+        self.dispatch(i, k0, out, |x| {
+            *<&[f32; LANES]>::try_from(&self.u_t[x * n_pad + j0..][..LANES])
+                .expect("n_pad pads every block")
+        })
+    }
+
+    /// [`PairMlp::logits`] for the pairs `(i, js[l])`: lane `l` reads
+    /// `U[js[l], x]` from the transposed rows instead of a contiguous
+    /// block, with the same per-lane float order.
+    #[inline]
+    fn gathered_logits(&self, i: usize, js: &[usize; LANES], k0: usize, out: &mut [[f32; LANES]]) {
+        let n_pad = self.n_pad;
+        self.dispatch(i, k0, out, |x| {
+            let u_x = &self.u_t[x * n_pad..][..n_pad];
+            let mut u_j = [0.0f32; LANES];
+            for (v, &j) in u_j.iter_mut().zip(js) {
+                *v = u_x[j];
+            }
+            u_j
+        })
+    }
+
+    /// Run [`PairMlp::lane_logits`] on this MLP's instruction set.
+    #[inline(always)]
+    fn dispatch(
+        &self,
+        i: usize,
+        k0: usize,
+        out: &mut [[f32; LANES]],
+        u_j: impl Fn(usize) -> [f32; LANES],
+    ) {
         match self.isa {
             #[cfg(target_arch = "x86_64")]
             // SAFETY: AVX2 detected at runtime: `new` keeps only an
             // instruction set this CPU supports.
-            Isa::Avx2 => unsafe { self.logits_avx2(i, j0, k0, out) },
-            _ => self.lane_logits(i, j0, k0, out),
+            Isa::Avx2 => unsafe { self.logits_avx2(i, k0, out, u_j) },
+            _ => self.lane_logits(i, k0, out, u_j),
         }
     }
 
@@ -427,22 +550,33 @@ impl<'a> PairMlp<'a> {
     /// fill one register.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
-    fn logits_avx2(&self, i: usize, j0: usize, k0: usize, out: &mut [[f32; LANES]]) {
-        self.lane_logits(i, j0, k0, out)
+    fn logits_avx2(
+        &self,
+        i: usize,
+        k0: usize,
+        out: &mut [[f32; LANES]],
+        u_j: impl Fn(usize) -> [f32; LANES],
+    ) {
+        self.lane_logits(i, k0, out, u_j)
     }
 
-    /// The body of [`PairMlp::logits`], compiled once per instruction set.
+    /// The body of both logit forms, compiled once per instruction set:
+    /// `u_j(x)` gives the eight destinations' `U[j, x]`.
     #[inline(always)]
-    fn lane_logits(&self, i: usize, j0: usize, k0: usize, out: &mut [[f32; LANES]]) {
+    fn lane_logits(
+        &self,
+        i: usize,
+        k0: usize,
+        out: &mut [[f32; LANES]],
+        u_j: impl Fn(usize) -> [f32; LANES],
+    ) {
         let u_i = self.u.row(i);
         let (b2, k) = (&self.b2[k0..k0 + out.len()], self.k);
         for (o, &b) in out.iter_mut().zip(b2) {
             *o = [b; LANES];
         }
         for (x, (&a, &b)) in u_i.iter().zip(self.b1).enumerate() {
-            let u_j: &[f32; LANES] = self.u_t[x * self.n_pad + j0..][..LANES]
-                .try_into()
-                .expect("n_pad pads every block");
+            let u_j = u_j(x);
             let mut hx = [0.0f32; LANES];
             for l in 0..LANES {
                 hx[l] = leaky_relu(a - u_j[l] + b, self.slope);
@@ -561,17 +695,19 @@ pub fn gat_arrays(n: usize, edges: &[(u32, u32)]) -> (Rc<Vec<u32>>, Rc<Vec<u32>>
 }
 
 /// The scalar pair loop the lane-batched kernel replaced, kept as the
-/// oracle the kernel must match byte for byte.
+/// oracle the kernel must match byte for byte. It scores every pair, and
+/// also counts the pairs whose draw alone does not reject them (`u >= c`),
+/// which are the pairs the kernel must score.
 #[cfg(test)]
 fn scalar_generate_edges(
     plan: &DecodePlan,
     s: &Matrix,
     m_target: Option<f64>,
     seed: u64,
-) -> Vec<(u32, u32)> {
+) -> (Vec<(u32, u32)>, DecodeCounts) {
     let n = s.rows();
     if n < 2 {
-        return Vec::new();
+        return (Vec::new(), DecodeCounts::default());
     }
     let k = plan.k;
     let (w2a, b1a, b2a) = (&plan.w2a, &plan.b1a, &plan.b2a);
@@ -640,13 +776,14 @@ fn scalar_generate_edges(
         None => 1.0,
     };
 
-    let rows: Vec<Vec<u32>> = par::par_map_collect(n, 1, |i| {
+    let rows: Vec<(Vec<u32>, u64)> = par::par_map_collect(n, 1, |i| {
         let mut rng = StdRng::seed_from_u64(splitmix64(
             seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
         ));
         let kk = sample_categorical(&stats[i].0, &mut rng);
         let ut_i = ut.row(i);
         let mut out = Vec::new();
+        let mut rejected = 0u64;
         let mut ht = vec![0.0f32; h];
         for j in 0..n {
             if j == i {
@@ -663,17 +800,23 @@ fn scalar_generate_edges(
             }
             let theta = 1.0 / (1.0 + (-o as f64).exp());
             let p = (c * theta).min(1.0);
-            if (rng.gen::<f64>()) < p {
+            let u = rng.gen::<f64>();
+            rejected += u64::from(u >= c);
+            if u < p {
                 out.push(j as u32);
             }
         }
-        out
+        (out, rejected)
     });
 
-    rows.into_iter()
+    let pairs = (n * (n - 1)) as u64;
+    let counts = DecodeCounts { pairs, scored: pairs - rows.iter().map(|r| r.1).sum::<u64>() };
+    let edges = rows
+        .into_iter()
         .enumerate()
-        .flat_map(|(i, dsts)| dsts.into_iter().map(move |j| (i as u32, j)))
-        .collect()
+        .flat_map(|(i, (dsts, _))| dsts.into_iter().map(move |j| (i as u32, j)))
+        .collect();
+    (edges, counts)
 }
 
 #[cfg(test)]
@@ -796,7 +939,8 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(6))]
 
         /// The lane-batched kernel returns exactly the scalar oracle's
-        /// edges: below one block (n < 8), whole blocks, a partial last
+        /// edges, and scores exactly the pairs a draw alone does not
+        /// reject: below one block (n < 8), whole blocks, a partial last
         /// block, and `i` inside that block, with and without calibration,
         /// on every instruction set this CPU supports, on one and three
         /// threads.
@@ -829,6 +973,48 @@ mod tests {
         }
     }
 
+    /// The candidate skip's edge cases, each equal to the scalar oracle on
+    /// every instruction set on one and three threads: a NaN `f_θ` weight
+    /// (`c` falls back to 1), a NaN target (`c` is NaN), a tiny target (`c`
+    /// clamped to `1e-4`), a huge one (`c > 1`) and no calibration. The
+    /// scored count shows which pairs the skip kept.
+    #[test]
+    fn candidate_skip_edge_cases_match_the_scalar_oracle() {
+        let mut rng = StdRng::seed_from_u64(11);
+        let (n, d_s, h, k) = (37, 5, 16, 3);
+        let base = random_decoder(d_s, h, k, &mut rng).plan();
+        let s = Matrix::rand_normal(n, d_s, 0.0, 1.5, &mut rng);
+        let mut nan_w2 = base.clone();
+        nan_w2.w2t.set(h / 2, 1, f32::NAN);
+        let all = (n * (n - 1)) as u64;
+        let cases = [
+            ("nan_w2", &nan_w2, Some(50.0)),
+            ("nan_target", &base, Some(f64::NAN)),
+            ("tiny_target", &base, Some(1e-9)),
+            ("huge_target", &base, Some(1e9)),
+            ("uncalibrated", &base, None),
+        ];
+        for (name, plan, m_target) in cases {
+            for seed in [3, 77] {
+                let want = scalar_generate_edges(plan, &s, m_target, seed);
+                for (isa, threads) in simd::supported().flat_map(|isa| [(isa, 1), (isa, 3)]) {
+                    let got = par::with_threads(threads, || {
+                        plan.generate_edges_on(isa, &s, m_target, seed)
+                    });
+                    let at = format!("{name} seed={seed} isa={} threads={threads}", isa.name());
+                    assert_eq!(got, want, "{at}");
+                    let counts = got.1;
+                    assert_eq!(counts.pairs, all, "{at}");
+                    if name == "tiny_target" {
+                        assert!(counts.scored * 100 < all, "{at}: scored {counts:?}");
+                    } else {
+                        assert_eq!(counts.scored, all, "{at}: every pair is a candidate");
+                    }
+                }
+            }
+        }
+    }
+
     /// One pair's logit of component `c`, in the scalar loop's order.
     fn scalar_logit(
         u: &Matrix,
@@ -847,6 +1033,44 @@ mod tests {
         o
     }
 
+    /// Ascending destination sets of row `i` for the gathered logits, as
+    /// `(len, js)` with `js[len..]` padded by arbitrary valid indices: a
+    /// random partial group, a full random group, a set that straddles
+    /// `i`, and a consecutive run.
+    fn gather_sets(n: usize, i: usize, rng: &mut StdRng) -> Vec<(usize, [usize; LANES])> {
+        let mut sets = Vec::new();
+        let mut push = |mut picked: Vec<usize>, rng: &mut StdRng| {
+            picked.sort_unstable();
+            let mut js = [0; LANES];
+            for (l, j) in js.iter_mut().enumerate() {
+                *j = picked.get(l).copied().unwrap_or_else(|| rng.gen_range(0..n));
+            }
+            sets.push((picked.len(), js));
+        };
+        let subset = |len: usize, from: &[usize], rng: &mut StdRng| {
+            let mut pool = from.to_vec();
+            (0..len.min(pool.len()))
+                .map(|_| pool.swap_remove(rng.gen_range(0..pool.len())))
+                .collect()
+        };
+        let all: Vec<usize> = (0..n).collect();
+        let len = rng.gen_range(1..LANES.min(n) + 1);
+        let picked = subset(len, &all, rng);
+        push(picked, rng);
+        let picked = subset(LANES, &all, rng);
+        push(picked, rng);
+        if 0 < i && i + 1 < n {
+            let below = rng.gen_range(1..i.min(LANES - 1) + 1);
+            let mut picked: Vec<usize> = subset(below, &all[..i], rng);
+            picked.extend(subset(LANES - below, &all[i + 1..], rng));
+            push(picked, rng);
+        }
+        let len = LANES.min(n);
+        let start = rng.gen_range(0..n - len + 1);
+        push((start..start + len).collect(), rng);
+        sets
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(6))]
 
@@ -854,7 +1078,9 @@ mod tests {
         /// Bernoulli draw), so the block routine is also checked directly:
         /// every lane's logit, for all components at once (pass A) and one
         /// at a time (pass B), has the scalar loop's exact bits on every
-        /// instruction set this CPU supports.
+        /// instruction set this CPU supports. So does every lane of the
+        /// gathered form, on random ascending destination sets: partial
+        /// groups, sets that straddle `i`, and consecutive runs.
         #[test]
         fn lane_logits_are_bitwise_the_scalar_pair_logits(case_seed in 0u64..u64::MAX, d_s in 1usize..7) {
             let mut rng = StdRng::seed_from_u64(case_seed);
@@ -878,6 +1104,17 @@ mod tests {
                                         let want = scalar_logit(&u, i, j, layer, plan.slope, c).to_bits();
                                         prop_assert_eq!(all[c][j - j0].to_bits(), want, "pass A n={} i={} j={} c={} isa={}", n, i, j, c, isa);
                                         prop_assert_eq!(one[0][j - j0].to_bits(), want, "pass B n={} i={} j={} c={} isa={}", n, i, j, c, isa);
+                                    }
+                                }
+                            }
+                            for (len, js) in gather_sets(n, i, &mut rng) {
+                                mlp.gathered_logits(i, &js, 0, &mut all);
+                                for c in 0..k {
+                                    mlp.gathered_logits(i, &js, c, &mut one);
+                                    for l in 0..len {
+                                        let want = scalar_logit(&u, i, js[l], layer, plan.slope, c).to_bits();
+                                        prop_assert_eq!(all[c][l].to_bits(), want, "gathered n={} i={} js={:?} c={} isa={}", n, i, js, c, isa);
+                                        prop_assert_eq!(one[0][l].to_bits(), want, "gathered one n={} i={} js={:?} c={} isa={}", n, i, js, c, isa);
                                     }
                                 }
                             }
@@ -911,11 +1148,11 @@ mod tests {
         let s = Matrix::rand_normal(n, cfg.d_s(), 0.0, 1.0, &mut rng);
         for m_target in [None, Some(4.0 * n as f64)] {
             for seed in [0, 7, 4242] {
-                let want = plan.generate_edges_on(Isa::Baseline, &s, m_target, seed);
+                let want = plan.generate_edges_on(Isa::Baseline, &s, m_target, seed).0;
                 assert!(!want.is_empty(), "an empty graph pins no decode");
                 for threads in [1, 3] {
                     let got = par::with_threads(threads, || {
-                        plan.generate_edges_on(Isa::Avx2, &s, m_target, seed)
+                        plan.generate_edges_on(Isa::Avx2, &s, m_target, seed).0
                     });
                     assert_eq!(
                         got,

@@ -35,6 +35,6 @@ pub mod persist;
 pub mod time2vec;
 
 pub use config::{AttrLoss, VrdagConfig};
-pub use decoder::DecodePlan;
+pub use decoder::{DecodeCounts, DecodePlan};
 pub use model::{GenerationState, TrainStats, Vrdag};
 pub use persist::{artifact_fingerprint, PersistError};

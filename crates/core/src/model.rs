@@ -7,7 +7,7 @@
 
 use crate::config::{AttrLoss, VrdagConfig};
 use crate::decoder::{
-    gat_arrays, sample_pair_batch, AttributeDecoder, DecodePlan, MixBernoulliDecoder,
+    gat_arrays, sample_pair_batch, AttributeDecoder, DecodeCounts, DecodePlan, MixBernoulliDecoder,
 };
 use crate::encoder::{snapshot_features, BiFlowEncoder};
 use crate::latent::{reparam_sample, GaussianHead};
@@ -370,6 +370,7 @@ impl Vrdag {
             // Decoder weights are fixed for the whole run: materialize them
             // out of the autograd tensors once and reuse across every step.
             plan: modules.decoder.plan(),
+            decode: DecodeCounts::default(),
         })
     }
 
@@ -398,7 +399,10 @@ impl Vrdag {
             } else {
                 None
             };
-            let edges = state.plan.generate_edges(&s_mat, m_target, state.rng.gen());
+            let (edges, counts) =
+                state.plan.generate_edges_counted(&s_mat, m_target, state.rng.gen());
+            state.decode.pairs += counts.pairs;
+            state.decode.scored += counts.scored;
             // Line 5: X̃_{t+1} conditioned on the generated topology.
             let attrs = if f > 0 {
                 let (src, dst, segs) = gat_arrays(n, &edges);
@@ -461,6 +465,7 @@ pub struct GenerationState {
     t: usize,
     rng: StdRng,
     plan: DecodePlan,
+    decode: DecodeCounts,
 }
 
 impl GenerationState {
@@ -468,6 +473,11 @@ impl GenerationState {
     /// snapshot index `t()`).
     pub fn t(&self) -> usize {
         self.t
+    }
+
+    /// Pair counts of every snapshot decoded so far, summed.
+    pub fn decode_counts(&self) -> DecodeCounts {
+        self.decode
     }
 
     /// Produce the next snapshot from `model` (Algorithm 1, one timestep).

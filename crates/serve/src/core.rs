@@ -34,7 +34,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, TryRecvError};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-use vrdag::Vrdag;
+use vrdag::{DecodeCounts, Vrdag};
 use vrdag_graph::io::{BinaryStreamWriter, TsvStreamWriter};
 use vrdag_graph::{DynamicGraph, Snapshot};
 use vrdag_obs::metrics::{Counter, Histogram, Registry as MetricsRegistry};
@@ -251,6 +251,9 @@ pub struct JobResult {
     pub snapshots: usize,
     /// Total temporal edges produced.
     pub edges: usize,
+    /// Pairs the decoder considered and scored for this job's snapshots
+    /// (zero for a cache hit, which decodes nothing).
+    pub decode: DecodeCounts,
     /// Approximate bytes of snapshot data streamed to the sink
     /// (`Snapshot::approx_bytes` summed over delivered snapshots) —
     /// the unit the per-tenant `bytes_streamed` accounting uses.
@@ -469,6 +472,9 @@ pub struct ServeStats {
     pub snapshots: u64,
     /// Temporal edges produced by completed jobs.
     pub edges: u64,
+    /// Decoder pairs of completed jobs: `n(n−1)` per generated snapshot,
+    /// and how many of them had their sampling logit scored.
+    pub decode: DecodeCounts,
     /// Snapshot-cache counters (all zero when disabled).
     pub cache: crate::CacheStats,
     /// Model-affinity batching statistics.
@@ -508,8 +514,8 @@ impl ServeStats {
         );
         let _ = writeln!(
             out,
-            "  throughput: {} snapshots / {} edges total",
-            self.snapshots, self.edges,
+            "  throughput: {} snapshots / {} edges total ({} of {} decode pairs scored)",
+            self.snapshots, self.edges, self.decode.scored, self.decode.pairs,
         );
         let _ = writeln!(
             out,
@@ -886,6 +892,8 @@ struct CoreMetrics {
     dropped: Counter,
     snapshots: Counter,
     edges: Counter,
+    decode_pairs: Counter,
+    decode_scored_pairs: Counter,
     /// Milliseconds workers spent executing jobs (all workers summed).
     worker_busy_ms: Counter,
     /// `vrdag_job_stage_seconds{stage=...}`, indexed like [`STAGE_NAMES`].
@@ -908,6 +916,8 @@ impl CoreMetrics {
             dropped: counter("vrdag_jobs_dropped_total"),
             snapshots: counter("vrdag_snapshots_total"),
             edges: counter("vrdag_edges_total"),
+            decode_pairs: counter("vrdag_decode_pairs_total"),
+            decode_scored_pairs: counter("vrdag_decode_scored_pairs_total"),
             worker_busy_ms: counter("vrdag_worker_busy_ms_total"),
             stage_seconds,
             registry,
@@ -1256,6 +1266,10 @@ impl ServeHandle {
             max_in_flight: shared.queue.max_in_flight(),
             snapshots: m.snapshots.get(),
             edges: m.edges.get(),
+            decode: DecodeCounts {
+                pairs: m.decode_pairs.get(),
+                scored: m.decode_scored_pairs.get(),
+            },
             cache: shared.cache.stats(),
             affinity,
             latency,
@@ -1404,6 +1418,7 @@ fn worker_loop(worker: usize, shared: &Shared) {
                     seed,
                     snapshots: 0,
                     edges: 0,
+                    decode: DecodeCounts::default(),
                     bytes: 0,
                     seconds: started.elapsed().as_secs_f64().max(1e-9),
                     snapshots_per_sec: 0.0,
@@ -1426,6 +1441,8 @@ fn worker_loop(worker: usize, shared: &Shared) {
         }
         m.snapshots.add(result.snapshots as u64);
         m.edges.add(result.edges as u64);
+        m.decode_pairs.add(result.decode.pairs);
+        m.decode_scored_pairs.add(result.decode.scored);
         result.seq = shared.seq.fetch_add(1, Ordering::SeqCst) + 1;
         // "Delivered" is marked at handoff (just before the ticket send
         // below) so the derived durations can ride on the result itself.
@@ -1581,6 +1598,7 @@ fn run_job(job: Job, instance: &mut Option<WorkerInstance>, cache: &SnapshotCach
             seed,
             snapshots: stats.snapshots,
             edges: stats.edges,
+            decode: stats.decode,
             bytes: stats.bytes,
             seconds,
             snapshots_per_sec: stats.snapshots as f64 / seconds,
@@ -1599,6 +1617,7 @@ fn run_job(job: Job, instance: &mut Option<WorkerInstance>, cache: &SnapshotCach
             seed,
             snapshots: 0,
             edges: 0,
+            decode: DecodeCounts::default(),
             bytes: 0,
             seconds,
             snapshots_per_sec: 0.0,
@@ -1833,6 +1852,7 @@ fn generate_into_sink(
         if !cancelled {
             writer.finish()?;
         }
+        stats.decode = state.decode_counts();
         let collected = (!cancelled).then_some(collector.collected).flatten();
         return Ok((stats, collected.map(DynamicGraph::new), cancelled));
     }
@@ -1842,7 +1862,7 @@ fn generate_into_sink(
     // channel, collecting them back (in order) for the cache.
     let (snap_tx, snap_rx) = mpsc::sync_channel::<(usize, Snapshot)>(PIPELINE_DEPTH);
     let (ret_tx, ret_rx) = mpsc::channel::<Snapshot>();
-    let (stats, cancelled) =
+    let (mut stats, cancelled) =
         std::thread::scope(|scope| -> Result<(StreamStats, bool), ServeError> {
             let encoder = scope.spawn(move || encode_loop(writer, snap_rx, ret_tx, cancel, trace));
             let mut decode_cancelled = false;
@@ -1882,6 +1902,7 @@ fn generate_into_sink(
                 Err(payload) => std::panic::resume_unwind(payload),
             }
         })?;
+    stats.decode = state.decode_counts();
     let collected = (!cancelled).then_some(collector.collected).flatten();
     Ok((stats, collected.map(DynamicGraph::new), cancelled))
 }
@@ -2081,6 +2102,39 @@ mod tests {
         // Waves 2 and 3 were served from the cache.
         assert_eq!(stats.cache.misses, 2);
         assert_eq!(stats.cache.hits, 4);
+    }
+
+    /// The decode pair counters cover cold snapshots only, on the serial
+    /// and the pipelined path, and a cache hit adds nothing to them.
+    #[test]
+    fn decode_counters_count_cold_snapshots_only() {
+        let (registry, model) = registry_with_tiny();
+        let n = model.n_nodes().unwrap() as u64;
+        let handle = ServeHandle::with_config(
+            registry,
+            ServeConfig { workers: 1, cache: CacheBudget::entries(8), ..Default::default() },
+        )
+        .unwrap();
+        let run = |t_len: usize, seed: u64, sink: GenSink| {
+            handle.submit(GenRequest::new("tiny", t_len, seed, sink)).unwrap().wait().unwrap()
+        };
+        let cold = run(3, 1, GenSink::InMemory);
+        assert!(!cold.cache_hit);
+        assert_eq!(cold.decode.pairs, 3 * n * (n - 1));
+        assert!(0 < cold.decode.scored && cold.decode.scored <= cold.decode.pairs);
+        let hit = run(3, 1, GenSink::InMemory);
+        assert!(hit.cache_hit);
+        assert_eq!(hit.decode, DecodeCounts::default());
+        let piped = run(2, 2, GenSink::Callback(Box::new(|_, _| {})));
+        assert_eq!(piped.decode.pairs, 2 * n * (n - 1));
+        let mut state = model.begin_generation(&mut StdRng::seed_from_u64(2)).unwrap();
+        for _ in 0..2 {
+            state.step(&model);
+        }
+        assert_eq!(piped.decode, state.decode_counts());
+        let stats = handle.shutdown();
+        assert_eq!(stats.decode.pairs, cold.decode.pairs + piped.decode.pairs);
+        assert_eq!(stats.decode.scored, cold.decode.scored + piped.decode.scored);
     }
 
     #[test]

@@ -5,7 +5,7 @@ use crate::ServeError;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::io::Write;
-use vrdag::{GenerationState, Vrdag};
+use vrdag::{DecodeCounts, GenerationState, Vrdag};
 use vrdag_graph::io::{BinaryStreamWriter, TsvStreamWriter};
 use vrdag_graph::Snapshot;
 
@@ -16,6 +16,8 @@ pub struct StreamStats {
     pub snapshots: usize,
     /// Total temporal edges across the emitted snapshots.
     pub edges: usize,
+    /// Pairs the decoder considered and scored for the emitted snapshots.
+    pub decode: DecodeCounts,
     /// Approximate in-memory bytes of the emitted snapshots
     /// (`Snapshot::approx_bytes` summed) — the unit of the serving
     /// layer's per-tenant `bytes_streamed` accounting.
@@ -70,12 +72,18 @@ impl SnapshotStream {
         mut write: impl FnMut(&Snapshot) -> Result<(), ServeError>,
     ) -> Result<StreamStats, ServeError> {
         let mut stats = StreamStats::default();
+        let before = self.state.decode_counts();
         for snapshot in &mut self {
             stats.snapshots += 1;
             stats.edges += snapshot.n_edges();
             stats.bytes += snapshot.approx_bytes();
             write(&snapshot)?;
         }
+        let after = self.state.decode_counts();
+        stats.decode = DecodeCounts {
+            pairs: after.pairs - before.pairs,
+            scored: after.scored - before.scored,
+        };
         Ok(stats)
     }
 

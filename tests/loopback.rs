@@ -774,6 +774,8 @@ fn metrics_exposition_agrees_exactly_with_stats_after_deterministic_workload() {
         ("vrdag_jobs_dropped_total", stats.dropped_jobs),
         ("vrdag_snapshots_total", stats.snapshots),
         ("vrdag_edges_total", stats.edges),
+        ("vrdag_decode_pairs_total", stats.decode.pairs),
+        ("vrdag_decode_scored_pairs_total", stats.decode.scored),
         ("vrdag_cache_hits_total", stats.cache.hits),
         ("vrdag_cache_misses_total", stats.cache.misses),
         ("vrdag_cache_insertions_total", stats.cache.insertions),
@@ -792,6 +794,7 @@ fn metrics_exposition_agrees_exactly_with_stats_after_deterministic_workload() {
     assert_eq!(stats.completed, 7);
     assert_eq!(stats.cache.misses, 2, "{stats:?}");
     assert_eq!(stats.cache.hits, 5, "{stats:?}");
+    assert!(stats.decode.pairs > 0 && stats.decode.scored <= stats.decode.pairs, "{stats:?}");
     assert_eq!(prom_sample(&text, "vrdag_evt_frames_total"), Some(3));
     assert_eq!(prom_sample(&text, "vrdag_connections_total{outcome=\"accepted\"}"), Some(1));
     // Natively-instrumented stage histograms saw every completed job.
