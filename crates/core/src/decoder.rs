@@ -182,7 +182,6 @@ impl MixBernoulliDecoder {
             b1t: self.f_theta.layer(0).bias.value_clone(),
             w2t: self.f_theta.layer(1).weight.value_clone(),
             b2t: self.f_theta.layer(1).bias.value_clone(),
-            k: self.k,
             slope: self.slope,
         }
     }
@@ -211,7 +210,6 @@ pub struct DecodePlan {
     b1t: Matrix,
     w2t: Matrix,
     b2t: Matrix,
-    k: usize,
     slope: f32,
 }
 
@@ -262,66 +260,8 @@ impl DecodePlan {
         if n < 2 {
             return (Vec::new(), DecodeCounts::default());
         }
-        let k = self.k;
-        let alpha_mlp =
-            PairMlp::new(isa, s, &self.w1a, &self.b1a, &self.w2a, &self.b2a, self.slope);
-        let theta_mlp =
-            PairMlp::new(isa, s, &self.w1t, &self.b1t, &self.w2t, &self.b2t, self.slope);
-        let calibrate = m_target.is_some();
-
-        // Pass A: exact mixture weights per row (Eq. 11's Σ_j), plus — when
-        // calibrating — the expected edge mass per row.
-        #[derive(Clone, Default)]
-        struct RowStat {
-            alpha: Vec<f32>,
-            expected: f64,
-        }
-        let stats: Vec<RowStat> = par::par_map_collect(n, 1, |i| {
-            let mut acc = vec![0.0f64; k];
-            let mut theta_sum = vec![0.0f64; k];
-            let mut oa = vec![[0.0f32; LANES]; k];
-            let mut ot = vec![[0.0f32; LANES]; k];
-            for j0 in (0..n).step_by(LANES) {
-                alpha_mlp.logits(i, j0, 0, &mut oa);
-                if calibrate {
-                    theta_mlp.logits(i, j0, 0, &mut ot);
-                }
-                for l in 0..LANES.min(n - j0) {
-                    if j0 + l == i {
-                        continue;
-                    }
-                    for kk in 0..k {
-                        acc[kk] += oa[kk][l] as f64;
-                    }
-                    if calibrate {
-                        for kk in 0..k {
-                            let o = ot[kk][l];
-                            theta_sum[kk] += (1.0 / (1.0 + (-o).exp())) as f64;
-                        }
-                    }
-                }
-            }
-            // Softmax over K.
-            let mx = acc.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-            let exps: Vec<f64> = acc.iter().map(|&a| (a - mx).exp()).collect();
-            let z: f64 = exps.iter().sum();
-            let alpha: Vec<f32> = exps.iter().map(|&e| (e / z) as f32).collect();
-            let expected: f64 =
-                alpha.iter().zip(theta_sum.iter()).map(|(&a, &t)| a as f64 * t).sum();
-            RowStat { alpha, expected }
-        });
-
-        let c = match m_target {
-            Some(target) => {
-                let e_total: f64 = stats.iter().map(|r| r.expected).sum();
-                if e_total > 1e-9 {
-                    (target / e_total).clamp(1e-4, 1e4)
-                } else {
-                    1.0
-                }
-            }
-            None => 1.0,
-        };
+        let (alpha_mlp, theta_mlp) = self.pair_mlps(isa, s);
+        let (stats, c) = pass_a(&alpha_mlp, &theta_mlp, m_target);
 
         // Pass B: choose a mixture component per row and Bernoulli-sample
         // its adjacency list (rows are independent given α — the paper's
@@ -345,6 +285,131 @@ impl DecodePlan {
         }
         (edges, counts)
     }
+
+    /// `f_α` and `f_θ` laid out for a decode of the states `s` on `isa`.
+    fn pair_mlps(&self, isa: Isa, s: &Matrix) -> (PairMlp<'_>, PairMlp<'_>) {
+        (
+            PairMlp::new(isa, s, &self.w1a, &self.b1a, &self.w2a, &self.b2a, self.slope),
+            PairMlp::new(isa, s, &self.w1t, &self.b1t, &self.w2t, &self.b2t, self.slope),
+        )
+    }
+}
+
+/// Pass A's result for one row.
+#[derive(Clone, Debug, Default)]
+struct RowStat {
+    /// Mixture weights `α_i` (Eq. 11, with the exact `Σ_j`).
+    alpha: Vec<f32>,
+    /// Expected edge mass `Σ_k α_k Σ_j θ_kj` when calibrating, else 0.
+    expected: f64,
+}
+
+/// Components whose logits one block loop keeps in registers: pass A runs
+/// a larger K as groups of at most this many.
+const GROUP: usize = 4;
+
+/// Pass A: every row's [`RowStat`], and the density scale `c` that makes
+/// the expected edge count `m_target` (1 without a target).
+///
+/// A row sums `f_α`, and when calibrating `σ(f_θ)`, over `j ≠ i` in
+/// ascending `j`, in `f64`, component group by component group (see
+/// [`row_sums`]). Each sum adds the same terms in the same order as a
+/// plain pair loop, so the bits are that loop's.
+fn pass_a(alpha: &PairMlp, theta: &PairMlp, m_target: Option<f64>) -> (Vec<RowStat>, f64) {
+    let (n, k) = (alpha.u.rows(), alpha.k);
+    let shape = |m: &PairMlp| (m.isa, m.k, m.b1.len(), m.u_blocks.len());
+    assert_eq!(shape(theta), shape(alpha), "f_α and f_θ are laid out alike");
+    let theta = m_target.is_some().then_some(theta);
+    let stats: Vec<RowStat> = par::par_map_collect(n, 1, |i| {
+        let mut acc = vec![0.0f64; k];
+        let mut theta_sum = vec![0.0f64; k];
+        for k0 in (0..k).step_by(GROUP) {
+            let sums = (&mut acc[k0..], &mut theta_sum[k0..]);
+            match GROUP.min(k - k0) {
+                1 => row_sums::<1>(alpha, theta, i, k0, sums),
+                2 => row_sums::<2>(alpha, theta, i, k0, sums),
+                3 => row_sums::<3>(alpha, theta, i, k0, sums),
+                _ => row_sums::<GROUP>(alpha, theta, i, k0, sums),
+            }
+        }
+        // Softmax over K.
+        let mx = acc.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+        let exps: Vec<f64> = acc.iter().map(|&a| (a - mx).exp()).collect();
+        let z: f64 = exps.iter().sum();
+        let alpha: Vec<f32> = exps.iter().map(|&e| (e / z) as f32).collect();
+        let expected: f64 = alpha.iter().zip(theta_sum.iter()).map(|(&a, &t)| a as f64 * t).sum();
+        RowStat { alpha, expected }
+    });
+    let c = match m_target {
+        Some(target) => {
+            let e_total: f64 = stats.iter().map(|r| r.expected).sum();
+            if e_total > 1e-9 {
+                (target / e_total).clamp(1e-4, 1e4)
+            } else {
+                1.0
+            }
+        }
+        None => 1.0,
+    };
+    (stats, c)
+}
+
+/// Pass A of row `i` on components `k0..k0 + KC`: adds `f_α`'s logits
+/// into `sums.0[..KC]` and, when `theta` is given, `σ(f_θ)` into
+/// `sums.1[..KC]`.
+///
+/// One block loop scores both MLPs (2·KC accumulators, all in registers),
+/// and the row sums stay in locals until the row ends. The sigmoid
+/// `1/(1+e)` runs over all lanes after the scalar `f32::exp` calls.
+#[inline(always)]
+fn row_sums<const KC: usize>(
+    alpha: &PairMlp,
+    theta: Option<&PairMlp>,
+    i: usize,
+    k0: usize,
+    sums: (&mut [f64], &mut [f64]),
+) {
+    let n = alpha.u.rows();
+    let (mut acc, mut theta_sum) = ([0.0f64; KC], [0.0f64; KC]);
+    for j0 in (0..n).step_by(LANES) {
+        // The pairs `(i, j0 + l)` the sums take: `l < lanes`, `l ≠ own`.
+        let (lanes, own) = (LANES.min(n - j0), i.wrapping_sub(j0));
+        let Some(theta) = theta else {
+            let [oa] = block_logits::<KC, 1>([alpha], [alpha.block(j0)], i, k0);
+            for c in 0..KC {
+                add_lanes(&mut acc[c], &oa[c], lanes, own);
+            }
+            continue;
+        };
+        let rows = [alpha.block(j0), theta.block(j0)];
+        let [oa, ot] = block_logits::<KC, 2>([alpha, theta], rows, i, k0);
+        for c in 0..KC {
+            add_lanes(&mut acc[c], &oa[c], lanes, own);
+        }
+        let e = ot.map(|o| o.map(|o| (-o).exp()));
+        for c in 0..KC {
+            add_lanes(&mut theta_sum[c], &e[c].map(|e| 1.0 / (1.0 + e)), lanes, own);
+        }
+    }
+    sums.0[..KC].copy_from_slice(&acc);
+    sums.1[..KC].copy_from_slice(&theta_sum);
+}
+
+/// Adds lanes `0..lanes` of `v` except lane `own` to `sum`, in `f64` and
+/// in lane order. A whole block without `own` takes an unrolled path.
+#[inline(always)]
+fn add_lanes(sum: &mut f64, v: &[f32; LANES], lanes: usize, own: usize) {
+    let mut s = *sum;
+    if lanes == LANES && own >= LANES {
+        for &x in v {
+            s += x as f64;
+        }
+    } else {
+        for l in (0..lanes).filter(|&l| l != own) {
+            s += v[l] as f64;
+        }
+    }
+    *sum = s;
 }
 
 /// Pair counts of decode calls, summed by
@@ -378,12 +443,11 @@ pub struct DecodeCounts {
 ///   never reject.
 ///
 /// Otherwise the candidates are collected into groups of [`LANES`] as
-/// they are drawn. A full group of consecutive destinations is scored
-/// with the contiguous logits, any other with the gathered ones.
+/// they are drawn. A group that is a whole block of destinations is
+/// scored with the contiguous logits, any other with the gathered ones.
 fn sample_row(mlp: &PairMlp, i: usize, kk: usize, c: f64, rng: &mut StdRng) -> (Vec<u32>, u64) {
     let n = mlp.u.rows();
     let mut out = Vec::new();
-    let mut o = [[0.0f32; LANES]; 1];
     let mut sample = |o: &[f32; LANES], l: usize, u: f64, j: usize| {
         let theta = 1.0 / (1.0 + (-o[l] as f64).exp());
         let p = (c * theta).min(1.0);
@@ -393,10 +457,10 @@ fn sample_row(mlp: &PairMlp, i: usize, kk: usize, c: f64, rng: &mut StdRng) -> (
     };
     if c >= 1.0 || c.is_nan() {
         for j0 in (0..n).step_by(LANES) {
-            mlp.logits(i, j0, kk, &mut o);
+            let o = mlp.logits(i, j0, kk);
             for l in 0..LANES.min(n - j0) {
                 if j0 + l != i {
-                    sample(&o[0], l, rng.gen::<f64>(), j0 + l);
+                    sample(&o, l, rng.gen::<f64>(), j0 + l);
                 }
             }
         }
@@ -406,14 +470,16 @@ fn sample_row(mlp: &PairMlp, i: usize, kk: usize, c: f64, rng: &mut StdRng) -> (
     // hold earlier destinations, valid indices whose logits are ignored.
     let (mut js, mut us, mut len) = ([0usize; LANES], [0.0f64; LANES], 0);
     let mut scored = 0u64;
+    let mut rows = vec![[0.0f32; LANES]; mlp.b1.len()];
     let mut score = |js: &[usize; LANES], us: &[f64; LANES], len: usize| {
-        if len == LANES && js[LANES - 1] - js[0] == LANES - 1 {
-            mlp.logits(i, js[0], kk, &mut o);
+        let o = if len == LANES && js[0].is_multiple_of(LANES) && js[LANES - 1] - js[0] == LANES - 1
+        {
+            mlp.logits(i, js[0], kk)
         } else {
-            mlp.gathered_logits(i, js, kk, &mut o);
-        }
+            mlp.gathered_logits(i, js, kk, &mut rows)
+        };
         for l in 0..len {
-            sample(&o[0], l, us[l], js[l]);
+            sample(&o, l, us[l], js[l]);
         }
         scored += len as u64;
     };
@@ -443,18 +509,20 @@ const LANES: usize = 8;
 ///
 /// Its first layer distributes over `s_i − s_j`, so `U = S·W1` is computed
 /// once per call and a pair's hidden unit `x` is `U[i,x] − U[j,x] + b1[x]`.
-/// `U` is kept row-major (source rows) and transposed (`[h, n_pad]`, zero
-/// padded to a multiple of [`LANES`]) so the destinations of one block are
-/// a contiguous lane vector for every `x`: O(n·h) memory, no `n²` buffer.
+/// `U` is kept row-major for the source rows, and by blocks of [`LANES`]
+/// destinations (zero padded past `n`) so that a block's lane vectors for
+/// every `x` are one contiguous run: O(n·h) memory, no `n²` buffer.
 struct PairMlp<'a> {
-    /// The instruction set [`PairMlp::logits`] runs on; `new` checks that
-    /// this CPU supports it.
+    /// The instruction set the logits run on; `new` checks that this CPU
+    /// supports it.
     isa: Isa,
     u: Matrix,
-    u_t: Vec<f32>,
-    n_pad: usize,
+    /// `u_blocks[b·h + x][l] = U[b·LANES + l, x]`.
+    u_blocks: Vec<[f32; LANES]>,
     b1: &'a [f32],
-    w2: &'a [f32],
+    /// `W2` by component groups: `w2_groups[g·h + x][c] = W2[x, g·GROUP + c]`,
+    /// zero past `K`.
+    w2_groups: Vec<[f32; GROUP]>,
     b2: &'a [f32],
     k: usize,
     slope: f32,
@@ -468,127 +536,139 @@ impl<'a> PairMlp<'a> {
         s: &Matrix,
         w1: &Matrix,
         b1: &'a Matrix,
-        w2: &'a Matrix,
+        w2: &Matrix,
         b2: &'a Matrix,
         slope: f32,
     ) -> Self {
         assert!(isa.is_supported(), "this CPU does not support {}", isa.name());
         let u = s.matmul(w1);
-        let (n, h) = (u.rows(), u.cols());
-        let n_pad = n.div_ceil(LANES) * LANES;
-        let mut u_t = vec![0.0f32; h * n_pad];
+        let (n, h, k) = (u.rows(), u.cols(), w2.cols());
+        let mut u_blocks = vec![[0.0f32; LANES]; n.div_ceil(LANES) * h];
         for j in 0..n {
             for (x, &v) in u.row(j).iter().enumerate() {
-                u_t[x * n_pad + j] = v;
+                u_blocks[j / LANES * h + x][j % LANES] = v;
             }
         }
-        PairMlp {
-            isa,
-            u,
-            u_t,
-            n_pad,
-            b1: b1.data(),
-            w2: w2.data(),
-            b2: b2.data(),
-            k: w2.cols(),
-            slope,
+        let mut w2_groups = vec![[0.0f32; GROUP]; k.div_ceil(GROUP) * h];
+        for x in 0..h {
+            for c in 0..k {
+                w2_groups[c / GROUP * h + x][c % GROUP] = w2.get(x, c);
+            }
         }
+        PairMlp { isa, u, u_blocks, b1: b1.data(), w2_groups, b2: b2.data(), k, slope }
     }
 
-    /// Output logits of components `k0..k0 + out.len()` for the pairs
-    /// `(i, j0 + l)`, `l < LANES`, into `out[c − k0][l]`.
-    ///
-    /// Lanes run over destinations, never over the hidden index, so every
-    /// pair sees exactly the serial float order: `(U[i,x] − U[j,x]) + b1[x]`,
-    /// then `o = b2[c]` and `o += h[x]·W2[x,c]` for ascending `x`. Lanes past
-    /// `n` read the zero padding; their logits are meaningless and callers
-    /// skip them, as they skip `j == i`.
+    /// The lane vectors of the block of destinations `j0..j0 + LANES`,
+    /// `j0` a multiple of [`LANES`], one per `x`.
+    fn block(&self, j0: usize) -> &[[f32; LANES]] {
+        debug_assert!(j0.is_multiple_of(LANES), "block start {j0} is not aligned");
+        let h = self.b1.len();
+        &self.u_blocks[j0 / LANES * h..][..h]
+    }
+
+    /// Logits of component `kk` for the pairs `(i, j0 + l)`, `l < LANES`,
+    /// `j0` a multiple of [`LANES`]. Lanes past `n` read the zero padding;
+    /// their logits are meaningless and callers skip them, as they skip
+    /// `j == i`.
     #[inline]
-    fn logits(&self, i: usize, j0: usize, k0: usize, out: &mut [[f32; LANES]]) {
-        let n_pad = self.n_pad;
-        self.dispatch(i, k0, out, |x| {
-            *<&[f32; LANES]>::try_from(&self.u_t[x * n_pad + j0..][..LANES])
-                .expect("n_pad pads every block")
-        })
+    fn logits(&self, i: usize, j0: usize, kk: usize) -> [f32; LANES] {
+        let [[o]] = block_logits([self], [self.block(j0)], i, kk);
+        o
     }
 
-    /// [`PairMlp::logits`] for the pairs `(i, js[l])`: lane `l` reads
-    /// `U[js[l], x]` from the transposed rows instead of a contiguous
-    /// block, with the same per-lane float order.
+    /// [`PairMlp::logits`] for the pairs `(i, js[l])`: the destinations'
+    /// lane vectors are first gathered into `rows` (`h` long), then scored
+    /// as a block, with the same per-lane float order.
     #[inline]
-    fn gathered_logits(&self, i: usize, js: &[usize; LANES], k0: usize, out: &mut [[f32; LANES]]) {
-        let n_pad = self.n_pad;
-        self.dispatch(i, k0, out, |x| {
-            let u_x = &self.u_t[x * n_pad..][..n_pad];
-            let mut u_j = [0.0f32; LANES];
-            for (v, &j) in u_j.iter_mut().zip(js) {
-                *v = u_x[j];
+    fn gathered_logits(
+        &self,
+        i: usize,
+        js: &[usize; LANES],
+        kk: usize,
+        rows: &mut [[f32; LANES]],
+    ) -> [f32; LANES] {
+        for (l, &j) in js.iter().enumerate() {
+            let src = self.block(j - j % LANES);
+            for (row, v) in rows.iter_mut().zip(src) {
+                row[l] = v[j % LANES];
             }
-            u_j
-        })
-    }
-
-    /// Run [`PairMlp::lane_logits`] on this MLP's instruction set.
-    #[inline(always)]
-    fn dispatch(
-        &self,
-        i: usize,
-        k0: usize,
-        out: &mut [[f32; LANES]],
-        u_j: impl Fn(usize) -> [f32; LANES],
-    ) {
-        match self.isa {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: AVX2 detected at runtime: `new` keeps only an
-            // instruction set this CPU supports.
-            Isa::Avx2 => unsafe { self.logits_avx2(i, k0, out, u_j) },
-            _ => self.lane_logits(i, k0, out, u_j),
         }
+        let [[o]] = block_logits([self], [rows], i, kk);
+        o
     }
+}
 
-    /// [`PairMlp::lane_logits`] compiled with AVX2, where the eight lanes
-    /// fill one register.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    fn logits_avx2(
-        &self,
-        i: usize,
-        k0: usize,
-        out: &mut [[f32; LANES]],
-        u_j: impl Fn(usize) -> [f32; LANES],
-    ) {
-        self.lane_logits(i, k0, out, u_j)
+/// Logits `out[m][c][l]` of component `k0 + c` of `mlps[m]` for the pairs
+/// `(i, j_l)`, where `rows[m][x]` holds the eight destinations' `U[j_l, x]`
+/// of `mlps[m]`, on the MLPs' instruction set.
+#[inline(always)]
+fn block_logits<const KC: usize, const M: usize>(
+    mlps: [&PairMlp; M],
+    rows: [&[[f32; LANES]]; M],
+    i: usize,
+    k0: usize,
+) -> [[[f32; LANES]; KC]; M] {
+    match mlps[0].isa {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: AVX2 detected at runtime: `PairMlp::new` keeps only an
+        // instruction set this CPU supports.
+        Isa::Avx2 => unsafe { lane_logits_avx2(mlps, rows, i, k0) },
+        _ => lane_logits(mlps, rows, i, k0),
     }
+}
 
-    /// The body of both logit forms, compiled once per instruction set:
-    /// `u_j(x)` gives the eight destinations' `U[j, x]`.
-    #[inline(always)]
-    fn lane_logits(
-        &self,
-        i: usize,
-        k0: usize,
-        out: &mut [[f32; LANES]],
-        u_j: impl Fn(usize) -> [f32; LANES],
-    ) {
-        let u_i = self.u.row(i);
-        let (b2, k) = (&self.b2[k0..k0 + out.len()], self.k);
-        for (o, &b) in out.iter_mut().zip(b2) {
-            *o = [b; LANES];
-        }
-        for (x, (&a, &b)) in u_i.iter().zip(self.b1).enumerate() {
-            let u_j = u_j(x);
-            let mut hx = [0.0f32; LANES];
-            for l in 0..LANES {
-                hx[l] = leaky_relu(a - u_j[l] + b, self.slope);
-            }
-            let w2_x = &self.w2[x * k + k0..x * k + k0 + out.len()];
-            for (o, &w) in out.iter_mut().zip(w2_x) {
+/// [`lane_logits`] compiled with AVX2, where the eight lanes fill one
+/// register.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn lane_logits_avx2<const KC: usize, const M: usize>(
+    mlps: [&PairMlp; M],
+    rows: [&[[f32; LANES]]; M],
+    i: usize,
+    k0: usize,
+) -> [[[f32; LANES]; KC]; M] {
+    lane_logits(mlps, rows, i, k0)
+}
+
+/// The body of every logit block, compiled once per instruction set.
+///
+/// Lanes run over destinations, never over the hidden index, so every
+/// pair sees exactly the serial float order: `(U[i,x] − U[j,x]) + b1[x]`,
+/// then `o = b2[c]` and `o += h[x]·W2[x,c]` for ascending `x`. The
+/// accumulators are a local array whose size is known at compile time,
+/// so they stay in registers across the whole `x` loop: `M·KC` of them,
+/// one per MLP and component, each an independent chain. Every operand
+/// is sliced to `h` first, so the compiler drops nearly all of the
+/// loop's bounds checks.
+#[inline(always)]
+fn lane_logits<const KC: usize, const M: usize>(
+    mlps: [&PairMlp; M],
+    rows: [&[[f32; LANES]]; M],
+    i: usize,
+    k0: usize,
+) -> [[[f32; LANES]; KC]; M] {
+    let h = mlps[0].b1.len();
+    let rows = rows.map(|r| &r[..h]);
+    let u_i = mlps.map(|m| &m.u.row(i)[..h]);
+    let b1 = mlps.map(|m| &m.b1[..h]);
+    // Components `k0..k0 + KC` lie in one group, at `off..off + KC`.
+    let (w2, off) = (mlps.map(|m| &m.w2_groups[k0 / GROUP * h..][..h]), k0 % GROUP);
+    assert!(off + KC <= GROUP, "components {k0}..{} span two groups", k0 + KC);
+    let slope = mlps.map(|m| m.slope);
+    let mut out = mlps.map(|m| std::array::from_fn(|c| [m.b2[k0 + c]; LANES]));
+    for x in 0..h {
+        for m in 0..M {
+            let (a, b, u_j) = (u_i[m][x], b1[m][x], rows[m][x]);
+            let hx: [f32; LANES] = std::array::from_fn(|l| leaky_relu(a - u_j[l] + b, slope[m]));
+            for c in 0..KC {
+                let w = w2[m][x][off + c];
                 for l in 0..LANES {
-                    o[l] += hx[l] * w;
+                    out[m][c][l] += hx[l] * w;
                 }
             }
         }
     }
+    out
 }
 
 fn splitmix64(mut x: u64) -> u64 {
@@ -709,7 +789,61 @@ fn scalar_generate_edges(
     if n < 2 {
         return (Vec::new(), DecodeCounts::default());
     }
-    let k = plan.k;
+    let (w2t, b1t, b2t) = (&plan.w2t, &plan.b1t, &plan.b2t);
+    let h = plan.w1t.cols();
+    let ut = s.matmul(&plan.w1t);
+    let slope = plan.slope;
+    let (stats, c) = scalar_pass_a(plan, s, m_target);
+
+    let rows: Vec<(Vec<u32>, u64)> = par::par_map_collect(n, 1, |i| {
+        let mut rng = StdRng::seed_from_u64(splitmix64(
+            seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+        ));
+        let kk = sample_categorical(&stats[i].alpha, &mut rng);
+        let ut_i = ut.row(i);
+        let mut out = Vec::new();
+        let mut rejected = 0u64;
+        let mut ht = vec![0.0f32; h];
+        for j in 0..n {
+            if j == i {
+                continue;
+            }
+            let ut_j = ut.row(j);
+            for x in 0..h {
+                let v = ut_i[x] - ut_j[x] + b1t.data()[x];
+                ht[x] = if v > 0.0 { v } else { slope * v };
+            }
+            let mut o = b2t.data()[kk];
+            for x in 0..h {
+                o += ht[x] * w2t.get(x, kk);
+            }
+            let theta = 1.0 / (1.0 + (-o as f64).exp());
+            let p = (c * theta).min(1.0);
+            let u = rng.gen::<f64>();
+            rejected += u64::from(u >= c);
+            if u < p {
+                out.push(j as u32);
+            }
+        }
+        (out, rejected)
+    });
+
+    let pairs = (n * (n - 1)) as u64;
+    let counts = DecodeCounts { pairs, scored: pairs - rows.iter().map(|r| r.1).sum::<u64>() };
+    let edges = rows
+        .into_iter()
+        .enumerate()
+        .flat_map(|(i, (dsts, _))| dsts.into_iter().map(move |j| (i as u32, j)))
+        .collect();
+    (edges, counts)
+}
+
+/// Pass A of the scalar pair loop: every row's [`RowStat`] and the density
+/// scale `c`, the oracle of [`pass_a`] (`n ≥ 2`).
+#[cfg(test)]
+fn scalar_pass_a(plan: &DecodePlan, s: &Matrix, m_target: Option<f64>) -> (Vec<RowStat>, f64) {
+    let n = s.rows();
+    let k = plan.w2a.cols();
     let (w2a, b1a, b2a) = (&plan.w2a, &plan.b1a, &plan.b2a);
     let (w2t, b1t, b2t) = (&plan.w2t, &plan.b1t, &plan.b2t);
     let h = plan.w1a.cols();
@@ -718,7 +852,7 @@ fn scalar_generate_edges(
     let slope = plan.slope;
     let calibrate = m_target.is_some();
 
-    let stats: Vec<(Vec<f32>, f64)> = par::par_map_collect(n, 1, |i| {
+    let stats: Vec<RowStat> = par::par_map_collect(n, 1, |i| {
         let mut acc = vec![0.0f64; k];
         let mut theta_sum = vec![0.0f64; k];
         let ua_i = ua.row(i);
@@ -761,12 +895,12 @@ fn scalar_generate_edges(
         let z: f64 = exps.iter().sum();
         let alpha: Vec<f32> = exps.iter().map(|&e| (e / z) as f32).collect();
         let expected: f64 = alpha.iter().zip(theta_sum.iter()).map(|(&a, &t)| a as f64 * t).sum();
-        (alpha, expected)
+        RowStat { alpha, expected }
     });
 
     let c = match m_target {
         Some(target) => {
-            let e_total: f64 = stats.iter().map(|r| r.1).sum();
+            let e_total: f64 = stats.iter().map(|r| r.expected).sum();
             if e_total > 1e-9 {
                 (target / e_total).clamp(1e-4, 1e4)
             } else {
@@ -775,48 +909,7 @@ fn scalar_generate_edges(
         }
         None => 1.0,
     };
-
-    let rows: Vec<(Vec<u32>, u64)> = par::par_map_collect(n, 1, |i| {
-        let mut rng = StdRng::seed_from_u64(splitmix64(
-            seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-        ));
-        let kk = sample_categorical(&stats[i].0, &mut rng);
-        let ut_i = ut.row(i);
-        let mut out = Vec::new();
-        let mut rejected = 0u64;
-        let mut ht = vec![0.0f32; h];
-        for j in 0..n {
-            if j == i {
-                continue;
-            }
-            let ut_j = ut.row(j);
-            for x in 0..h {
-                let v = ut_i[x] - ut_j[x] + b1t.data()[x];
-                ht[x] = if v > 0.0 { v } else { slope * v };
-            }
-            let mut o = b2t.data()[kk];
-            for x in 0..h {
-                o += ht[x] * w2t.get(x, kk);
-            }
-            let theta = 1.0 / (1.0 + (-o as f64).exp());
-            let p = (c * theta).min(1.0);
-            let u = rng.gen::<f64>();
-            rejected += u64::from(u >= c);
-            if u < p {
-                out.push(j as u32);
-            }
-        }
-        (out, rejected)
-    });
-
-    let pairs = (n * (n - 1)) as u64;
-    let counts = DecodeCounts { pairs, scored: pairs - rows.iter().map(|r| r.1).sum::<u64>() };
-    let edges = rows
-        .into_iter()
-        .enumerate()
-        .flat_map(|(i, (dsts, _))| dsts.into_iter().map(move |j| (i as u32, j)))
-        .collect();
-    (edges, counts)
+    (stats, c)
 }
 
 #[cfg(test)]
@@ -973,28 +1066,40 @@ mod tests {
         }
     }
 
-    /// The candidate skip's edge cases, each equal to the scalar oracle on
-    /// every instruction set on one and three threads: a NaN `f_θ` weight
-    /// (`c` falls back to 1), a NaN target (`c` is NaN), a tiny target (`c`
-    /// clamped to `1e-4`), a huge one (`c > 1`) and no calibration. The
-    /// scored count shows which pairs the skip kept.
-    #[test]
-    fn candidate_skip_edge_cases_match_the_scalar_oracle() {
+    /// A named decode case: `(name, plan, m_target)`.
+    type EdgeCase = (&'static str, DecodePlan, Option<f64>);
+
+    /// The candidate skip's edge cases on one state matrix: a NaN `f_θ`
+    /// weight (`c` falls back to 1), a NaN target (`c` is NaN), a tiny
+    /// target (`c` clamped to `1e-4`), a huge one (`c` clamped to `1e4`)
+    /// and no calibration.
+    fn skip_edge_cases() -> (Matrix, Vec<EdgeCase>) {
         let mut rng = StdRng::seed_from_u64(11);
         let (n, d_s, h, k) = (37, 5, 16, 3);
         let base = random_decoder(d_s, h, k, &mut rng).plan();
         let s = Matrix::rand_normal(n, d_s, 0.0, 1.5, &mut rng);
         let mut nan_w2 = base.clone();
         nan_w2.w2t.set(h / 2, 1, f32::NAN);
-        let all = (n * (n - 1)) as u64;
-        let cases = [
-            ("nan_w2", &nan_w2, Some(50.0)),
-            ("nan_target", &base, Some(f64::NAN)),
-            ("tiny_target", &base, Some(1e-9)),
-            ("huge_target", &base, Some(1e9)),
-            ("uncalibrated", &base, None),
+        let cases = vec![
+            ("nan_w2", nan_w2, Some(50.0)),
+            ("nan_target", base.clone(), Some(f64::NAN)),
+            ("tiny_target", base.clone(), Some(1e-9)),
+            ("huge_target", base.clone(), Some(1e9)),
+            ("uncalibrated", base, None),
         ];
-        for (name, plan, m_target) in cases {
+        (s, cases)
+    }
+
+    /// The candidate skip's edge cases, each equal to the scalar oracle on
+    /// every instruction set on one and three threads. The scored count
+    /// shows which pairs the skip kept.
+    #[test]
+    fn candidate_skip_edge_cases_match_the_scalar_oracle() {
+        let (s, cases) = skip_edge_cases();
+        let n = s.rows();
+        let all = (n * (n - 1)) as u64;
+        for (name, plan, m_target) in &cases {
+            let (plan, m_target) = (plan, *m_target);
             for seed in [3, 77] {
                 let want = scalar_generate_edges(plan, &s, m_target, seed);
                 for (isa, threads) in simd::supported().flat_map(|isa| [(isa, 1), (isa, 3)]) {
@@ -1005,13 +1110,69 @@ mod tests {
                     assert_eq!(got, want, "{at}");
                     let counts = got.1;
                     assert_eq!(counts.pairs, all, "{at}");
-                    if name == "tiny_target" {
+                    if *name == "tiny_target" {
                         assert!(counts.scored * 100 < all, "{at}: scored {counts:?}");
                     } else {
                         assert_eq!(counts.scored, all, "{at}: every pair is a candidate");
                     }
                 }
             }
+        }
+    }
+
+    /// Pass A of `plan` equals the scalar oracle's bit for bit, on every
+    /// instruction set this CPU supports, on one and three threads: each
+    /// row's `α` and expected edge mass, and the density scale `c`.
+    fn assert_pass_a_is_the_oracle(plan: &DecodePlan, s: &Matrix, m_target: Option<f64>, at: &str) {
+        let (want, want_c) = scalar_pass_a(plan, s, m_target);
+        for (isa, threads) in simd::supported().flat_map(|isa| [(isa, 1), (isa, 3)]) {
+            let (alpha, theta) = plan.pair_mlps(isa, s);
+            let (got, c) = par::with_threads(threads, || pass_a(&alpha, &theta, m_target));
+            let at = format!("{at} isa={} threads={threads}", isa.name());
+            assert_eq!(c.to_bits(), want_c.to_bits(), "{at}: c {c} vs {want_c}");
+            assert_eq!(got.len(), want.len(), "{at}");
+            for (i, (got, want)) in got.iter().zip(&want).enumerate() {
+                let bits = |r: &RowStat| r.alpha.iter().map(|a| a.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(got), bits(want), "{at} row {i}: alpha {got:?} vs {want:?}");
+                let (g, w) = (got.expected, want.expected);
+                assert_eq!(g.to_bits(), w.to_bits(), "{at} row {i}: expected {g} vs {w}");
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(6))]
+
+        /// Sampled edges hide a 1-ulp drift in pass A's sums, so its
+        /// intermediates are checked against the oracle directly: with K
+        /// of one component group, a whole group, a group and a remainder,
+        /// and three groups, with and without calibration.
+        #[test]
+        fn pass_a_is_bitwise_the_scalar_oracle(case_seed in 0u64..u64::MAX, d_s in 1usize..7) {
+            let mut rng = StdRng::seed_from_u64(case_seed);
+            for n in [2, 7, 8, 9, 17, 33] {
+                for h in [3, 8, 32] {
+                    for k in [1, 3, 4, 5, 9] {
+                        let plan = random_decoder(d_s, h, k, &mut rng).plan();
+                        let s = Matrix::rand_normal(n, d_s, 0.0, 1.5, &mut rng);
+                        let target = rng.gen_range(0.5..(n * n) as f64);
+                        for m_target in [None, Some(target)] {
+                            let at = format!("n={n} h={h} k={k} calibrate={}", m_target.is_some());
+                            assert_pass_a_is_the_oracle(&plan, &s, m_target, &at);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Pass A on the candidate skip's edge cases: a NaN `θ` sum, a NaN
+    /// target, `c` clamped at both ends, and no calibration.
+    #[test]
+    fn pass_a_edge_cases_match_the_scalar_oracle() {
+        let (s, cases) = skip_edge_cases();
+        for (name, plan, m_target) in &cases {
+            assert_pass_a_is_the_oracle(plan, &s, *m_target, name);
         }
     }
 
@@ -1071,50 +1232,129 @@ mod tests {
         sets
     }
 
+    /// Values that take the float edge paths: NaN, `±∞`, `-0.0` and
+    /// subnormals of both signs.
+    const SPECIAL: [f32; 6] = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0, 1e-40, -3e-39];
+
+    /// The bits of a logit, with every NaN as the one quiet NaN. A NaN's
+    /// sign and payload are not part of the output: x86 passes on the
+    /// first operand's NaN, the compiler may swap the operands of an add
+    /// or a multiply, and a NaN `θ` only ever meets `min(c·θ, 1)`, which
+    /// gives 1, or a sum that stays NaN.
+    fn logit_bits(v: f32) -> u32 {
+        if v.is_nan() {
+            f32::NAN.to_bits()
+        } else {
+            v.to_bits()
+        }
+    }
+
+    /// Sets up to two random entries of `m` to random [`SPECIAL`] values.
+    fn poison(m: &mut Matrix, rng: &mut StdRng) {
+        for _ in 0..rng.gen_range(0..3) {
+            let (r, c) = (rng.gen_range(0..m.rows()), rng.gen_range(0..m.cols()));
+            m.set(r, c, SPECIAL[rng.gen_range(0..SPECIAL.len())]);
+        }
+    }
+
+    impl PairMlp<'_> {
+        /// Sets `U[j, x]` in both of its layouts.
+        fn set_u(&mut self, j: usize, x: usize, v: f32) {
+            let h = self.b1.len();
+            self.u.set(j, x, v);
+            self.u_blocks[j / LANES * h + x][j % LANES] = v;
+        }
+    }
+
+    /// The logits of components `k0..k0 + KC` for the block `j0` of row
+    /// `i`, as pass A computes them: `[f_α, f_θ]` from the fused block,
+    /// then `f_α` alone.
+    fn group_logits<const KC: usize>(
+        mlps: [&PairMlp; 2],
+        i: usize,
+        j0: usize,
+        k0: usize,
+    ) -> [Vec<[f32; LANES]>; 3] {
+        let rows = mlps.map(|m| m.block(j0));
+        let [fa, ft] = block_logits::<KC, 2>(mlps, rows, i, k0);
+        let [a] = block_logits::<KC, 1>([mlps[0]], [rows[0]], i, k0);
+        [fa.to_vec(), ft.to_vec(), a.to_vec()]
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(6))]
 
         /// Sampled edges hide sub-ulp logit drift (it almost never flips a
-        /// Bernoulli draw), so the block routine is also checked directly:
-        /// every lane's logit, for all components at once (pass A) and one
-        /// at a time (pass B), has the scalar loop's exact bits on every
-        /// instruction set this CPU supports. So does every lane of the
-        /// gathered form, on random ascending destination sets: partial
-        /// groups, sets that straddle `i`, and consecutive runs.
+        /// Bernoulli draw), so the block routine is also checked directly,
+        /// on every instruction set this CPU supports: every lane's logit
+        /// of pass B's one-component form has the scalar loop's exact bits
+        /// for both MLPs, and pass A's fused `f_α`/`f_θ` form and its
+        /// `f_α`-only form give those bits lane for lane, component group
+        /// by component group (K of one group, a whole group, a group and a
+        /// remainder, three groups). So does every lane of the gathered
+        /// form, on random ascending destination sets: partial groups,
+        /// sets that straddle `i`, and consecutive runs. Entries of `U`,
+        /// `b1` and `W2` are randomly NaN, `±∞`, `-0.0` or subnormal, so
+        /// the leaky ReLU's edge cases are taken too; a NaN logit must stay
+        /// NaN (see `logit_bits`).
         #[test]
         fn lane_logits_are_bitwise_the_scalar_pair_logits(case_seed in 0u64..u64::MAX, d_s in 1usize..7) {
             let mut rng = StdRng::seed_from_u64(case_seed);
             for n in [2, 7, 8, 9, 17] {
-                for (h, k) in [(3, 1), (8, 3), (32, 4)] {
-                    let plan = random_decoder(d_s, h, k, &mut rng).plan();
+                for (h, k) in [(3, 1), (8, 3), (32, 4), (5, 5), (16, 9)] {
+                    let mut plan = random_decoder(d_s, h, k, &mut rng).plan();
+                    for m in [&mut plan.b1a, &mut plan.w2a, &mut plan.b1t, &mut plan.w2t] {
+                        poison(m, &mut rng);
+                    }
                     let s = Matrix::rand_normal(n, d_s, 0.0, 1.5, &mut rng);
-                    let u = s.matmul(&plan.w1t);
-                    let layer = (&plan.b1t, &plan.w2t, &plan.b2t);
-                    let mut all = vec![[0.0f32; LANES]; k];
-                    let mut one = [[0.0f32; LANES]; 1];
+                    let mut u_pokes = Vec::new();
+                    for _ in 0..rng.gen_range(0..5) {
+                        let v = SPECIAL[rng.gen_range(0..SPECIAL.len())];
+                        u_pokes.push((rng.gen_bool(0.5), rng.gen_range(0..n), rng.gen_range(0..h), v));
+                    }
+                    let sets: Vec<_> = (0..n).map(|i| gather_sets(n, i, &mut rng)).collect();
+                    let mut rows = vec![[0.0f32; LANES]; h];
                     for isa in simd::supported() {
-                        let mlp = PairMlp::new(isa, &s, &plan.w1t, &plan.b1t, &plan.w2t, &plan.b2t, plan.slope);
+                        let (mut alpha, mut theta) = plan.pair_mlps(isa, &s);
+                        for &(is_alpha, j, x, v) in &u_pokes {
+                            if is_alpha { &mut alpha } else { &mut theta }.set_u(j, x, v);
+                        }
+                        let layers = [(&plan.b1a, &plan.w2a, &plan.b2a), (&plan.b1t, &plan.w2t, &plan.b2t)];
+                        let want = |m: usize, i: usize, j: usize, c: usize| {
+                            let u = if m == 0 { &alpha.u } else { &theta.u };
+                            logit_bits(scalar_logit(u, i, j, layers[m], plan.slope, c))
+                        };
                         let isa = isa.name();
                         for i in 0..n {
                             for j0 in (0..n).step_by(LANES) {
-                                mlp.logits(i, j0, 0, &mut all);
-                                for c in 0..k {
-                                    mlp.logits(i, j0, c, &mut one);
-                                    for j in j0..n.min(j0 + LANES) {
-                                        let want = scalar_logit(&u, i, j, layer, plan.slope, c).to_bits();
-                                        prop_assert_eq!(all[c][j - j0].to_bits(), want, "pass A n={} i={} j={} c={} isa={}", n, i, j, c, isa);
-                                        prop_assert_eq!(one[0][j - j0].to_bits(), want, "pass B n={} i={} j={} c={} isa={}", n, i, j, c, isa);
+                                for k0 in (0..k).step_by(GROUP) {
+                                    let mlps = [&alpha, &theta];
+                                    let [fa, ft, a] = match GROUP.min(k - k0) {
+                                        1 => group_logits::<1>(mlps, i, j0, k0),
+                                        2 => group_logits::<2>(mlps, i, j0, k0),
+                                        3 => group_logits::<3>(mlps, i, j0, k0),
+                                        _ => group_logits::<GROUP>(mlps, i, j0, k0),
+                                    };
+                                    for c in k0..k0 + fa.len() {
+                                        let (pa, pt) = (alpha.logits(i, j0, c), theta.logits(i, j0, c));
+                                        for j in j0..n.min(j0 + LANES) {
+                                            let (l, g) = (j - j0, c - k0);
+                                            let at = format!("n={n} h={h} k={k} i={i} j={j} c={c} isa={isa}");
+                                            prop_assert_eq!(logit_bits(pa[l]), want(0, i, j, c), "pass B f_α {}", at);
+                                            prop_assert_eq!(logit_bits(pt[l]), want(1, i, j, c), "pass B f_θ {}", at);
+                                            prop_assert_eq!(logit_bits(fa[g][l]), logit_bits(pa[l]), "fused f_α {}", at);
+                                            prop_assert_eq!(logit_bits(ft[g][l]), logit_bits(pt[l]), "fused f_θ {}", at);
+                                            prop_assert_eq!(logit_bits(a[g][l]), logit_bits(pa[l]), "f_α only {}", at);
+                                        }
                                     }
                                 }
                             }
-                            for (len, js) in gather_sets(n, i, &mut rng) {
-                                mlp.gathered_logits(i, &js, 0, &mut all);
+                            for &(len, js) in &sets[i] {
                                 for c in 0..k {
-                                    mlp.gathered_logits(i, &js, c, &mut one);
+                                    let o = theta.gathered_logits(i, &js, c, &mut rows);
                                     for l in 0..len {
-                                        let want = scalar_logit(&u, i, js[l], layer, plan.slope, c).to_bits();
-                                        prop_assert_eq!(all[c][l].to_bits(), want, "gathered n={} i={} js={:?} c={} isa={}", n, i, js, c, isa);
-                                        prop_assert_eq!(one[0][l].to_bits(), want, "gathered one n={} i={} js={:?} c={} isa={}", n, i, js, c, isa);
+                                        let at = format!("n={n} h={h} k={k} i={i} js={js:?} c={c} isa={isa}");
+                                        prop_assert_eq!(logit_bits(o[l]), want(1, i, js[l], c), "gathered {}", at);
                                     }
                                 }
                             }

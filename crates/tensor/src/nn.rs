@@ -15,9 +15,20 @@ use rand::Rng;
 /// both sides, and a NaN stays NaN. Training ([`ops::leaky_relu`],
 /// [`Activation::LeakyRelu`]) and the generation-time pair decode all apply
 /// this one function.
+///
+/// The max is the select `s > v ? s : v` on `s = slope·v`, which is exactly
+/// the x86 `maxps` instruction: a NaN `v` fails the compare and is kept.
+/// `f32::max` would also be NaN-correct, but it must return the non-NaN
+/// operand, which costs a compare and a blend per vector on top of the
+/// `maxps`.
 #[inline]
 pub fn leaky_relu(v: f32, slope: f32) -> f32 {
-    v.max(v * slope)
+    let s = v * slope;
+    if s > v {
+        s
+    } else {
+        v
+    }
 }
 
 /// Activation functions used across the paper's MLPs.
