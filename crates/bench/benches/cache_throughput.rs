@@ -7,8 +7,11 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::time::Instant;
 use vrdag::{Vrdag, VrdagConfig};
-use vrdag_serve::{CacheBudget, GenRequest, GenSink, ModelRegistry, Scheduler, ServeConfig};
+use vrdag_serve::{
+    CacheBudget, GenRequest, GenSink, ModelRegistry, ServeConfig, ServeHandle, Ticket,
+};
 
 const DISTINCT_SEEDS: u64 = 4;
 const ROUNDS: usize = 4;
@@ -30,27 +33,32 @@ fn registry() -> ModelRegistry {
 /// return jobs/sec. With the cache enabled only the first round pays for
 /// generation.
 fn drain_repeated(registry: &ModelRegistry, cache: CacheBudget) -> f64 {
-    let mut scheduler = Scheduler::with_config(
+    let started = Instant::now();
+    let handle = ServeHandle::with_config(
         registry.clone(),
         ServeConfig { workers: WORKERS, cache, ..Default::default() },
     )
     .unwrap();
-    for _round in 0..ROUNDS {
-        for seed in 0..DISTINCT_SEEDS {
-            scheduler.submit(GenRequest::new("bench", T_LEN, seed, GenSink::InMemory)).unwrap();
-        }
+    let tickets: Vec<Ticket> = (0..ROUNDS)
+        .flat_map(|_| 0..DISTINCT_SEEDS)
+        .map(|seed| {
+            handle.submit(GenRequest::new("bench", T_LEN, seed, GenSink::InMemory)).unwrap()
+        })
+        .collect();
+    let jobs = tickets.len();
+    for ticket in tickets {
+        assert!(ticket.wait().unwrap().is_ok());
     }
-    let report = scheduler.join().unwrap();
-    assert!(report.all_ok());
+    let stats = handle.shutdown();
     if cache.is_enabled() {
         // The whole point of the bench: repeated requests actually hit,
         // and same-model jobs actually batch onto shared instantiations.
-        assert!(report.cache.hits > 0, "warm run produced no cache hits");
-        assert!(report.affinity.max_batch_len > 1, "no batching observed");
+        assert!(stats.cache.hits > 0, "warm run produced no cache hits");
+        assert!(stats.affinity.max_batch_len > 1, "no batching observed");
     } else {
-        assert_eq!(report.cache.hits, 0);
+        assert_eq!(stats.cache.hits, 0);
     }
-    report.jobs_per_sec
+    jobs as f64 / started.elapsed().as_secs_f64().max(1e-9)
 }
 
 fn bench_cache_throughput(c: &mut Criterion) {

@@ -1,13 +1,13 @@
-//! Serving-layer throughput: jobs/sec of the `vrdag-serve` scheduler
-//! draining a fixed batch of seed-addressed generation requests at 1, 2,
-//! and 4 workers (the scaling knob every future async-frontend PR will
-//! push on).
+//! Serving-layer throughput: jobs/sec of a `vrdag-serve` core draining
+//! a fixed batch of seed-addressed generation requests at 1, 2, and 4
+//! workers.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::time::Instant;
 use vrdag::{Vrdag, VrdagConfig};
-use vrdag_serve::{GenRequest, GenSink, ModelRegistry, Scheduler};
+use vrdag_serve::{GenRequest, GenSink, ModelRegistry, ServeHandle, Ticket};
 
 const JOBS: usize = 8;
 const T_LEN: usize = 4;
@@ -24,13 +24,16 @@ fn registry() -> ModelRegistry {
 }
 
 fn drain_batch(registry: &ModelRegistry, workers: usize) -> f64 {
-    let mut scheduler = Scheduler::new(registry.clone(), workers).unwrap();
-    for seed in 0..JOBS as u64 {
-        scheduler.submit(GenRequest::new("bench", T_LEN, seed, GenSink::Discard)).unwrap();
+    let started = Instant::now();
+    let handle = ServeHandle::new(registry.clone(), workers).unwrap();
+    let tickets: Vec<Ticket> = (0..JOBS as u64)
+        .map(|seed| handle.submit(GenRequest::new("bench", T_LEN, seed, GenSink::Discard)).unwrap())
+        .collect();
+    for ticket in tickets {
+        assert!(ticket.wait().unwrap().is_ok());
     }
-    let report = scheduler.join().unwrap();
-    assert!(report.all_ok());
-    report.jobs_per_sec
+    handle.shutdown();
+    JOBS as f64 / started.elapsed().as_secs_f64().max(1e-9)
 }
 
 fn bench_generation_throughput(c: &mut Criterion) {

@@ -123,6 +123,36 @@ pub struct HistogramSnapshot {
     pub count: u64,
 }
 
+impl HistogramSnapshot {
+    /// Estimate the `q`-quantile (`q` in `[0, 1]`) the way Prometheus's
+    /// `histogram_quantile` does: find the bucket holding rank
+    /// `⌈q·total⌉` and interpolate linearly between its bounds (the
+    /// first bucket starts at 0). A rank in the `+Inf` bucket reads the
+    /// last finite bound; an empty histogram reads 0. `total` is the
+    /// `+Inf` cumulative count, not [`count`](Self::count), so one
+    /// snapshot stays self-consistent while observations race it.
+    pub fn quantile(&self, q: f64) -> f64 {
+        let total = self.cumulative.last().copied().unwrap_or(0);
+        if total == 0 {
+            return 0.0;
+        }
+        let rank = ((q * total as f64).ceil() as u64).clamp(1, total);
+        let b = self.cumulative.partition_point(|&c| c < rank);
+        let Some(&upper) = self.bounds.get(b) else {
+            return self.bounds.last().copied().unwrap_or(0.0);
+        };
+        let (lower, below) = match b {
+            0 if upper <= 0.0 => return upper,
+            0 => (0.0, 0),
+            _ => (self.bounds[b - 1], self.cumulative[b - 1]),
+        };
+        let in_bucket = (self.cumulative[b] - below) as f64;
+        // `min`: rounding in `lower + (upper - lower)` must not carry the
+        // top rank of a bucket past its bound into the next one.
+        (lower + (upper - lower) * ((rank - below) as f64 / in_bucket)).min(upper)
+    }
+}
+
 #[derive(Clone)]
 enum Handle {
     Counter(Counter),
@@ -460,6 +490,15 @@ mod tests {
     }
 
     #[test]
+    fn quantile_top_rank_reads_its_bucket_bound_despite_rounding() {
+        // 0.7 + (3.804 - 0.7) rounds to 3.8040000000000003 in f64.
+        let reg = Registry::new();
+        let h = reg.histogram_with("h", &[], &[0.7, 3.804]);
+        h.observe(1.0);
+        assert_eq!(h.snapshot().quantile(1.0), 3.804);
+    }
+
+    #[test]
     fn label_values_are_escaped() {
         let reg = Registry::new();
         reg.counter("c", &[("path", "a\\b\"c\nd")]).inc();
@@ -574,6 +613,49 @@ mod tests {
             let count_line = format!("h_count {}", obs.len());
             prop_assert!(text.contains(&inf_line), "{text}");
             prop_assert!(text.contains(&count_line), "{text}");
+        }
+
+        // `quantile` lands in the bucket of the exact nearest-rank
+        // sample and is monotone in q; an empty histogram reads 0 and a
+        // rank in the +Inf bucket reads the last finite bound.
+        #[test]
+        fn prop_quantile_lands_in_the_nearest_rank_bucket(
+            obs in prop::collection::vec(0.0f64..100.0, 0..64),
+        ) {
+            let bounds = [0.5, 1.0, 5.0, 25.0, 80.0];
+            let reg = Registry::new();
+            let h = reg.histogram_with("h", &[], &bounds);
+            for &v in &obs {
+                h.observe(v);
+            }
+            let snap = h.snapshot();
+            let bucket = |v: f64| bounds.partition_point(|&b| v > b);
+            let mut sorted = obs.clone();
+            sorted.sort_by(f64::total_cmp);
+            let mut previous = 0.0;
+            for q in [0.5, 0.95, 0.99] {
+                let estimate = snap.quantile(q);
+                if sorted.is_empty() {
+                    prop_assert_eq!(estimate, 0.0);
+                    continue;
+                }
+                let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
+                let exact = sorted[rank - 1];
+                if bucket(exact) == bounds.len() {
+                    prop_assert_eq!(estimate, 80.0, "q={} exact={}", q, exact);
+                } else {
+                    prop_assert_eq!(
+                        bucket(estimate),
+                        bucket(exact),
+                        "q={} estimate={} exact={}",
+                        q,
+                        estimate,
+                        exact
+                    );
+                }
+                prop_assert!(estimate >= previous, "q={} {} < {}", q, estimate, previous);
+                previous = estimate;
+            }
         }
 
         // Rendering is deterministic: two registries fed the same

@@ -9,9 +9,9 @@
 //! ("workers push completions"). There is no end-of-batch report baked
 //! into the lifecycle: [`ServeHandle::stats`] takes an on-demand
 //! [`ServeStats`] snapshot (running cache / affinity / latency counters)
-//! at any point while the service keeps accepting traffic. The batch
-//! convenience wrapper [`Scheduler`](crate::Scheduler) and the TCP
-//! [`Frontend`](crate::Frontend) are both thin layers over this core.
+//! at any point while the service keeps accepting traffic. A batch is
+//! submit → [`Ticket::wait`] → [`shutdown`](ServeHandle::shutdown); the
+//! TCP [`Frontend`](crate::Frontend) is a thin layer over this core.
 //!
 //! Shutdown is explicit and layered: [`close`](ServeHandle::close) stops
 //! admission and lets workers drain, [`abort`](ServeHandle::abort)
@@ -37,7 +37,7 @@ use std::time::{Duration, Instant};
 use vrdag::{DecodeCounts, Vrdag};
 use vrdag_graph::io::{BinaryStreamWriter, TsvStreamWriter};
 use vrdag_graph::{DynamicGraph, Snapshot};
-use vrdag_obs::metrics::{Counter, Histogram, Registry as MetricsRegistry};
+use vrdag_obs::metrics::{Counter, Histogram, HistogramSnapshot, Registry as MetricsRegistry};
 use vrdag_obs::{JobTrace, Logger, StageDurations};
 
 /// Per-snapshot streaming consumer (see [`GenSink::Callback`]).
@@ -301,8 +301,7 @@ pub(crate) fn job_cache_key(handle: &ModelHandle, t_len: usize, seed: u64) -> Ca
     }
 }
 
-/// Construction-time knobs of a [`ServeHandle`] (and, through it, of the
-/// batch [`Scheduler`](crate::Scheduler) facade).
+/// Construction-time knobs of a [`ServeHandle`].
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
     /// Worker threads (must be `>= 1`).
@@ -359,15 +358,17 @@ pub struct AffinityStats {
     pub mean_batch_len: f64,
 }
 
-/// Wall-clock latency distribution over the most recent completed jobs
-/// (a bounded sliding window, so a long-lived service pays O(window), not
-/// O(lifetime)).
+/// Wall-clock latency distribution over the service's lifetime,
+/// bucket-interpolated: a view of one registry histogram (bounds
+/// [`DURATION_BUCKETS`](vrdag_obs::metrics::DURATION_BUCKETS)), so
+/// `STATS` and `METRICS` read the same store. The mean is exact; the
+/// percentiles are [`HistogramSnapshot::quantile`] estimates, and a value
+/// reads somewhere inside its bucket (a 29 ms median in (25, 50] ms).
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct LatencyStats {
-    /// Total jobs ever measured (window or not).
+    /// Jobs measured (the histogram's `_count`).
     pub samples: u64,
-    /// Jobs inside the current window the percentiles are computed over.
-    pub window: usize,
+    /// Exact mean (`_sum / _count`).
     pub mean_seconds: f64,
     /// Median wall time.
     pub p50_seconds: f64,
@@ -375,13 +376,16 @@ pub struct LatencyStats {
     pub p95_seconds: f64,
     /// 99th-percentile wall time.
     pub p99_seconds: f64,
+    /// Upper bound of the highest occupied bucket (the last finite
+    /// bound when a sample overflowed into `+Inf`).
     pub max_seconds: f64,
 }
 
 /// Per-stage latency percentiles derived from each job's [`JobTrace`]
-/// marks, over the same bounded windows as [`LatencyStats`]. Stages a
-/// job never reached (e.g. `first_snapshot` for a queued-cancelled job)
-/// are simply not sampled.
+/// marks: lifetime, bucket-interpolated views of the
+/// `vrdag_job_stage_seconds{stage}` histograms, like [`LatencyStats`].
+/// Stages a job never reached (e.g. `first_snapshot` for a
+/// queued-cancelled job) are simply not sampled.
 #[derive(Clone, Debug, Default)]
 pub struct StageLatencyStats {
     /// Submit accepted → worker pickup.
@@ -420,23 +424,39 @@ pub struct TenantStats {
     /// Approximate bytes of snapshot data streamed to this tenant's
     /// sinks ([`JobResult::bytes`] summed).
     pub bytes_streamed: u64,
-    /// Median job wall time over this tenant's recent jobs.
+    /// Median job wall time over this tenant's lifetime,
+    /// bucket-interpolated from `vrdag_tenant_job_seconds{tenant}`.
     pub p50_seconds: f64,
-    /// 95th-percentile job wall time over this tenant's recent jobs.
+    /// 95th-percentile job wall time, from the same histogram.
     pub p95_seconds: f64,
 }
 
 impl LatencyStats {
+    /// The view of one histogram snapshot (see the type docs).
+    fn from_snapshot(snap: &HistogramSnapshot) -> LatencyStats {
+        if snap.count == 0 {
+            return LatencyStats::default();
+        }
+        LatencyStats {
+            samples: snap.count,
+            mean_seconds: snap.sum / snap.count as f64,
+            p50_seconds: snap.quantile(0.50),
+            p95_seconds: snap.quantile(0.95),
+            p99_seconds: snap.quantile(0.99),
+            // The top rank interpolates to its bucket's upper bound.
+            max_seconds: snap.quantile(1.0),
+        }
+    }
+
     /// `p50/p95/p99` rendered in milliseconds.
     pub fn render(&self) -> String {
         format!(
-            "p50 {:.2}ms  p95 {:.2}ms  p99 {:.2}ms  (mean {:.2}ms, max {:.2}ms over {} of {} jobs)",
+            "p50 {:.2}ms  p95 {:.2}ms  p99 {:.2}ms  (mean {:.2}ms, max {:.2}ms over {} jobs)",
             self.p50_seconds * 1e3,
             self.p95_seconds * 1e3,
             self.p99_seconds * 1e3,
             self.mean_seconds * 1e3,
             self.max_seconds * 1e3,
-            self.window,
             self.samples,
         )
     }
@@ -636,60 +656,13 @@ impl Ticket {
     }
 }
 
-/// Latency samples kept for percentile estimation (per core).
-const LATENCY_WINDOW: usize = 4096;
-
-/// Latency samples kept per tenant (smaller: one window per tenant).
-const TENANT_LATENCY_WINDOW: usize = 512;
-
-/// Bounded ring of recent per-job wall times with nearest-rank
-/// percentile queries — the one implementation behind both the
-/// service-wide [`LatencyStats`] and the per-tenant percentiles.
-struct LatencyRing {
-    samples: Vec<f64>,
-    next: usize,
-    cap: usize,
-}
-
-impl LatencyRing {
-    fn new(cap: usize) -> LatencyRing {
-        LatencyRing { samples: Vec::with_capacity(cap.min(1024)), next: 0, cap }
-    }
-
-    fn record(&mut self, seconds: f64) {
-        if self.samples.len() < self.cap {
-            self.samples.push(seconds);
-        } else {
-            self.samples[self.next] = seconds;
-            self.next = (self.next + 1) % self.cap;
-        }
-    }
-
-    fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
-    /// The window's samples, sorted ascending (for [`rank`](Self::rank)).
-    fn sorted(&self) -> Vec<f64> {
-        let mut window = self.samples.clone();
-        window.sort_unstable_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
-        window
-    }
-
-    /// Nearest-rank percentile over a sorted, non-empty window.
-    fn rank(window: &[f64], q: f64) -> f64 {
-        let idx = ((q * window.len() as f64).ceil() as usize).clamp(1, window.len()) - 1;
-        window[idx]
-    }
-}
-
 /// The `outcome` labels of `vrdag_tenant_jobs_total`.
 pub(crate) const TENANT_OUTCOMES: [&str; 5] =
     ["submitted", "completed", "failed", "cancelled", "rejected"];
 
-/// One tenant's live counters, `vrdag_tenant_jobs_total{outcome}` and
-/// `vrdag_tenant_streamed_bytes_total`, labelled `tenant=<id>` and
-/// registered on the tenant's first submit.
+/// One tenant's live series, `vrdag_tenant_jobs_total{outcome}`,
+/// `vrdag_tenant_streamed_bytes_total` and `vrdag_tenant_job_seconds`,
+/// labelled `tenant=<id>` and registered on the tenant's first submit.
 struct TenantSeries {
     submitted: Counter,
     completed: Counter,
@@ -697,6 +670,7 @@ struct TenantSeries {
     cancelled: Counter,
     rejected: Counter,
     streamed_bytes: Counter,
+    job_seconds: Histogram,
 }
 
 impl TenantSeries {
@@ -713,37 +687,20 @@ impl TenantSeries {
             rejected,
             streamed_bytes: registry
                 .counter("vrdag_tenant_streamed_bytes_total", &[("tenant", tenant)]),
+            job_seconds: registry.histogram("vrdag_tenant_job_seconds", &[("tenant", tenant)]),
         }
     }
-}
 
-/// Per-tenant running state (see [`TenantStats`] for the snapshot).
-struct TenantRunning {
-    series: Arc<TenantSeries>,
-    latency: LatencyRing,
-}
-
-impl TenantRunning {
-    fn record_result(&mut self, result: &JobResult) {
-        let series = &self.series;
-        series.completed.inc();
+    fn record_result(&self, result: &JobResult) {
+        self.completed.inc();
         if result.error.is_some() {
-            series.failed.inc();
+            self.failed.inc();
         }
         if result.cancelled {
-            series.cancelled.inc();
+            self.cancelled.inc();
         }
-        series.streamed_bytes.add(result.bytes as u64);
-        self.latency.record(result.seconds);
-    }
-
-    /// `(p50, p95)` over the tenant's latency window.
-    fn percentiles(&self) -> (f64, f64) {
-        if self.latency.is_empty() {
-            return (0.0, 0.0);
-        }
-        let window = self.latency.sorted();
-        (LatencyRing::rank(&window, 0.50), LatencyRing::rank(&window, 0.95))
+        self.streamed_bytes.add(result.bytes as u64);
+        self.job_seconds.observe(result.seconds);
     }
 }
 
@@ -755,18 +712,11 @@ struct RunningStats {
     runs_max: usize,
     /// Per-worker open run: (model fingerprint, jobs so far).
     open_runs: Vec<(Option<u64>, usize)>,
-    latency: LatencyRing,
-    latency_total: u64,
-    /// Per-stage rings (queue wait, first snapshot, generation,
-    /// delivery) fed from each job's [`JobTrace`]; indices match
-    /// [`STAGE_NAMES`].
-    stage_rings: [LatencyRing; STAGE_COUNT],
-    stage_totals: [u64; STAGE_COUNT],
-    /// Per-tenant counters, created lazily on first traffic.
-    tenants: std::collections::HashMap<TenantId, TenantRunning>,
+    /// Per-tenant series, registered lazily on first traffic.
+    tenants: std::collections::HashMap<TenantId, Arc<TenantSeries>>,
 }
 
-/// Stage labels, in [`RunningStats::stage_rings`] index order.
+/// Stage labels, in [`CoreMetrics::stage_seconds`] index order.
 const STAGE_NAMES: [&str; STAGE_COUNT] =
     ["queue_wait", "first_snapshot", "generation", "delivery", "encode_wait"];
 const STAGE_COUNT: usize = 5;
@@ -778,19 +728,8 @@ impl RunningStats {
             runs_sum: 0,
             runs_max: 0,
             open_runs: vec![(None, 0); workers],
-            latency: LatencyRing::new(LATENCY_WINDOW),
-            latency_total: 0,
-            stage_rings: std::array::from_fn(|_| LatencyRing::new(LATENCY_WINDOW)),
-            stage_totals: [0; STAGE_COUNT],
             tenants: std::collections::HashMap::new(),
         }
-    }
-
-    fn tenant_mut(&mut self, id: &TenantId, registry: &MetricsRegistry) -> &mut TenantRunning {
-        self.tenants.entry(id.clone()).or_insert_with(|| TenantRunning {
-            series: Arc::new(TenantSeries::new(id, registry)),
-            latency: LatencyRing::new(TENANT_LATENCY_WINDOW),
-        })
     }
 
     fn close_run(&mut self, worker: usize) {
@@ -801,38 +740,6 @@ impl RunningStats {
             self.runs_max = self.runs_max.max(len);
         }
         self.open_runs[worker] = (None, 0);
-    }
-
-    fn record_latency(&mut self, seconds: f64) {
-        self.latency.record(seconds);
-        self.latency_total += 1;
-    }
-
-    fn record_stages(&mut self, stages: &StageDurations) {
-        let values = [
-            stages.queue_wait,
-            stages.first_snapshot,
-            stages.generation,
-            stages.delivery,
-            stages.encode_wait,
-        ];
-        for (i, v) in values.iter().enumerate() {
-            if let Some(d) = v {
-                self.stage_rings[i].record(d.as_secs_f64());
-                self.stage_totals[i] += 1;
-            }
-        }
-    }
-
-    fn stage_stats(&self) -> StageLatencyStats {
-        let one = |i: usize| ring_stats(&self.stage_rings[i], self.stage_totals[i]);
-        StageLatencyStats {
-            queue_wait: one(0),
-            first_snapshot: one(1),
-            generation: one(2),
-            delivery: one(3),
-            encode_wait: one(4),
-        }
     }
 
     fn affinity(&self) -> AffinityStats {
@@ -847,42 +754,18 @@ impl RunningStats {
             mean_batch_len: if batches == 0 { 0.0 } else { sum as f64 / batches as f64 },
         }
     }
-
-    fn latency_stats(&self) -> LatencyStats {
-        ring_stats(&self.latency, self.latency_total)
-    }
 }
 
-/// [`LatencyStats`] over one ring's current window (`total` = lifetime
-/// sample count, window or not).
-fn ring_stats(ring: &LatencyRing, total: u64) -> LatencyStats {
-    if ring.is_empty() {
-        return LatencyStats::default();
-    }
-    let window = ring.sorted();
-    LatencyStats {
-        samples: total,
-        window: window.len(),
-        mean_seconds: window.iter().sum::<f64>() / window.len() as f64,
-        p50_seconds: LatencyRing::rank(&window, 0.50),
-        p95_seconds: LatencyRing::rank(&window, 0.95),
-        p99_seconds: LatencyRing::rank(&window, 0.99),
-        max_seconds: *window.last().expect("non-empty"),
-    }
-}
-
-/// State shared between handles and workers (workers hold only this, so
-/// dropping the last handle — which owns the join handles — can never
-/// deadlock on a worker keeping the core alive).
 /// Wall time past which a completed job earns a warn-level log event.
 const SLOW_JOB_WARN_SECONDS: f64 = 10.0;
 
 /// The core's live metric handles. The registry is the only store of
-/// every counter: [`ServeHandle::stats`] reads these same handles (and
-/// the cache's and tenants'), so `METRICS` and `STATS` cannot drift
-/// apart. Only derived gauges are sampled at render time. Counters are
-/// `Relaxed` statistics that publish no other data; a caller who saw a
-/// job finish reads its counts after the result channel's hand-off.
+/// every counter and latency: [`ServeHandle::stats`] reads these same
+/// handles (and the cache's and tenants'), so `METRICS` and `STATS`
+/// cannot drift apart. Only derived gauges are sampled at render time.
+/// Counters are `Relaxed` statistics that publish no other data; a
+/// caller who saw a job finish reads its counts after the result
+/// channel's hand-off.
 struct CoreMetrics {
     registry: MetricsRegistry,
     submitted: Counter,
@@ -894,8 +777,8 @@ struct CoreMetrics {
     edges: Counter,
     decode_pairs: Counter,
     decode_scored_pairs: Counter,
-    /// Milliseconds workers spent executing jobs (all workers summed).
-    worker_busy_ms: Counter,
+    /// `vrdag_job_seconds`: each job's wall time, [`JobResult::seconds`].
+    job_seconds: Histogram,
     /// `vrdag_job_stage_seconds{stage=...}`, indexed like [`STAGE_NAMES`].
     stage_seconds: [Histogram; STAGE_COUNT],
 }
@@ -918,7 +801,7 @@ impl CoreMetrics {
             edges: counter("vrdag_edges_total"),
             decode_pairs: counter("vrdag_decode_pairs_total"),
             decode_scored_pairs: counter("vrdag_decode_scored_pairs_total"),
-            worker_busy_ms: counter("vrdag_worker_busy_ms_total"),
+            job_seconds: registry.histogram("vrdag_job_seconds", &[]),
             stage_seconds,
             registry,
         }
@@ -938,8 +821,22 @@ impl CoreMetrics {
             }
         }
     }
+
+    fn stage_stats(&self) -> StageLatencyStats {
+        let one = |i: usize| LatencyStats::from_snapshot(&self.stage_seconds[i].snapshot());
+        StageLatencyStats {
+            queue_wait: one(0),
+            first_snapshot: one(1),
+            generation: one(2),
+            delivery: one(3),
+            encode_wait: one(4),
+        }
+    }
 }
 
+/// State shared between handles and workers (workers hold only this, so
+/// dropping the last handle — which owns the join handles — can never
+/// deadlock on a worker keeping the core alive).
 struct Shared {
     queue: JobQueue,
     cache: SnapshotCache,
@@ -952,6 +849,18 @@ struct Shared {
     /// Completion sequence; see [`JobResult::seq`].
     seq: AtomicU64,
     closed: AtomicBool,
+}
+
+impl Shared {
+    /// `tenant`'s live series, registering them on first use.
+    fn tenant_series(&self, tenant: &TenantId) -> Arc<TenantSeries> {
+        let mut stats = self.stats.lock().expect("stats lock poisoned");
+        let series = stats
+            .tenants
+            .entry(tenant.clone())
+            .or_insert_with(|| Arc::new(TenantSeries::new(tenant, &self.metrics.registry)));
+        Arc::clone(series)
+    }
 }
 
 struct Core {
@@ -1121,7 +1030,7 @@ impl ServeHandle {
         let handle = self.core.registry.resolve(&req.model)?;
         // Registered before the push, so every queued lane's tenant is
         // known to the lane gauges by the time a scrape samples them.
-        let series = self.tenant_series(tenant.id());
+        let series = self.core.shared.tenant_series(tenant.id());
         if !self.core.tenants.try_acquire_rate(&tenant) {
             series.rejected.inc();
             return Err(ServeError::QuotaExceeded {
@@ -1178,13 +1087,6 @@ impl ServeHandle {
         }
     }
 
-    /// `tenant`'s live series, registering them on first use.
-    fn tenant_series(&self, tenant: &TenantId) -> Arc<TenantSeries> {
-        let shared = &self.core.shared;
-        let mut stats = shared.stats.lock().expect("stats lock poisoned");
-        Arc::clone(&stats.tenant_mut(tenant, &shared.metrics.registry).series)
-    }
-
     /// Stop accepting submissions; workers finish everything already
     /// queued and then exit. Idempotent.
     pub fn close(&self) {
@@ -1227,14 +1129,13 @@ impl ServeHandle {
     /// while jobs are queued and executing.
     pub fn stats(&self) -> ServeStats {
         let shared = &self.core.shared;
-        let (affinity, latency, stages, mut tenants) = {
+        let (affinity, mut tenants) = {
             let stats = shared.stats.lock().expect("stats lock poisoned");
             let tenants: Vec<TenantStats> = stats
                 .tenants
                 .iter()
-                .map(|(id, t)| {
-                    let (p50, p95) = t.percentiles();
-                    let series = &t.series;
+                .map(|(id, series)| {
+                    let latency = series.job_seconds.snapshot();
                     TenantStats {
                         id: id.to_string(),
                         weight: self.core.tenants.get(id).map_or(1, |cfg| cfg.weight),
@@ -1244,12 +1145,12 @@ impl ServeHandle {
                         cancelled: series.cancelled.get(),
                         rejected: series.rejected.get(),
                         bytes_streamed: series.streamed_bytes.get(),
-                        p50_seconds: p50,
-                        p95_seconds: p95,
+                        p50_seconds: latency.quantile(0.50),
+                        p95_seconds: latency.quantile(0.95),
                     }
                 })
                 .collect();
-            (stats.affinity(), stats.latency_stats(), stats.stage_stats(), tenants)
+            (stats.affinity(), tenants)
         };
         tenants.sort_by(|a, b| a.id.cmp(&b.id));
         let m = &shared.metrics;
@@ -1272,8 +1173,8 @@ impl ServeHandle {
             },
             cache: shared.cache.stats(),
             affinity,
-            latency,
-            stages,
+            latency: LatencyStats::from_snapshot(&m.job_seconds.snapshot()),
+            stages: m.stage_stats(),
             tenants,
         }
     }
@@ -1448,8 +1349,9 @@ fn worker_loop(worker: usize, shared: &Shared) {
         // below) so the derived durations can ride on the result itself.
         trace.mark_delivered();
         result.stages = trace.durations();
-        m.worker_busy_ms.add((result.seconds * 1e3) as u64);
+        m.job_seconds.observe(result.seconds);
         m.observe_stages(&result.stages);
+        shared.tenant_series(tenant.id()).record_result(&result);
         if result.seconds >= SLOW_JOB_WARN_SECONDS {
             shared.logger.warn(
                 "serve.worker",
@@ -1464,13 +1366,7 @@ fn worker_loop(worker: usize, shared: &Shared) {
                 ],
             );
         }
-        {
-            let mut stats = shared.stats.lock().expect("stats lock poisoned");
-            stats.open_runs[worker].1 += 1;
-            stats.record_latency(result.seconds);
-            stats.record_stages(&result.stages);
-            stats.tenant_mut(tenant.id(), &m.registry).record_result(&result);
-        }
+        shared.stats.lock().expect("stats lock poisoned").open_runs[worker].1 += 1;
         // Release the queue's accounting (busy key, per-tenant
         // executing count) *before* delivering the result: a client
         // that resubmits the moment its wait() returns must never see a
@@ -2037,7 +1933,6 @@ mod tests {
         }
         let stats = handle.stats();
         assert_eq!(stats.latency.samples, 6);
-        assert_eq!(stats.latency.window, 6);
         assert!(stats.latency.p50_seconds > 0.0);
         assert!(stats.latency.p50_seconds <= stats.latency.p95_seconds);
         assert!(stats.latency.p95_seconds <= stats.latency.p99_seconds);
@@ -2805,5 +2700,356 @@ mod tests {
         assert_eq!(counts(row("gold")), (3, 3, 0, 0, 1));
         assert_eq!(counts(row("bronze")), (3, 3, 1, 1, 0));
         assert!(row("gold").bytes_streamed > 0 && row("bronze").bytes_streamed > 0);
+    }
+
+    /// A batch the way a batch caller drains one: wait on every ticket,
+    /// shut the core down, and order the results by completion.
+    fn drain(handle: &ServeHandle, tickets: Vec<Ticket>) -> (Vec<JobResult>, ServeStats) {
+        let mut jobs: Vec<JobResult> = tickets.into_iter().map(|t| t.wait().unwrap()).collect();
+        jobs.sort_by_key(|j| j.seq);
+        (jobs, handle.shutdown())
+    }
+
+    fn all_ok(jobs: &[JobResult]) -> bool {
+        jobs.iter().all(JobResult::is_ok)
+    }
+
+    #[test]
+    fn jobs_match_direct_generation() {
+        let (registry, model) = registry_with_tiny();
+        let handle = ServeHandle::new(registry, 2).unwrap();
+        let tickets = [5u64, 6, 7, 8].map(|seed| {
+            handle.submit(GenRequest::new("tiny", 3, seed, GenSink::InMemory)).unwrap()
+        });
+        let (jobs, stats) = drain(&handle, tickets.into());
+        assert!(all_ok(&jobs), "{jobs:?}");
+        assert_eq!(jobs.len(), 4);
+        for job in &jobs {
+            let mut rng = StdRng::seed_from_u64(job.seed);
+            let expected = model.generate(3, &mut rng).unwrap();
+            assert_eq!(job.graph.as_deref().unwrap(), &expected, "seed {}", job.seed);
+            assert_eq!(job.snapshots, 3);
+            assert!(!job.cache_hit, "caching is off by default");
+        }
+        assert_eq!(stats.cache.hits + stats.cache.misses, 0);
+    }
+
+    #[test]
+    fn unknown_model_fails_at_submit() {
+        let (registry, _) = registry_with_tiny();
+        let handle = ServeHandle::new(registry, 1).unwrap();
+        let err = handle.submit(GenRequest::new("missing", 1, 0, GenSink::Discard));
+        assert!(matches!(err, Err(ServeError::UnknownModel(_))));
+        assert_eq!(handle.shutdown().completed, 0);
+    }
+
+    #[test]
+    fn zero_workers_is_a_typed_error() {
+        let (registry, _) = registry_with_tiny();
+        match ServeHandle::new(registry, 0) {
+            Err(ServeError::NoWorkers) => {}
+            Err(other) => panic!("expected NoWorkers, got {other:?}"),
+            Ok(_) => panic!("expected NoWorkers, got a handle"),
+        }
+    }
+
+    #[test]
+    fn zero_t_len_is_rejected_at_submit() {
+        let (registry, _) = registry_with_tiny();
+        let handle = ServeHandle::new(registry, 1).unwrap();
+        assert!(matches!(
+            handle.submit(GenRequest::new("tiny", 0, 0, GenSink::Discard)),
+            Err(ServeError::InvalidRequest(_))
+        ));
+        assert_eq!(handle.shutdown().completed, 0);
+    }
+
+    #[test]
+    fn two_jobs_run_concurrently() {
+        // Deterministic concurrency proof: both jobs block in their
+        // callback sink until the *other* job has produced its first
+        // snapshot. This only completes if two workers execute
+        // simultaneously.
+        let (registry, _) = registry_with_tiny();
+        let handle = ServeHandle::new(registry, 2).unwrap();
+        let barrier = Arc::new(std::sync::Barrier::new(2));
+        let tickets = [1u64, 2].map(|seed| {
+            let barrier = Arc::clone(&barrier);
+            let mut synced = false;
+            handle
+                .submit(GenRequest::new(
+                    "tiny",
+                    2,
+                    seed,
+                    GenSink::Callback(Box::new(move |_, _| {
+                        if !synced {
+                            barrier.wait();
+                            synced = true;
+                        }
+                    })),
+                ))
+                .unwrap()
+        });
+        let (jobs, stats) = drain(&handle, tickets.into());
+        assert!(all_ok(&jobs), "{jobs:?}");
+        assert!(
+            stats.max_in_flight >= 2,
+            "expected >=2 jobs in flight, saw {}",
+            stats.max_in_flight
+        );
+    }
+
+    #[test]
+    fn repeated_requests_hit_the_cache_and_match() {
+        let (registry, model) = registry_with_tiny();
+        let handle = ServeHandle::with_config(
+            registry,
+            ServeConfig {
+                workers: 1, // deterministic hit accounting
+                cache: CacheBudget::entries(8),
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        let mut tickets = Vec::new();
+        for _round in 0..3 {
+            for seed in [10u64, 11] {
+                tickets.push(
+                    handle.submit(GenRequest::new("tiny", 3, seed, GenSink::InMemory)).unwrap(),
+                );
+            }
+        }
+        let (jobs, stats) = drain(&handle, tickets);
+        assert!(all_ok(&jobs), "{jobs:?}");
+        assert_eq!(stats.cache.misses, 2, "first round misses");
+        assert_eq!(stats.cache.hits, 4, "later rounds hit");
+        assert_eq!(jobs.iter().filter(|j| j.cache_hit).count(), 4);
+        for job in &jobs {
+            let mut rng = StdRng::seed_from_u64(job.seed);
+            let expected = model.generate(3, &mut rng).unwrap();
+            assert_eq!(job.graph.as_deref().unwrap(), &expected, "seed {}", job.seed);
+            assert_eq!(job.snapshots, 3);
+            assert_eq!(job.edges, expected.temporal_edge_count());
+        }
+    }
+
+    #[test]
+    fn concurrent_identical_requests_coalesce_into_one_generation() {
+        // Two workers, two identical requests: without coalescing both
+        // could miss and regenerate; with it, exactly one generates and
+        // the twin is served from the cache — deterministically.
+        let (registry, model) = registry_with_tiny();
+        let handle = ServeHandle::with_config(
+            registry,
+            ServeConfig { workers: 2, cache: CacheBudget::entries(4), ..Default::default() },
+        )
+        .unwrap();
+        let tickets = [33u64, 33].map(|seed| {
+            handle.submit(GenRequest::new("tiny", 3, seed, GenSink::InMemory)).unwrap()
+        });
+        let (jobs, stats) = drain(&handle, tickets.into());
+        assert!(all_ok(&jobs), "{jobs:?}");
+        assert_eq!(stats.cache.misses, 1, "{stats:?}");
+        assert_eq!(stats.cache.hits, 1, "{stats:?}");
+        let mut rng = StdRng::seed_from_u64(33);
+        let expected = model.generate(3, &mut rng).unwrap();
+        for job in &jobs {
+            assert_eq!(job.graph.as_deref().unwrap(), &expected);
+        }
+    }
+
+    #[test]
+    fn blocked_duplicate_does_not_inflate_group_priority() {
+        // Regression: a coalescing-blocked high-priority duplicate must
+        // not lend its priority to the group — cross-group selection
+        // compares *runnable* priorities only.
+        let a = fitted(3);
+        let b = fitted(4);
+        let registry = ModelRegistry::new();
+        registry.register("a", &a).unwrap();
+        registry.register("b", &b).unwrap();
+        let handle = ServeHandle::with_config(
+            registry,
+            ServeConfig { workers: 2, cache: CacheBudget::entries(8), ..Default::default() },
+        )
+        .unwrap();
+        // Pin both workers: worker 1 on model a (key K = a/1/0), worker
+        // 2 on model b (key M = b/1/9).
+        let mut tickets = Vec::new();
+        let (k_started_tx, k_started_rx) = std::sync::mpsc::channel();
+        let (k_release_tx, k_release_rx) = std::sync::mpsc::channel();
+        tickets.push(handle.submit(blocking_request("a", 0, k_started_tx, k_release_rx)).unwrap());
+        let (m_started_tx, m_started_rx) = std::sync::mpsc::channel();
+        let (m_release_tx, m_release_rx) = std::sync::mpsc::channel();
+        tickets.push(handle.submit(blocking_request("b", 9, m_started_tx, m_release_rx)).unwrap());
+        k_started_rx.recv().unwrap();
+        m_started_rx.recv().unwrap();
+        // Queue: a duplicate of K at priority 10 (blocked while K is in
+        // flight), a priority-0 model-a job, a priority-5 model-b job.
+        let mut submit = |req: GenRequest| {
+            let ticket = handle.submit(req).unwrap();
+            let id = ticket.id();
+            tickets.push(ticket);
+            id
+        };
+        let dup = submit(GenRequest::new("a", 1, 0, GenSink::Discard).with_priority(10));
+        let low = submit(GenRequest::new("a", 1, 1, GenSink::Discard));
+        let high = submit(GenRequest::new("b", 1, 2, GenSink::Discard).with_priority(5));
+        // Release only worker 2: it must run the runnable priority-5
+        // model-b job before the priority-0 model-a job, even though the
+        // blocked duplicate makes model a's raw group max 10.
+        m_release_tx.send(()).unwrap();
+        loop {
+            // Wait (bounded by the test harness timeout) until worker 2
+            // has drained both runnable jobs; the duplicate stays queued.
+            if handle.queue_depth() == 1 {
+                break;
+            }
+            std::thread::yield_now();
+        }
+        k_release_tx.send(()).unwrap();
+        let (jobs, _) = drain(&handle, tickets);
+        assert!(all_ok(&jobs), "{jobs:?}");
+        let pos = |id: JobId| jobs.iter().position(|j| j.id == id).unwrap();
+        // Worker 2 drains both runnable jobs sequentially: the runnable
+        // priority-5 job must beat the priority-0 one despite the
+        // blocked priority-10 duplicate in the latter's group.
+        assert!(pos(high) < pos(low), "priority 5 must run before priority 0\n{jobs:?}");
+        // The duplicate stayed blocked until its twin K completed, then
+        // was served from K's cache entry.
+        assert!(pos(JobId(0)) < pos(dup), "duplicate ran before its twin\n{jobs:?}");
+        assert!(jobs[pos(dup)].cache_hit, "{jobs:?}");
+    }
+
+    #[test]
+    fn oversized_sequences_are_not_retained_for_the_cache() {
+        // A byte budget below one sequence: generation must still
+        // succeed and stream, but nothing is admitted and repeated
+        // requests keep regenerating.
+        let (registry, model) = registry_with_tiny();
+        let handle = ServeHandle::with_config(
+            registry,
+            ServeConfig {
+                workers: 1,
+                cache: CacheBudget { max_entries: 8, max_bytes: 64 },
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        let tickets = [GenSink::InMemory, GenSink::Discard]
+            .map(|sink| handle.submit(GenRequest::new("tiny", 3, 13, sink)).unwrap());
+        let (jobs, stats) = drain(&handle, tickets.into());
+        assert!(all_ok(&jobs), "{jobs:?}");
+        assert_eq!(stats.cache.misses, 2, "oversized entries never admitted");
+        assert_eq!(stats.cache.entries, 0);
+        // The InMemory job still got its (oversized) sequence — the
+        // budget bounds the cache, not an explicit request.
+        let mut rng = StdRng::seed_from_u64(13);
+        let expected = model.generate(3, &mut rng).unwrap();
+        let with_graph = jobs.iter().find(|j| j.graph.is_some()).unwrap();
+        assert_eq!(with_graph.graph.as_deref().unwrap(), &expected);
+    }
+
+    #[test]
+    fn cache_hits_replay_into_file_sinks() {
+        let dir = std::env::temp_dir().join("vrdag_core_cache_replay");
+        std::fs::create_dir_all(&dir).unwrap();
+        let (registry, model) = registry_with_tiny();
+        let handle = ServeHandle::with_config(
+            registry,
+            ServeConfig { workers: 1, cache: CacheBudget::entries(4), ..Default::default() },
+        )
+        .unwrap();
+        // Warm the cache, then serve the same sequence to a file.
+        let path = dir.join("replayed.tsv");
+        let tickets = [GenSink::Discard, GenSink::TsvFile(path.clone())]
+            .map(|sink| handle.submit(GenRequest::new("tiny", 3, 21, sink)).unwrap());
+        let (jobs, stats) = drain(&handle, tickets.into());
+        assert!(all_ok(&jobs), "{jobs:?}");
+        assert_eq!(stats.cache.hits, 1);
+        let on_disk = vrdag_graph::io::load_tsv(&path).unwrap();
+        let mut rng = StdRng::seed_from_u64(21);
+        assert_eq!(on_disk, model.generate(3, &mut rng).unwrap());
+    }
+
+    #[test]
+    fn queue_depth_cap_rejects_with_typed_error() {
+        let (registry, _) = registry_with_tiny();
+        let handle = ServeHandle::with_config(
+            registry,
+            ServeConfig { workers: 1, max_queue_depth: Some(2), ..Default::default() },
+        )
+        .unwrap();
+        let (started_tx, started_rx) = std::sync::mpsc::channel();
+        let (release_tx, release_rx) = std::sync::mpsc::channel();
+        let mut tickets =
+            vec![handle.submit(blocking_request("tiny", 0, started_tx, release_rx)).unwrap()];
+        // Wait until the blocker is in flight, so the queue is empty.
+        started_rx.recv().unwrap();
+        assert_eq!(handle.queue_depth(), 0);
+        for seed in [1u64, 2] {
+            tickets
+                .push(handle.submit(GenRequest::new("tiny", 1, seed, GenSink::Discard)).unwrap());
+        }
+        match handle.submit(GenRequest::new("tiny", 1, 3, GenSink::Discard)) {
+            Err(ServeError::QueueFull { depth: 2, cap: 2 }) => {}
+            other => panic!("expected QueueFull, got {other:?}"),
+        }
+        release_tx.send(()).unwrap();
+        let (jobs, _) = drain(&handle, tickets);
+        // The rejected job never ran; the results stay consistent.
+        assert!(all_ok(&jobs), "{jobs:?}");
+        assert_eq!(jobs.len(), 3);
+        let mut seeds: Vec<u64> = jobs.iter().map(|j| j.seed).collect();
+        seeds.sort_unstable();
+        assert_eq!(seeds, vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn affinity_groups_same_model_jobs_and_priority_preempts() {
+        // Two genuinely different artifacts. One worker; a blocker on
+        // model A holds it while we queue interleaved traffic.
+        let a = fitted(3);
+        let b = fitted(4);
+        let service = || {
+            let registry = ModelRegistry::new();
+            registry.register("a", &a).unwrap();
+            registry.register("b", &b).unwrap();
+            ServeHandle::new(registry, 1).unwrap()
+        };
+        let handle = service();
+        let (started_tx, started_rx) = std::sync::mpsc::channel();
+        let (release_tx, release_rx) = std::sync::mpsc::channel();
+        let blocker = handle.submit(blocking_request("a", 0, started_tx, release_rx)).unwrap();
+        started_rx.recv().unwrap();
+        // Equal-priority interleaved jobs: affinity should drain all of
+        // model a before touching model b.
+        let queued = [("a", 1u64), ("b", 2), ("a", 3), ("b", 4)]
+            .map(|(m, seed)| handle.submit(GenRequest::new(m, 1, seed, GenSink::Discard)).unwrap());
+        let [a1, b1, a2, b2] = queued.each_ref().map(Ticket::id);
+        release_tx.send(()).unwrap();
+        let (jobs, stats) = drain(&handle, [blocker].into_iter().chain(queued).collect());
+        assert!(all_ok(&jobs), "{jobs:?}");
+        let order: Vec<JobId> = jobs.iter().map(|j| j.id).collect();
+        // Completion order: blocker, then a's batch, then b's batch.
+        assert_eq!(order[1..], [a1, a2, b1, b2], "{jobs:?}");
+        assert_eq!(stats.affinity.batches, 2, "{:?}", stats.affinity);
+        assert_eq!(stats.affinity.max_batch_len, 3);
+
+        // Second service: a higher-priority model b job beats affinity.
+        let handle = service();
+        let (started_tx, started_rx) = std::sync::mpsc::channel();
+        let (release_tx, release_rx) = std::sync::mpsc::channel();
+        let blocker = handle.submit(blocking_request("a", 0, started_tx, release_rx)).unwrap();
+        started_rx.recv().unwrap();
+        let low = handle.submit(GenRequest::new("a", 1, 1, GenSink::Discard)).unwrap();
+        let high =
+            handle.submit(GenRequest::new("b", 1, 2, GenSink::Discard).with_priority(5)).unwrap();
+        let (low_id, high_id) = (low.id(), high.id());
+        release_tx.send(()).unwrap();
+        let (jobs, _) = drain(&handle, vec![blocker, low, high]);
+        assert!(all_ok(&jobs), "{jobs:?}");
+        let order: Vec<JobId> = jobs.iter().map(|j| j.id).collect();
+        assert_eq!(order[1..], [high_id, low_id], "priority must beat affinity");
     }
 }

@@ -58,7 +58,8 @@ pub struct HttpEndpoints {
     /// [`Router::metrics_text`]: crate::Router::metrics_text
     pub metrics: Box<dyn Fn() -> String + Send + Sync>,
     /// The `/readyz` predicate: is the tier accepting work right now?
-    /// (Scheduler accepting for serve; ≥ 1 backend up for the router.)
+    /// ([`ServeHandle::is_accepting`](crate::ServeHandle::is_accepting)
+    /// for serve; ≥ 1 backend up for the router.)
     pub ready: Box<dyn Fn() -> bool + Send + Sync>,
     /// The span ring behind `/traces`.
     pub spans: SpanRecorder,

@@ -31,9 +31,8 @@
 //!   [`Ticket`] per job (result delivered over the ticket's private
 //!   channel by the worker that ran it) and whose [`ServeStats`]
 //!   snapshot exposes running cache / affinity / latency(p50/p95/p99) /
-//!   dropped-job counters on demand.
-//! * [`Scheduler`] — a thin batch facade over the core for
-//!   submit-everything-then-drain workloads ([`BatchReport`]).
+//!   dropped-job counters on demand. A batch is submit →
+//!   [`Ticket::wait`] → [`ServeHandle::shutdown`].
 //! * [`protocol`] + [`Frontend`] — a pipelined, tagged, newline-delimited
 //!   TCP line protocol (`GEN model=<name> t=<T> seed=<S> fmt=tsv|bin
 //!   [priority=P] [tag=<tag>]`) and the `std::net` listener that serves
@@ -93,7 +92,6 @@ mod queue;
 mod reactor;
 mod registry;
 mod router;
-mod scheduler;
 mod stream;
 pub mod tenant;
 
@@ -112,7 +110,6 @@ pub use queue::{JobQueue, LaneStats};
 // depending on `vrdag-obs` directly.
 pub use registry::{ModelHandle, ModelRegistry};
 pub use router::{Router, RouterConfig};
-pub use scheduler::{BatchReport, Scheduler};
 pub use stream::{SnapshotStream, StreamStats};
 pub use tenant::{RateLimit, Tenant, TenantId, TenantRegistry, TenantRegistryBuilder};
 pub use vrdag_obs::{
@@ -159,7 +156,7 @@ pub enum ServeError {
     /// A service core cannot be built with zero workers.
     NoWorkers,
     /// `submit` after the core was closed (graceful `close`/`shutdown`,
-    /// `abort`, or a batch `Scheduler`'s `join`).
+    /// `abort`). The frontend answers it as `ERR shutdown`.
     SchedulerClosed,
     /// Admission control: the queue already holds `cap` jobs. This is
     /// the backpressure signal — retry later or shed load.

@@ -6,7 +6,8 @@
 //! tensors). A [`ModelHandle`] is therefore `Send + Sync` and cheap to
 //! clone; workers call [`ModelHandle::instantiate`] once and reuse the
 //! instance for every subsequent request against the same artifact
-//! (see `scheduler::Worker`'s thread-local cache).
+//! (each service-core worker keeps one instance, switched only when a
+//! cache miss needs another artifact).
 
 use crate::{ServeError, SnapshotStream};
 use std::collections::HashMap;

@@ -15,6 +15,7 @@ use vrdag_suite::prelude::*;
 use vrdag_suite::serve::protocol::{
     GenSpec, ReplyHeader, Request, StreamOutcome, TagDemux, WireFormat,
 };
+use vrdag_suite::serve::JobResult;
 
 fn main() {
     let dir = std::env::temp_dir().join("vrdag_serving_example");
@@ -61,60 +62,60 @@ fn main() {
         tsv_path.display()
     );
 
-    // 4. Serve a batch: 8 seed-addressed jobs over 4 workers.
-    let mut scheduler = Scheduler::new(registry.clone(), 4).unwrap();
-    for seed in 0..8u64 {
-        scheduler
-            .submit(GenRequest::new(
-                "tiny",
-                graph.t_len(),
-                seed,
-                GenSink::TsvFile(dir.join(format!("gen-{seed}.tsv"))),
-            ))
-            .unwrap();
+    // 4. Serve a batch: 8 seed-addressed jobs over 4 workers. Submit
+    //    never blocks; wait on the tickets, then shut the core down for
+    //    its final stats.
+    let batch = ServeHandle::new(registry.clone(), 4).unwrap();
+    let tickets: Vec<Ticket> = (0..8u64)
+        .map(|seed| {
+            let sink = GenSink::TsvFile(dir.join(format!("gen-{seed}.tsv")));
+            batch.submit(GenRequest::new("tiny", graph.t_len(), seed, sink)).unwrap()
+        })
+        .collect();
+    for ticket in tickets {
+        assert!(ticket.wait().unwrap().is_ok());
     }
-    let batch = scheduler.join().unwrap();
-    print!("{}", batch.render());
-    assert!(batch.all_ok());
+    print!("{}", batch.shutdown().render());
 
     // 5. Determinism across the fleet: job seed 7 equals the stream above.
     let streamed = vrdag_suite::graph::io::load_tsv(&tsv_path).unwrap();
     let job7 = vrdag_suite::graph::io::load_tsv(dir.join("gen-7.tsv")).unwrap();
     assert_eq!(streamed, job7, "seed-addressed generation is deterministic");
-    println!("seed 7 via stream == seed 7 via scheduler ✓");
+    println!("seed 7 via stream == seed 7 via the service core ✓");
 
     // 6. Repeated traffic through the snapshot cache: the same 4 seeds
     //    requested 3 times. Round one generates (and populates the LRU);
     //    the later rounds are served from it, bit-identically — the
     //    determinism contract is what makes the sequences cacheable.
-    let mut cached = Scheduler::with_config(
+    let cached = ServeHandle::with_config(
         registry.clone(),
         ServeConfig { workers: 2, cache: CacheBudget::entries(16), ..Default::default() },
     )
     .unwrap();
-    for _round in 0..3 {
-        for seed in 0..4u64 {
-            cached.submit(GenRequest::new("tiny", graph.t_len(), seed, GenSink::InMemory)).unwrap();
-        }
-    }
-    let report = cached.join().unwrap();
+    let tickets: Vec<Ticket> = (0..3)
+        .flat_map(|_| 0..4u64)
+        .map(|seed| {
+            cached.submit(GenRequest::new("tiny", graph.t_len(), seed, GenSink::InMemory)).unwrap()
+        })
+        .collect();
+    let jobs: Vec<JobResult> = tickets.into_iter().map(|t| t.wait().unwrap()).collect();
+    let report = cached.shutdown();
     print!("{}", report.render());
-    assert!(report.all_ok());
+    assert!(jobs.iter().all(JobResult::is_ok));
     assert!(report.cache.hits > 0, "repeated seeds must hit the snapshot cache");
     assert!(report.affinity.max_batch_len > 1, "same-model jobs batch onto one instance");
     assert!(report.latency.p99_seconds >= report.latency.p50_seconds);
     // Cached and cold generations are identical.
     let cold = vrdag_suite::graph::io::load_tsv(dir.join("gen-2.tsv")).unwrap();
-    let warm = report
-        .jobs
+    let warm = jobs
         .iter()
         .find(|j| j.seed == 2 && j.cache_hit)
         .expect("seed 2 was served from the cache at least once");
     assert_eq!(warm.graph.as_deref().unwrap(), &cold, "cache hits are bit-identical");
     println!(
         "cache served {}/{} jobs ({} entries, {} KiB resident), latency {} ✓",
-        report.cache_hits(),
-        report.jobs.len(),
+        jobs.iter().filter(|j| j.cache_hit).count(),
+        jobs.len(),
         report.cache.entries,
         report.cache.bytes / 1024,
         report.latency.render(),

@@ -38,10 +38,10 @@ pub mod prelude {
     pub use vrdag_metrics::{attribute_report, structure_report};
     pub use vrdag_obs::{JobTrace, Level, Logger, Registry as MetricsRegistry};
     pub use vrdag_serve::{
-        BatchReport, CacheBudget, CacheStats, CancelToken, Frontend, FrontendConfig, GenRequest,
-        GenSink, HttpEndpoints, HttpExpo, LineClient, ModelRegistry, PollerBackend, Router,
-        RouterConfig, Scheduler, ServeConfig, ServeError, ServeHandle, ServeStats, SnapshotCache,
-        SnapshotStream, Tenant, TenantId, TenantRegistry, TenantStats, Ticket,
+        CacheBudget, CacheStats, CancelToken, Frontend, FrontendConfig, GenRequest, GenSink,
+        HttpEndpoints, HttpExpo, LineClient, ModelRegistry, PollerBackend, Router, RouterConfig,
+        ServeConfig, ServeError, ServeHandle, ServeStats, SnapshotCache, SnapshotStream, Tenant,
+        TenantId, TenantRegistry, TenantStats, Ticket,
     };
     pub use vrdag_tensor::{Matrix, Tensor};
 }

@@ -9,6 +9,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::OnceLock;
 use vrdag_suite::prelude::*;
+use vrdag_suite::serve::JobResult;
 
 /// One fitted model, shared across cases (fitting dominates test time and
 /// the properties quantify over seeds/t_lens, not over models). Stored as
@@ -32,12 +33,29 @@ fn cold_generation(t_len: usize, seed: u64) -> DynamicGraph {
     model.generate(t_len, &mut rng).unwrap()
 }
 
-fn cached_scheduler(cache: CacheBudget) -> Scheduler {
+fn cached_service(cache: CacheBudget) -> ServeHandle {
     let registry = ModelRegistry::new();
     registry.register_bytes("m", model_bytes().clone()).unwrap();
     // One worker so hit/miss accounting is deterministic.
-    Scheduler::with_config(registry, ServeConfig { workers: 1, cache, ..Default::default() })
+    ServeHandle::with_config(registry, ServeConfig { workers: 1, cache, ..Default::default() })
         .unwrap()
+}
+
+/// Submit every `(t_len, seed, sink)`, wait on the tickets, shut the
+/// service down, and return the results with the final stats.
+fn serve_all(
+    cache: CacheBudget,
+    requests: impl IntoIterator<Item = (usize, u64, GenSink)>,
+) -> (Vec<JobResult>, ServeStats) {
+    let service = cached_service(cache);
+    let tickets: Vec<Ticket> = requests
+        .into_iter()
+        .map(|(t_len, seed, sink)| service.submit(GenRequest::new("m", t_len, seed, sink)).unwrap())
+        .collect();
+    let jobs: Vec<JobResult> = tickets.into_iter().map(|t| t.wait().unwrap()).collect();
+    let stats = service.shutdown();
+    assert!(jobs.iter().all(JobResult::is_ok), "{jobs:?}");
+    (jobs, stats)
 }
 
 proptest! {
@@ -51,16 +69,8 @@ proptest! {
         seeds in prop::collection::vec(0u64..1_000, 1..4),
         t_len in 1usize..4,
     ) {
-        let mut scheduler = cached_scheduler(CacheBudget::entries(32));
-        for _pass in 0..2 {
-            for &seed in &seeds {
-                scheduler
-                    .submit(GenRequest::new("m", t_len, seed, GenSink::InMemory))
-                    .unwrap();
-            }
-        }
-        let report = scheduler.join().unwrap();
-        prop_assert!(report.all_ok(), "{}", report.render());
+        let requests = (0..2).flat_map(|_| seeds.iter().map(|&s| (t_len, s, GenSink::InMemory)));
+        let (jobs, stats) = serve_all(CacheBudget::entries(32), requests);
         // Distinct seeds miss once and hit on the second pass.
         let distinct = {
             let mut s = seeds.clone();
@@ -68,14 +78,9 @@ proptest! {
             s.dedup();
             s.len()
         };
-        prop_assert_eq!(report.cache.misses as usize, distinct);
-        prop_assert_eq!(
-            report.cache.hits as usize,
-            2 * seeds.len() - distinct,
-            "{}",
-            report.render()
-        );
-        for job in &report.jobs {
+        prop_assert_eq!(stats.cache.misses as usize, distinct);
+        prop_assert_eq!(stats.cache.hits as usize, 2 * seeds.len() - distinct, "{:?}", stats);
+        for job in &jobs {
             let cold = cold_generation(t_len, job.seed);
             prop_assert_eq!(job.graph.as_deref().unwrap(), &cold, "seed {}", job.seed);
             prop_assert_eq!(job.snapshots, t_len);
@@ -94,19 +99,11 @@ proptest! {
         // 6 distinct keys cycling through a 2-entry cache: every round
         // after the first would be all hits without eviction, but the
         // LRU can only keep 2, so most requests regenerate.
-        let mut scheduler = cached_scheduler(CacheBudget::entries(2));
-        for _round in 0..rounds {
-            for seed in 0..6u64 {
-                scheduler
-                    .submit(GenRequest::new("m", t_len, seed, GenSink::InMemory))
-                    .unwrap();
-            }
-        }
-        let report = scheduler.join().unwrap();
-        prop_assert!(report.all_ok(), "{}", report.render());
-        prop_assert!(report.cache.evictions > 0, "cache never churned: {:?}", report.cache);
-        prop_assert!(report.cache.entries <= 2);
-        for job in &report.jobs {
+        let requests = (0..rounds).flat_map(|_| (0..6u64).map(|s| (t_len, s, GenSink::InMemory)));
+        let (jobs, stats) = serve_all(CacheBudget::entries(2), requests);
+        prop_assert!(stats.cache.evictions > 0, "cache never churned: {:?}", stats.cache);
+        prop_assert!(stats.cache.entries <= 2);
+        for job in &jobs {
             let cold = cold_generation(t_len, job.seed);
             prop_assert_eq!(job.graph.as_deref().unwrap(), &cold, "seed {}", job.seed);
         }
@@ -120,17 +117,13 @@ proptest! {
 fn miss_hit_and_file_replay_agree() {
     let dir = std::env::temp_dir().join("vrdag_cache_determinism");
     std::fs::create_dir_all(&dir).unwrap();
-    let mut scheduler = cached_scheduler(CacheBudget::entries(4));
-    scheduler.submit(GenRequest::new("m", 3, 77, GenSink::InMemory)).unwrap();
-    scheduler.submit(GenRequest::new("m", 3, 77, GenSink::InMemory)).unwrap();
     let path = dir.join("hit.tsv");
-    scheduler.submit(GenRequest::new("m", 3, 77, GenSink::TsvFile(path.clone()))).unwrap();
-    let report = scheduler.join().unwrap();
-    assert!(report.all_ok(), "{}", report.render());
-    assert_eq!(report.cache_hits(), 2, "{}", report.render());
+    let sinks = [GenSink::InMemory, GenSink::InMemory, GenSink::TsvFile(path.clone())];
+    let (jobs, _) = serve_all(CacheBudget::entries(4), sinks.map(|sink| (3, 77, sink)));
+    assert_eq!(jobs.iter().filter(|j| j.cache_hit).count(), 2, "{jobs:?}");
 
     let cold = cold_generation(3, 77);
-    for job in report.jobs.iter().filter(|j| j.graph.is_some()) {
+    for job in jobs.iter().filter(|j| j.graph.is_some()) {
         assert_eq!(job.graph.as_deref().unwrap(), &cold);
     }
     let replayed = vrdag_suite::graph::io::load_tsv(&path).unwrap();
@@ -140,14 +133,10 @@ fn miss_hit_and_file_replay_agree() {
 /// Disabling the cache must leave results untouched (pure pass-through).
 #[test]
 fn disabled_cache_is_pass_through() {
-    let mut scheduler = cached_scheduler(CacheBudget::disabled());
-    for seed in [5u64, 5, 9] {
-        scheduler.submit(GenRequest::new("m", 2, seed, GenSink::InMemory)).unwrap();
-    }
-    let report = scheduler.join().unwrap();
-    assert!(report.all_ok(), "{}", report.render());
-    assert_eq!(report.cache.hits + report.cache.misses, 0, "no lookups when disabled");
-    for job in &report.jobs {
+    let requests = [5u64, 5, 9].map(|seed| (2, seed, GenSink::InMemory));
+    let (jobs, stats) = serve_all(CacheBudget::disabled(), requests);
+    assert_eq!(stats.cache.hits + stats.cache.misses, 0, "no lookups when disabled");
+    for job in &jobs {
         assert_eq!(job.graph.as_deref().unwrap(), &cold_generation(2, job.seed));
         assert!(!job.cache_hit);
     }

@@ -803,6 +803,30 @@ fn metrics_exposition_agrees_exactly_with_stats_after_deterministic_workload() {
         Some(stats.completed),
         "{text}"
     );
+    // Latency has one store too: every STATS latency view reads one of
+    // these histograms, so the sample counts agree exactly.
+    assert_eq!(
+        prom_sample(&text, "vrdag_job_seconds_count"),
+        Some(stats.latency.samples),
+        "{text}"
+    );
+    let stages = &stats.stages;
+    for (stage, latency) in [
+        ("queue_wait", &stages.queue_wait),
+        ("first_snapshot", &stages.first_snapshot),
+        ("generation", &stages.generation),
+        ("delivery", &stages.delivery),
+        ("encode_wait", &stages.encode_wait),
+    ] {
+        let series = format!("vrdag_job_stage_seconds_count{{stage=\"{stage}\"}}");
+        assert_eq!(prom_sample(&text, &series), Some(latency.samples), "{series}\n{text}");
+    }
+    let anonymous = stats.tenants.iter().find(|t| t.id == "anonymous").expect("anonymous row");
+    assert_eq!(
+        prom_sample(&text, "vrdag_tenant_job_seconds_count{tenant=\"anonymous\"}"),
+        Some(anonymous.completed),
+        "{text}"
+    );
 
     // STATS over the same connection reflects the identical counters in
     // its human rendering.

@@ -7,7 +7,7 @@ use rand::SeedableRng;
 use std::sync::Arc;
 use vrdag_suite::graph::io;
 use vrdag_suite::prelude::*;
-use vrdag_suite::serve::SnapshotStream;
+use vrdag_suite::serve::{JobResult, SnapshotStream};
 
 fn work_dir(name: &str) -> std::path::PathBuf {
     let d = std::env::temp_dir().join("vrdag_serving_it").join(name);
@@ -80,6 +80,14 @@ fn persist_load_then_concurrent_generate_is_deterministic_and_distinct() {
     }
 }
 
+/// Wait on every ticket, shut the service down, and return the results
+/// in completion order with the final stats.
+fn drain(handle: &ServeHandle, tickets: Vec<Ticket>) -> (Vec<JobResult>, ServeStats) {
+    let mut jobs: Vec<JobResult> = tickets.into_iter().map(|t| t.wait().unwrap()).collect();
+    jobs.sort_by_key(|j| j.seq);
+    (jobs, handle.shutdown())
+}
+
 #[test]
 fn scheduler_streams_to_disk_with_bounded_memory_sinks() {
     let dir = work_dir("scheduler_spill");
@@ -87,20 +95,22 @@ fn scheduler_streams_to_disk_with_bounded_memory_sinks() {
     let registry = ModelRegistry::new();
     registry.register("m", &model).unwrap();
 
-    let mut scheduler = Scheduler::new(registry, 2).unwrap();
-    for seed in 0..4u64 {
-        let sink = if seed % 2 == 0 {
-            GenSink::TsvFile(dir.join(format!("gen-{seed}.tsv")))
-        } else {
-            GenSink::BinaryFile(dir.join(format!("gen-{seed}.vdag")))
-        };
-        scheduler.submit(GenRequest::new("m", 3, seed, sink)).unwrap();
-    }
-    let report = scheduler.join().unwrap();
-    assert!(report.all_ok(), "{}", report.render());
-    assert_eq!(report.jobs.len(), 4);
+    let handle = ServeHandle::new(registry, 2).unwrap();
+    let tickets = (0..4u64)
+        .map(|seed| {
+            let sink = if seed % 2 == 0 {
+                GenSink::TsvFile(dir.join(format!("gen-{seed}.tsv")))
+            } else {
+                GenSink::BinaryFile(dir.join(format!("gen-{seed}.vdag")))
+            };
+            handle.submit(GenRequest::new("m", 3, seed, sink)).unwrap()
+        })
+        .collect();
+    let (jobs, _) = drain(&handle, tickets);
+    assert!(jobs.iter().all(JobResult::is_ok), "{jobs:?}");
+    assert_eq!(jobs.len(), 4);
     // The streaming sinks never materialize a DynamicGraph.
-    assert!(report.jobs.iter().all(|j| j.graph.is_none()));
+    assert!(jobs.iter().all(|j| j.graph.is_none()));
 
     for seed in 0..4u64 {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -165,22 +175,23 @@ fn affinity_batching_matches_per_job_scheduling() {
 
     let registry = ModelRegistry::new();
     registry.register("m", &model).unwrap();
-    let mut batched = Scheduler::new(registry.clone(), 2).unwrap();
-    for &seed in &seeds {
-        batched.submit(GenRequest::new("m", 4, seed, GenSink::InMemory)).unwrap();
-    }
-    let report = batched.join().unwrap();
-    assert!(report.all_ok(), "{}", report.render());
-    assert!(report.affinity.batches >= 1);
-    assert!(report.affinity.max_batch_len >= 2, "{:?}", report.affinity);
+    let batched = ServeHandle::new(registry.clone(), 2).unwrap();
+    let tickets = seeds
+        .iter()
+        .map(|&seed| batched.submit(GenRequest::new("m", 4, seed, GenSink::InMemory)).unwrap())
+        .collect();
+    let (jobs, stats) = drain(&batched, tickets);
+    assert!(jobs.iter().all(JobResult::is_ok), "{jobs:?}");
+    assert!(stats.affinity.batches >= 1);
+    assert!(stats.affinity.max_batch_len >= 2, "{:?}", stats.affinity);
 
     for &seed in &seeds {
-        let mut solo = Scheduler::new(registry.clone(), 1).unwrap();
-        solo.submit(GenRequest::new("m", 4, seed, GenSink::InMemory)).unwrap();
-        let solo_report = solo.join().unwrap();
-        assert!(solo_report.all_ok(), "{}", solo_report.render());
-        let expected = solo_report.jobs[0].graph.as_deref().unwrap();
-        let batched_job = report.jobs.iter().find(|j| j.seed == seed).unwrap();
+        let solo = ServeHandle::new(registry.clone(), 1).unwrap();
+        let ticket = solo.submit(GenRequest::new("m", 4, seed, GenSink::InMemory)).unwrap();
+        let (solo_jobs, _) = drain(&solo, vec![ticket]);
+        assert!(solo_jobs.iter().all(JobResult::is_ok), "{solo_jobs:?}");
+        let expected = solo_jobs[0].graph.as_deref().unwrap();
+        let batched_job = jobs.iter().find(|j| j.seed == seed).unwrap();
         assert_eq!(batched_job.graph.as_deref().unwrap(), expected, "seed {seed}");
     }
 }
@@ -190,7 +201,7 @@ fn admission_control_rejects_overflow_and_report_stays_consistent() {
     let model = fitted_model(8);
     let registry = ModelRegistry::new();
     registry.register("m", &model).unwrap();
-    let mut scheduler = Scheduler::with_config(
+    let handle = ServeHandle::with_config(
         registry,
         ServeConfig { workers: 1, max_queue_depth: Some(1), ..Default::default() },
     )
@@ -200,7 +211,7 @@ fn admission_control_rejects_overflow_and_report_stays_consistent() {
     let (started_tx, started_rx) = std::sync::mpsc::channel();
     let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
     let mut fired = false;
-    scheduler
+    let blocker = handle
         .submit(GenRequest::new(
             "m",
             1,
@@ -216,8 +227,9 @@ fn admission_control_rejects_overflow_and_report_stays_consistent() {
         .unwrap();
     started_rx.recv().unwrap();
 
-    let accepted = scheduler.submit(GenRequest::new("m", 1, 1, GenSink::Discard)).unwrap();
-    let rejected = scheduler.submit(GenRequest::new("m", 1, 2, GenSink::Discard));
+    let accepted = handle.submit(GenRequest::new("m", 1, 1, GenSink::Discard)).unwrap();
+    let accepted_id = accepted.id();
+    let rejected = handle.submit(GenRequest::new("m", 1, 2, GenSink::Discard));
     match rejected {
         Err(ServeError::QueueFull { depth, cap }) => {
             assert_eq!((depth, cap), (1, 1));
@@ -226,10 +238,11 @@ fn admission_control_rejects_overflow_and_report_stays_consistent() {
     }
 
     release_tx.send(()).unwrap();
-    let report = scheduler.join().unwrap();
-    assert!(report.all_ok(), "{}", report.render());
+    let (jobs, stats) = drain(&handle, vec![blocker, accepted]);
+    assert!(jobs.iter().all(JobResult::is_ok), "{jobs:?}");
     // Exactly the accepted jobs ran; the rejected seed never appears.
-    assert_eq!(report.jobs.len(), 2);
-    assert!(report.jobs.iter().any(|j| j.id == accepted));
-    assert!(report.jobs.iter().all(|j| j.seed != 2));
+    assert_eq!(jobs.len(), 2);
+    assert_eq!((stats.submitted, stats.completed), (2, 2), "{stats:?}");
+    assert!(jobs.iter().any(|j| j.id == accepted_id));
+    assert!(jobs.iter().all(|j| j.seed != 2));
 }
