@@ -117,6 +117,13 @@ impl<W: Write> TsvStreamWriter<W> {
         self.written
     }
 
+    /// Mutable access to the inner writer, like `BufWriter::get_mut`.
+    /// Writing to it directly corrupts the stream; draining an in-memory
+    /// buffer between snapshots is the intended use.
+    pub fn get_mut(&mut self) -> &mut W {
+        &mut self.w
+    }
+
     /// Validate that all declared snapshots were written and return the
     /// inner writer.
     pub fn finish(self) -> Result<W, GraphIoError> {
@@ -285,6 +292,13 @@ impl<W: Write> BinaryStreamWriter<W> {
     /// Snapshots written so far.
     pub fn written(&self) -> usize {
         self.written
+    }
+
+    /// Mutable access to the inner writer, like `BufWriter::get_mut`.
+    /// Writing to it directly corrupts the stream; draining an in-memory
+    /// buffer between snapshots is the intended use.
+    pub fn get_mut(&mut self) -> &mut W {
+        &mut self.w
     }
 
     /// Validate that all declared snapshots were written and return the

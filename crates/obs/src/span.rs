@@ -34,8 +34,7 @@ pub const DEFAULT_SPAN_RING: usize = 256;
 
 /// Stage-name ordering used when converting [`StageDurations`] into a
 /// span's named stage list (only marked stages appear).
-const STAGE_ORDER: [&str; 6] =
-    ["queue_wait", "first_snapshot", "generation", "delivery", "encode_wait", "total"];
+const STAGE_ORDER: [&str; 5] = ["queue_wait", "first_snapshot", "generation", "delivery", "total"];
 
 static TRACE_NONCE: OnceLock<u64> = OnceLock::new();
 static TRACE_COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -96,7 +95,6 @@ impl Span {
             durations.first_snapshot,
             durations.generation,
             durations.delivery,
-            durations.encode_wait,
             durations.total,
         ];
         STAGE_ORDER

@@ -13,13 +13,9 @@
 //! - `delivery`: last snapshot → result delivered to the ticket
 //! - `total`: submitted → delivered
 //!
-//! One stage is *cumulative* rather than a span between two marks:
-//! `encode_wait` sums the time the decode thread spent blocked handing
-//! snapshots to the pipelined encode/stream helper ([`JobTrace::
-//! add_encode_wait`]). Near zero means the job was decode-bound (the
-//! pipeline hid the encode cost entirely); values approaching
-//! `generation` mean the sink was the bottleneck. It is the per-job
-//! parallel-efficiency signal of the intra-job pipeline.
+//! A job takes, writes and marks each snapshot on its worker thread, so
+//! `first_snapshot` and `generation` include the sink's encode and
+//! write time as well as the decode.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -34,8 +30,6 @@ struct Inner {
     first_snapshot: AtomicU64,
     last_snapshot: AtomicU64,
     delivered: AtomicU64,
-    /// Cumulative nanoseconds (no +1 encoding; 0 simply means "none").
-    encode_wait: AtomicU64,
 }
 
 /// Monotonic stage timestamps for one job. See the module docs.
@@ -82,7 +76,6 @@ impl JobTrace {
                 first_snapshot: AtomicU64::new(0),
                 last_snapshot: AtomicU64::new(0),
                 delivered: AtomicU64::new(0),
-                encode_wait: AtomicU64::new(0),
             }),
         }
     }
@@ -112,12 +105,6 @@ impl JobTrace {
         mark_once(&self.inner.delivered, self.inner.base);
     }
 
-    /// Accumulate time the decode thread spent blocked on the pipelined
-    /// encode helper (may be called many times per job; sums).
-    pub fn add_encode_wait(&self, wait: Duration) {
-        self.inner.encode_wait.fetch_add(wait.as_nanos() as u64, Ordering::Relaxed);
-    }
-
     /// Derive stage durations from whatever stages have been marked.
     /// A duration is `None` until both of its endpoints exist; clock
     /// retrograde (impossible with `Instant`, but cheap to guard)
@@ -137,10 +124,6 @@ impl JobTrace {
             generation: span(deq, last),
             delivery: span(last, done),
             total: span(sub, done),
-            encode_wait: match self.inner.encode_wait.load(Ordering::Relaxed) {
-                0 => None,
-                ns => Some(Duration::from_nanos(ns)),
-            },
         }
     }
 }
@@ -155,9 +138,6 @@ pub struct StageDurations {
     pub generation: Option<Duration>,
     pub delivery: Option<Duration>,
     pub total: Option<Duration>,
-    /// Cumulative decode-thread stall waiting on the pipelined encode
-    /// helper (`None` when the job never pipelined or never stalled).
-    pub encode_wait: Option<Duration>,
 }
 
 impl StageDurations {
@@ -213,15 +193,6 @@ mod tests {
         trace.mark_delivered();
         let after = trace.durations();
         assert!(after.queue_wait.unwrap() >= Duration::from_millis(2), "{before:?} {after:?}");
-    }
-
-    #[test]
-    fn encode_wait_accumulates() {
-        let trace = JobTrace::new();
-        assert!(trace.durations().encode_wait.is_none());
-        trace.add_encode_wait(Duration::from_millis(3));
-        trace.add_encode_wait(Duration::from_millis(4));
-        assert_eq!(trace.durations().encode_wait, Some(Duration::from_millis(7)));
     }
 
     #[test]

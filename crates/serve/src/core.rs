@@ -34,7 +34,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, TryRecvError};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-use vrdag::{DecodeCounts, Vrdag};
+use vrdag::{DecodeCounts, GenerationState, Vrdag};
 use vrdag_graph::io::{BinaryStreamWriter, TsvStreamWriter};
 use vrdag_graph::{DynamicGraph, Snapshot};
 use vrdag_obs::metrics::{Counter, Histogram, HistogramSnapshot, Registry as MetricsRegistry};
@@ -79,6 +79,8 @@ pub enum GenSink {
     /// Stream to a compact binary file, flushed per snapshot.
     BinaryFile(PathBuf),
     /// Hand each `(timestep, snapshot)` to a consumer as it is produced.
+    /// The callback runs on the worker thread that runs the job, between
+    /// snapshots, so blocking it blocks that worker.
     Callback(SnapshotCallback),
     /// Collect the full sequence into [`JobResult::graph`] (unbounded
     /// memory — intended for small sequences, tests, and cached serving).
@@ -396,11 +398,6 @@ pub struct StageLatencyStats {
     pub generation: LatencyStats,
     /// Last snapshot → result handoff to the ticket.
     pub delivery: LatencyStats,
-    /// Cumulative decode-thread stall waiting on the pipelined encode
-    /// helper — the per-job parallel-efficiency signal (near zero means
-    /// the pipeline fully hid the sink cost). Only jobs that pipelined
-    /// *and* stalled at least once are sampled.
-    pub encode_wait: LatencyStats,
 }
 
 /// Point-in-time per-tenant counters inside a [`ServeStats`] snapshot.
@@ -545,7 +542,7 @@ impl ServeStats {
         let _ = writeln!(out, "  latency: {}", self.latency.render());
         let _ = writeln!(
             out,
-            "  stages: queue p50 {:.2}ms p95 {:.2}ms | first-snapshot p50 {:.2}ms p95 {:.2}ms | generation p50 {:.2}ms p95 {:.2}ms | delivery p50 {:.2}ms p95 {:.2}ms | encode-wait p50 {:.2}ms p95 {:.2}ms",
+            "  stages: queue p50 {:.2}ms p95 {:.2}ms | first-snapshot p50 {:.2}ms p95 {:.2}ms | generation p50 {:.2}ms p95 {:.2}ms | delivery p50 {:.2}ms p95 {:.2}ms",
             self.stages.queue_wait.p50_seconds * 1e3,
             self.stages.queue_wait.p95_seconds * 1e3,
             self.stages.first_snapshot.p50_seconds * 1e3,
@@ -554,8 +551,6 @@ impl ServeStats {
             self.stages.generation.p95_seconds * 1e3,
             self.stages.delivery.p50_seconds * 1e3,
             self.stages.delivery.p95_seconds * 1e3,
-            self.stages.encode_wait.p50_seconds * 1e3,
-            self.stages.encode_wait.p95_seconds * 1e3,
         );
         let _ = writeln!(
             out,
@@ -717,9 +712,8 @@ struct RunningStats {
 }
 
 /// Stage labels, in [`CoreMetrics::stage_seconds`] index order.
-const STAGE_NAMES: [&str; STAGE_COUNT] =
-    ["queue_wait", "first_snapshot", "generation", "delivery", "encode_wait"];
-const STAGE_COUNT: usize = 5;
+const STAGE_NAMES: [&str; STAGE_COUNT] = ["queue_wait", "first_snapshot", "generation", "delivery"];
+const STAGE_COUNT: usize = 4;
 
 impl RunningStats {
     fn new(workers: usize) -> Self {
@@ -808,13 +802,7 @@ impl CoreMetrics {
     }
 
     fn observe_stages(&self, stages: &StageDurations) {
-        let values = [
-            stages.queue_wait,
-            stages.first_snapshot,
-            stages.generation,
-            stages.delivery,
-            stages.encode_wait,
-        ];
+        let values = [stages.queue_wait, stages.first_snapshot, stages.generation, stages.delivery];
         for (i, v) in values.iter().enumerate() {
             if let Some(d) = v {
                 self.stage_seconds[i].observe(d.as_secs_f64());
@@ -829,7 +817,6 @@ impl CoreMetrics {
             first_snapshot: one(1),
             generation: one(2),
             delivery: one(3),
-            encode_wait: one(4),
         }
     }
 }
@@ -1435,12 +1422,12 @@ fn run_job(job: Job, instance: &mut Option<WorkerInstance>, cache: &SnapshotCach
                 // model instance needed, so the worker's current one is
                 // left alone). The determinism contract makes this
                 // bit-identical to regenerating
-                // (tests/cache_determinism.rs). Cancellation stops the
-                // replay at a snapshot boundary exactly like cold
-                // generation, so subscribers observe the same frames
-                // either way.
+                // (tests/cache_determinism.rs). The replay runs the same
+                // loop as cold generation, so subscribers observe the
+                // same frames and cancellation boundaries either way.
                 cache_hit = true;
-                let (stats, cancelled) = replay_into_sink(&graph, &mut sink, cancel, &trace)?;
+                let (stats, cancelled) =
+                    stream_into_sink(Source::Replay(&graph), t_len, &mut sink, cancel, &trace)?;
                 let out = (matches!(sink, GenSink::InMemory) && !cancelled).then_some(graph);
                 return Ok((stats, out, cancelled));
             }
@@ -1458,9 +1445,16 @@ fn run_job(job: Job, instance: &mut Option<WorkerInstance>, cache: &SnapshotCach
         // with caching off, and the sequence is additionally retained
         // for the cache only while it fits the byte budget.
         let budget = cache.is_enabled().then(|| cache.budget().max_bytes);
-        let (stats, graph, cancelled) =
-            generate_into_sink(model, t_len, seed, &mut sink, budget, cancel, &trace)?;
-        let graph = graph.map(Arc::new);
+        let mut collector = Collector::new(t_len, budget, matches!(sink, GenSink::InMemory));
+        let mut state = model.begin_generation(&mut StdRng::seed_from_u64(seed))?;
+        let source = Source::Step { model, state: &mut state, collector: &mut collector };
+        let (stats, cancelled) = stream_into_sink(source, t_len, &mut sink, cancel, &trace)?;
+        // A cancelled sequence is partial: it never reaches the cache or
+        // the result.
+        let graph = (!cancelled)
+            .then_some(collector.collected)
+            .flatten()
+            .map(|snapshots| Arc::new(DynamicGraph::new(snapshots)));
         if cache.is_enabled() && !cancelled {
             if let Some(g) = &graph {
                 // Charge the insertion against the tenant's byte share:
@@ -1527,11 +1521,10 @@ fn run_job(job: Job, instance: &mut Option<WorkerInstance>, cache: &SnapshotCach
     }
 }
 
-/// The emitting half of a [`GenSink`], shared by cold generation and
-/// cache-hit replay so the two paths can never desynchronize (same
-/// writer construction, same per-snapshot flushing, same finish). The
+/// The emitting half of a [`GenSink`], written by the one per-snapshot
+/// loop of [`stream_into_sink`] for cold and cached jobs alike. The
 /// in-memory collection of [`GenSink::InMemory`] is handled by the
-/// callers — for this writer it is a no-op like [`GenSink::Discard`].
+/// [`Collector`]; for this writer it is a no-op like [`GenSink::Discard`].
 enum SinkWriter<'a> {
     Tsv(TsvStreamWriter<BufWriter<std::fs::File>>),
     Bin(BinaryStreamWriter<BufWriter<std::fs::File>>),
@@ -1584,46 +1577,13 @@ impl<'a> SinkWriter<'a> {
     }
 }
 
-/// Feed a cached sequence through a sink, exactly as generation would
-/// have (same writers, same per-snapshot flushing). Returns the
-/// delivered stats and whether the replay was cancelled mid-stream —
-/// the same snapshot-boundary cancellation points as cold generation.
-fn replay_into_sink(
-    graph: &DynamicGraph,
-    sink: &mut GenSink,
-    cancel: Option<&CancelToken>,
-    trace: &JobTrace,
-) -> Result<(StreamStats, bool), ServeError> {
-    let mut stats = StreamStats::default();
-    let mut writer = SinkWriter::open(sink, graph.n_nodes(), graph.n_attrs(), graph.t_len())?;
-    let mut cancelled = false;
-    for (t, s) in graph.iter() {
-        if cancel.is_some_and(CancelToken::is_cancelled) {
-            cancelled = true;
-            break;
-        }
-        writer.write(t, s)?;
-        trace.mark_snapshot();
-        stats.snapshots += 1;
-        stats.edges += s.n_edges();
-        stats.bytes += s.approx_bytes();
-    }
-    if !cancelled {
-        writer.finish()?;
-    }
-    Ok((stats, cancelled))
-}
-
-/// How many decoded snapshots may sit between the decode thread and the
-/// pipelined encode helper. Depth 2 lets decode run one full step ahead
-/// while the helper drains the previous snapshot, without letting an
-/// encode-bound job buffer an unbounded number of snapshots.
-const PIPELINE_DEPTH: usize = 2;
-
-/// Opportunistic cache/result collection shared by the serial and
-/// pipelined generation paths: push snapshots (in `t` order) until the
-/// reserved-byte budget is exceeded, unless the caller wants the full
-/// result regardless.
+/// Collection of a cold job's snapshots (in `t` order) for the job's
+/// result and the snapshot cache. The full sequence is materialized only
+/// when the caller needs it: for [`GenSink::InMemory`] (the job asked
+/// for it), or opportunistically for the cache when `budget` is set, in
+/// which case collection is abandoned the moment the accumulated
+/// reserved bytes exceed the budget, so an uncacheable (oversized)
+/// sequence never breaks the streaming sinks' memory bound.
 struct Collector {
     collected: Option<Vec<Snapshot>>,
     bytes: usize,
@@ -1655,152 +1615,68 @@ impl Collector {
     }
 }
 
-/// The encode half of the intra-job pipeline: drain `(t, snapshot)`
-/// pairs, write each through the sink writer, mark the trace, account
-/// the stream stats, and hand the snapshot back for cache collection.
-/// Cancellation is honored at snapshot boundaries on this side too, so
-/// a snapshot decoded ahead of a trip is never written.
-fn encode_loop(
-    mut writer: SinkWriter<'_>,
-    rx: Receiver<(usize, Snapshot)>,
-    ret: mpsc::Sender<Snapshot>,
+/// Where a job's snapshots come from.
+enum Source<'a> {
+    /// Cache miss: step Algorithm 1 from `H_t`, one snapshot per step,
+    /// and push each written snapshot into the collector.
+    Step { model: &'a Vrdag, state: &'a mut GenerationState, collector: &'a mut Collector },
+    /// Cache hit: read the cached sequence back.
+    Replay(&'a DynamicGraph),
+}
+
+/// The one per-snapshot loop every job runs on its worker thread, cold
+/// or cached and whatever its sink: check the cancel token, take the
+/// next snapshot from `source`, write it through the sink, mark it on
+/// the trace and count it. Returns the delivered stats and whether the
+/// token stopped the job at a snapshot boundary, in which case the
+/// writer is left unfinished (the caller removes any partial file) and
+/// the caller discards the collection.
+fn stream_into_sink(
+    mut source: Source<'_>,
+    t_len: usize,
+    sink: &mut GenSink,
     cancel: Option<&CancelToken>,
     trace: &JobTrace,
 ) -> Result<(StreamStats, bool), ServeError> {
+    let (n, f) = match &source {
+        Source::Step { model, .. } => (
+            model.n_nodes().expect("begin_generation succeeded"),
+            model.n_attrs().expect("begin_generation succeeded"),
+        ),
+        Source::Replay(graph) => (graph.n_nodes(), graph.n_attrs()),
+    };
+    let mut writer = SinkWriter::open(sink, n, f, t_len)?;
     let mut stats = StreamStats::default();
-    let mut cancelled = false;
-    while let Ok((t, snapshot)) = rx.recv() {
-        if cancel.is_some_and(CancelToken::is_cancelled) {
-            cancelled = true;
-            break;
-        }
-        writer.write(t, &snapshot)?;
+    let mut emit = |t: usize, snapshot: &Snapshot| -> Result<(), ServeError> {
+        writer.write(t, snapshot)?;
         trace.mark_snapshot();
         stats.snapshots += 1;
         stats.edges += snapshot.n_edges();
         stats.bytes += snapshot.approx_bytes();
-        // The decode thread may have dropped its end already (e.g. it
-        // finished and is draining); the snapshot is simply discarded.
-        let _ = ret.send(snapshot);
+        Ok(())
+    };
+    let mut cancelled = false;
+    for t in 0..t_len {
+        if cancel.is_some_and(CancelToken::is_cancelled) {
+            cancelled = true;
+            break;
+        }
+        match &mut source {
+            Source::Step { model, state, collector } => {
+                let snapshot = state.step(model);
+                emit(t, &snapshot)?;
+                collector.push(snapshot);
+            }
+            Source::Replay(graph) => emit(t, graph.snapshot(t))?,
+        }
     }
     if !cancelled {
         writer.finish()?;
     }
-    Ok((stats, cancelled))
-}
-
-/// Drive Algorithm 1 one snapshot at a time straight into the sink.
-///
-/// Real sinks (file writers, streaming callbacks) run **pipelined**:
-/// snapshot `t−1` is encoded/streamed (EVT framing, TSV/binary encode,
-/// `approx_bytes` accounting) on a scoped helper thread while the model
-/// decodes snapshot `t`. Output bytes are unaffected — the helper writes
-/// in submission order — and the decode thread's cumulative stall waiting
-/// on the helper is recorded as the job's `encode_wait` stage. Null
-/// sinks ([`GenSink::InMemory`]/[`GenSink::Discard`]) have no encode
-/// cost and keep the serial loop.
-///
-/// The full sequence is materialized only when the caller needs it: for
-/// [`GenSink::InMemory`] (the job asked for it), or opportunistically
-/// for the snapshot cache when `collect_budget` is set — in which case
-/// collection is abandoned the moment the accumulated reserved bytes
-/// exceed the budget, so an uncacheable (oversized) sequence never
-/// breaks the streaming sinks' memory bound.
-fn generate_into_sink(
-    model: &Vrdag,
-    t_len: usize,
-    seed: u64,
-    sink: &mut GenSink,
-    collect_budget: Option<usize>,
-    cancel: Option<&CancelToken>,
-    trace: &JobTrace,
-) -> Result<(StreamStats, Option<DynamicGraph>, bool), ServeError> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut state = model.begin_generation(&mut rng)?;
-    let n = model.n_nodes().expect("begin_generation succeeded");
-    let f = model.n_attrs().expect("begin_generation succeeded");
-    let want_result = matches!(sink, GenSink::InMemory);
-    let mut collector = Collector::new(t_len, collect_budget, want_result);
-    let mut writer = SinkWriter::open(sink, n, f, t_len)?;
-
-    if matches!(writer, SinkWriter::Null) {
-        // Serial path: nothing to encode, so a helper thread would be
-        // pure overhead.
-        let mut stats = StreamStats::default();
-        let mut cancelled = false;
-        for t in 0..t_len {
-            // Cooperative cancellation at snapshot boundaries: the
-            // stepper is abandoned, the partial collection is discarded
-            // (a cancelled sequence must never populate the cache), and
-            // the caller removes any partial file output.
-            if cancel.is_some_and(CancelToken::is_cancelled) {
-                cancelled = true;
-                break;
-            }
-            let snapshot = state.step(model);
-            stats.snapshots += 1;
-            stats.edges += snapshot.n_edges();
-            stats.bytes += snapshot.approx_bytes();
-            writer.write(t, &snapshot)?;
-            trace.mark_snapshot();
-            collector.push(snapshot);
-        }
-        if !cancelled {
-            writer.finish()?;
-        }
+    if let Source::Step { state, .. } = &source {
         stats.decode = state.decode_counts();
-        let collected = (!cancelled).then_some(collector.collected).flatten();
-        return Ok((stats, collected.map(DynamicGraph::new), cancelled));
     }
-
-    // Pipelined path: the helper owns the writer and the stats; the
-    // decode thread steps the model and hands snapshots over a bounded
-    // channel, collecting them back (in order) for the cache.
-    let (snap_tx, snap_rx) = mpsc::sync_channel::<(usize, Snapshot)>(PIPELINE_DEPTH);
-    let (ret_tx, ret_rx) = mpsc::channel::<Snapshot>();
-    let (mut stats, cancelled) =
-        std::thread::scope(|scope| -> Result<(StreamStats, bool), ServeError> {
-            let encoder = scope.spawn(move || encode_loop(writer, snap_rx, ret_tx, cancel, trace));
-            let mut decode_cancelled = false;
-            for t in 0..t_len {
-                if cancel.is_some_and(CancelToken::is_cancelled) {
-                    decode_cancelled = true;
-                    break;
-                }
-                let snapshot = state.step(model);
-                let handoff = Instant::now();
-                if snap_tx.send((t, snapshot)).is_err() {
-                    // The helper bailed (I/O error or cancellation
-                    // observed on its side): stop decoding, the join
-                    // below surfaces why.
-                    break;
-                }
-                trace.add_encode_wait(handoff.elapsed());
-                while let Ok(s) = ret_rx.try_recv() {
-                    collector.push(s);
-                }
-            }
-            drop(snap_tx);
-            // Drain the remaining written snapshots while the helper
-            // finishes; recv fails once the helper drops its sender.
-            while let Ok(s) = ret_rx.recv() {
-                collector.push(s);
-            }
-            match encoder.join() {
-                Ok(outcome) => {
-                    let (stats, write_cancelled) = outcome?;
-                    Ok((stats, write_cancelled || decode_cancelled))
-                }
-                // A panicking Callback sink unwinds on the helper:
-                // re-raise it on the worker thread so the existing
-                // per-job panic containment (and its partial-file
-                // cleanup) applies unchanged.
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        })?;
-    stats.decode = state.decode_counts();
-    let collected = (!cancelled).then_some(collector.collected).flatten();
-    Ok((stats, collected.map(DynamicGraph::new), cancelled))
+    Ok((stats, cancelled))
 }
 
 #[cfg(test)]
@@ -1999,8 +1875,8 @@ mod tests {
         assert_eq!(stats.cache.hits, 4);
     }
 
-    /// The decode pair counters cover cold snapshots only, on the serial
-    /// and the pipelined path, and a cache hit adds nothing to them.
+    /// The decode pair counters cover cold snapshots only, whatever the
+    /// sink, and a cache hit adds nothing to them.
     #[test]
     fn decode_counters_count_cold_snapshots_only() {
         let (registry, model) = registry_with_tiny();
@@ -2020,16 +1896,16 @@ mod tests {
         let hit = run(3, 1, GenSink::InMemory);
         assert!(hit.cache_hit);
         assert_eq!(hit.decode, DecodeCounts::default());
-        let piped = run(2, 2, GenSink::Callback(Box::new(|_, _| {})));
-        assert_eq!(piped.decode.pairs, 2 * n * (n - 1));
+        let streamed = run(2, 2, GenSink::Callback(Box::new(|_, _| {})));
+        assert_eq!(streamed.decode.pairs, 2 * n * (n - 1));
         let mut state = model.begin_generation(&mut StdRng::seed_from_u64(2)).unwrap();
         for _ in 0..2 {
             state.step(&model);
         }
-        assert_eq!(piped.decode, state.decode_counts());
+        assert_eq!(streamed.decode, state.decode_counts());
         let stats = handle.shutdown();
-        assert_eq!(stats.decode.pairs, cold.decode.pairs + piped.decode.pairs);
-        assert_eq!(stats.decode.scored, cold.decode.scored + piped.decode.scored);
+        assert_eq!(stats.decode.pairs, cold.decode.pairs + streamed.decode.pairs);
+        assert_eq!(stats.decode.scored, cold.decode.scored + streamed.decode.scored);
     }
 
     #[test]
@@ -2079,36 +1955,52 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_callback_receives_snapshots_in_order_and_bit_identical() {
-        // Callback sinks run through the encode helper thread; frames
-        // must still arrive strictly in t order with the exact per-step
-        // content of a direct generate() call.
+    fn callback_runs_on_the_worker_thread_in_order_and_bit_identical_cold_and_cached() {
+        // Every job streams on its worker thread: a callback sink sees
+        // the worker's name, and frames arrive strictly in t order with
+        // the exact per-step content of a direct generate() call, both
+        // for a cold run and for the cache hit that replays it.
         let (registry, model) = registry_with_tiny();
         let handle = ServeHandle::with_config(
             registry,
-            ServeConfig { workers: 1, intra_threads: Some(4), ..Default::default() },
+            ServeConfig {
+                workers: 1,
+                intra_threads: Some(4),
+                cache: CacheBudget::entries(4),
+                ..Default::default()
+            },
         )
         .unwrap();
-        let seen: Arc<Mutex<Vec<(usize, usize)>>> = Arc::new(Mutex::new(Vec::new()));
-        let seen_in_cb = Arc::clone(&seen);
-        let ticket = handle
-            .submit(GenRequest::new(
-                "tiny",
-                6,
-                42,
-                GenSink::Callback(Box::new(move |t, s| {
-                    seen_in_cb.lock().unwrap().push((t, s.n_edges()));
-                })),
-            ))
-            .unwrap();
-        let result = ticket.wait().unwrap();
-        assert!(result.is_ok(), "{:?}", result.error);
-        assert!(result.stages.generation.is_some());
         let mut rng = StdRng::seed_from_u64(42);
         let expected = model.generate(6, &mut rng).unwrap();
-        let frames = seen.lock().unwrap();
         let want: Vec<(usize, usize)> = expected.iter().map(|(t, s)| (t, s.n_edges())).collect();
-        assert_eq!(*frames, want, "pipelined frames out of order or diverged");
+        for cache_hit in [false, true] {
+            let seen: Arc<Mutex<Vec<(usize, usize)>>> = Arc::new(Mutex::new(Vec::new()));
+            let threads: Arc<Mutex<Vec<Option<String>>>> = Arc::new(Mutex::new(Vec::new()));
+            let (seen_in_cb, threads_in_cb) = (Arc::clone(&seen), Arc::clone(&threads));
+            let ticket = handle
+                .submit(GenRequest::new(
+                    "tiny",
+                    6,
+                    42,
+                    GenSink::Callback(Box::new(move |t, s| {
+                        seen_in_cb.lock().unwrap().push((t, s.n_edges()));
+                        let name = std::thread::current().name().map(str::to_string);
+                        threads_in_cb.lock().unwrap().push(name);
+                    })),
+                ))
+                .unwrap();
+            let result = ticket.wait().unwrap();
+            assert!(result.is_ok(), "{:?}", result.error);
+            assert_eq!(result.cache_hit, cache_hit);
+            assert!(result.stages.generation.is_some());
+            assert_eq!(*seen.lock().unwrap(), want, "frames out of order or diverged");
+            let threads = threads.lock().unwrap();
+            assert_eq!(threads.len(), 6);
+            for name in threads.iter() {
+                assert_eq!(name.as_deref(), Some("vrdag-serve-worker-0"), "hit={cache_hit}");
+            }
+        }
     }
 
     #[test]

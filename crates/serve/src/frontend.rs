@@ -36,7 +36,7 @@ use std::collections::HashMap;
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 use vrdag_graph::io::{BinaryStreamWriter, TsvStreamWriter};
 use vrdag_graph::{DynamicGraph, Snapshot};
@@ -55,10 +55,6 @@ pub struct FrontendConfig {
     /// once; the excess is answered with `ERR too-many-inflight …`
     /// (retry when an outstanding tag resolves).
     pub max_inflight_per_conn: usize,
-    /// Readiness backend for the event loop. [`Backend::Auto`] picks
-    /// epoll on Linux and the portable scan loop elsewhere, and honours
-    /// the `VRDAG_POLLER` environment override.
-    pub poller: Backend,
     /// Internal-hop mode, for a backend sitting behind a
     /// [`Router`](crate::Router) that already terminated tenant `AUTH`:
     /// the frontend stops demanding tokens (its tenant registry is kept
@@ -84,7 +80,6 @@ impl Default for FrontendConfig {
         FrontendConfig {
             max_connections: Some(4096),
             max_inflight_per_conn: 32,
-            poller: Backend::Auto,
             trust_tenant_assertion: false,
             spans: SpanRecorder::default(),
         }
@@ -134,7 +129,9 @@ impl Frontend {
     ) -> io::Result<Frontend> {
         let listener = listen(addr)?;
         let local_addr = listener.local_addr()?;
-        let poller = vrdag_poll::create(cfg.poller)?;
+        // epoll on Linux, the portable scan loop elsewhere; the
+        // `VRDAG_POLLER` environment variable overrides the choice.
+        let poller = vrdag_poll::create(Backend::Auto)?;
         let poller_name = poller.name();
         handle.logger().info(
             "serve.frontend",
@@ -195,74 +192,53 @@ impl Drop for Frontend {
     }
 }
 
-/// Serialize `graph` in the requested wire format. TSV is byte-identical
-/// to `vrdag_graph::io::write_tsv`; binary to the streaming writer — so
-/// a TCP reply equals what a direct [`ServeHandle`] caller would encode.
+/// Serialize `graph` in the requested wire format with the same
+/// [`WireChunker`] a `SUB` stream uses, so a buffered `GEN` payload is
+/// the concatenation of that stream's `EVT` chunks. TSV is
+/// byte-identical to `vrdag_graph::io::write_tsv` and binary to
+/// `vrdag_graph::io::encode_binary`, so a TCP reply equals what a
+/// direct [`ServeHandle`] caller would encode.
 fn encode_graph(graph: &DynamicGraph, fmt: WireFormat) -> Result<Vec<u8>, ServeError> {
-    match fmt {
-        WireFormat::Tsv => Ok(vrdag_graph::io::write_tsv(graph, Vec::new())?),
-        WireFormat::Bin => Ok(vrdag_graph::io::encode_binary(graph).as_slice().to_vec()),
+    let mut chunker = WireChunker::new(fmt, graph.n_nodes(), graph.n_attrs(), graph.t_len())?;
+    for (_, s) in graph.iter() {
+        chunker.write(s)?;
     }
+    Ok(chunker.take())
 }
 
-/// A shared, append-only byte buffer the streaming writers write into;
-/// the chunker drains it after every snapshot so each `EVT` frame
-/// carries exactly the bytes that snapshot contributed to the encoding.
-#[derive(Clone, Default)]
-struct ChunkBuf(Arc<Mutex<Vec<u8>>>);
-
-impl ChunkBuf {
-    fn take(&self) -> Vec<u8> {
-        std::mem::take(&mut *self.0.lock().expect("chunk buffer poisoned"))
-    }
-}
-
-impl Write for ChunkBuf {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        self.0.lock().expect("chunk buffer poisoned").extend_from_slice(buf);
-        Ok(buf.len())
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        Ok(())
-    }
-}
-
-/// Incremental per-snapshot encoder for a `SUB` stream, built on the
-/// exact same streaming writers as the file sinks and the buffered
-/// `GEN` encodings — which is what makes the concatenation of a
-/// stream's `EVT` payloads byte-identical to the buffered reply (the
-/// format headers land in the first chunk; `finish()` writes nothing).
+/// Incremental wire encoder over an in-memory buffer, built on the
+/// exact same streaming writers as the file sinks. A `SUB` stream takes
+/// the buffer after every snapshot, so each `EVT` frame carries exactly
+/// the bytes that snapshot contributed (the format header lands in the
+/// first chunk); a buffered `GEN` takes it once at the end.
 enum WireChunker {
-    Tsv(TsvStreamWriter<ChunkBuf>, ChunkBuf),
-    Bin(BinaryStreamWriter<ChunkBuf>, ChunkBuf),
+    Tsv(TsvStreamWriter<Vec<u8>>),
+    Bin(BinaryStreamWriter<Vec<u8>>),
 }
 
 impl WireChunker {
     fn new(fmt: WireFormat, n: usize, f: usize, t_len: usize) -> Result<WireChunker, ServeError> {
-        let buf = ChunkBuf::default();
         Ok(match fmt {
-            WireFormat::Tsv => {
-                WireChunker::Tsv(TsvStreamWriter::new(buf.clone(), n, f, t_len)?, buf)
-            }
-            WireFormat::Bin => {
-                WireChunker::Bin(BinaryStreamWriter::new(buf.clone(), n, f, t_len)?, buf)
-            }
+            WireFormat::Tsv => WireChunker::Tsv(TsvStreamWriter::new(Vec::new(), n, f, t_len)?),
+            WireFormat::Bin => WireChunker::Bin(BinaryStreamWriter::new(Vec::new(), n, f, t_len)?),
         })
     }
 
-    /// Encode one snapshot and return the bytes it contributed.
-    fn encode(&mut self, s: &Snapshot) -> Result<Vec<u8>, ServeError> {
+    /// Encode one snapshot into the buffer.
+    fn write(&mut self, s: &Snapshot) -> Result<(), ServeError> {
         match self {
-            WireChunker::Tsv(w, buf) => {
-                w.write_snapshot(s)?;
-                Ok(buf.take())
-            }
-            WireChunker::Bin(w, buf) => {
-                w.write_snapshot(s)?;
-                Ok(buf.take())
-            }
+            WireChunker::Tsv(w) => w.write_snapshot(s)?,
+            WireChunker::Bin(w) => w.write_snapshot(s)?,
         }
+        Ok(())
+    }
+
+    /// Drain the bytes encoded since the last take.
+    fn take(&mut self) -> Vec<u8> {
+        std::mem::take(match self {
+            WireChunker::Tsv(w) => w.get_mut(),
+            WireChunker::Bin(w) => w.get_mut(),
+        })
     }
 }
 
@@ -585,7 +561,7 @@ impl Serve {
                         }
                     },
                 };
-                match chunker.encode(s) {
+                match chunker.write(s).map(|()| chunker.take()) {
                     Ok(payload) => {
                         let bytes = payload.len();
                         let header = ReplyHeader::Evt { tag: tag.clone(), snap, of: t_len, bytes };

@@ -132,11 +132,10 @@ pub fn publish_build_info(registry: &vrdag_obs::Registry) {
         )
         .set(1);
 }
-// The frontend's readiness-poller selection ([`FrontendConfig::poller`])
-// and the OS helpers a load-driving harness needs (fd-limit raising, RSS
+// The OS helpers a load-driving harness needs (fd-limit raising, RSS
 // sampling), re-exported so integrations and the CLI never depend on
 // `vrdag-poll` directly.
-pub use vrdag_poll::{os as poll_os, Backend as PollerBackend};
+pub use vrdag_poll::os as poll_os;
 
 use std::fmt;
 

@@ -95,8 +95,6 @@ pub struct RouterConfig {
     /// seed_range`): consecutive seeds within one bucket share a
     /// backend (cache + scheduler affinity), buckets fan out.
     pub seed_range: u64,
-    /// Readiness backend of the event loop.
-    pub poller: Backend,
     pub logger: Logger,
     /// The router's own metrics registry (`vrdag_route_*`; also the
     /// local half of an aggregated `METRICS` reply).
@@ -118,7 +116,6 @@ impl Default for RouterConfig {
             retry_backoff: Duration::from_millis(50),
             dial_timeout: Duration::from_secs(2),
             seed_range: 16,
-            poller: Backend::Auto,
             logger: Logger::default(),
             metrics: Registry::default(),
             spans: SpanRecorder::default(),
@@ -183,7 +180,8 @@ impl Router {
                 ("up", shared.pool.up_count().to_string()),
             ],
         );
-        let poller = create(cfg.poller)?;
+        // Same backend choice as the frontend, `VRDAG_POLLER` included.
+        let poller = create(Backend::Auto)?;
         // The router's exposition stays `vrdag_route_*` (it merges with
         // the backends' in an aggregated METRICS): the loop's
         // connection counters go to a registry nobody renders.

@@ -72,7 +72,7 @@ fn bench_json_report(
             "  \"snapshots\": {},\n",
             "  \"edges\": {},\n",
             "  \"latency_ms\": {{ \"p50\": {:.3}, \"p95\": {:.3}, \"p99\": {:.3}, \"mean\": {:.3}, \"max\": {:.3} }},\n",
-            "  \"stages_ms\": {{ \"queue_wait_p50\": {:.3}, \"queue_wait_p95\": {:.3}, \"first_snapshot_p50\": {:.3}, \"first_snapshot_p95\": {:.3}, \"generation_p50\": {:.3}, \"generation_p95\": {:.3}, \"delivery_p50\": {:.3}, \"delivery_p95\": {:.3}, \"encode_wait_p50\": {:.3}, \"encode_wait_p95\": {:.3} }},\n",
+            "  \"stages_ms\": {{ \"queue_wait_p50\": {:.3}, \"queue_wait_p95\": {:.3}, \"first_snapshot_p50\": {:.3}, \"first_snapshot_p95\": {:.3}, \"generation_p50\": {:.3}, \"generation_p95\": {:.3}, \"delivery_p50\": {:.3}, \"delivery_p95\": {:.3} }},\n",
             "  \"cache\": {{ \"hits\": {}, \"misses\": {}, \"evictions\": {}, \"evicted_bytes\": {}, \"entries\": {}, \"bytes\": {} }},\n",
             "{}",
             "  \"max_in_flight\": {}\n",
@@ -103,8 +103,6 @@ fn bench_json_report(
         stats.stages.generation.p95_seconds * 1e3,
         stats.stages.delivery.p50_seconds * 1e3,
         stats.stages.delivery.p95_seconds * 1e3,
-        stats.stages.encode_wait.p50_seconds * 1e3,
-        stats.stages.encode_wait.p95_seconds * 1e3,
         c.hits,
         c.misses,
         c.evictions,
@@ -283,17 +281,18 @@ fn usage() -> ExitCode {
          serve          --model <model.vrdg> [--name NAME] [--models n1=p1,n2=p2,...]\n\
          \x20              [--addr HOST:PORT] [--workers N] [--intra-threads N]\n\
          \x20              [--cache-entries N] [--queue-depth N]\n\
-         \x20              [--max-conns N] [--max-inflight N] [--poller auto|epoll|scan]\n\
+         \x20              [--max-conns N] [--max-inflight N]\n\
          \x20              [--tenants <tenants.conf>] [--internal true]\n\
          \x20              [--log-level error|warn|info|debug|off] [--log-json true]\n\
          \x20              [--metrics-json <path>] [--http-addr HOST:PORT]\n\
          \x20              (pipelined line protocol — see docs/PROTOCOL.md; --internal true\n\
          \x20               trusts tenant= and trace= assertions from a fronting router;\n\
-         \x20               --http-addr serves /metrics /healthz /readyz /traces /logs)\n\
+         \x20               --http-addr serves /metrics /healthz /readyz /traces /logs;\n\
+         \x20               VRDAG_POLLER=auto|epoll|scan picks the readiness backend\n\
+         \x20               here and for route)\n\
          route          --backends HOST:PORT,HOST:PORT,... [--addr HOST:PORT]\n\
          \x20              [--tenants <tenants.conf>] [--max-inflight N] [--gen-retries N]\n\
          \x20              [--retry-backoff-ms MS] [--dial-timeout-ms MS] [--seed-range N]\n\
-         \x20              [--poller auto|epoll|scan]\n\
          \x20              [--log-level error|warn|info|debug|off] [--log-json true]\n\
          \x20              [--metrics-json <path>] [--http-addr HOST:PORT]\n\
          \x20              (sharded front tier: terminates AUTH, consistent-hashes\n\
@@ -620,15 +619,6 @@ fn main() -> ExitCode {
             // Bind such a node to loopback or a private network only.
             frontend_cfg.trust_tenant_assertion =
                 kv.get("internal").map(String::as_str) == Some("true");
-            if let Some(name) = kv.get("poller") {
-                match PollerBackend::parse(name) {
-                    Some(backend) => frontend_cfg.poller = backend,
-                    None => {
-                        eprintln!("--poller must be auto|epoll|scan, got {name:?}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
             let registry = ModelRegistry::new();
             if let Some(model_path) = kv.get("model") {
                 let name = kv.get("name").map(String::as_str).unwrap_or("model");
@@ -884,15 +874,6 @@ fn main() -> ExitCode {
             }
             if let Some(n) = kv.get("seed-range").and_then(|s| s.parse::<u64>().ok()) {
                 cfg.seed_range = n.max(1);
-            }
-            if let Some(name) = kv.get("poller") {
-                match PollerBackend::parse(name) {
-                    Some(backend) => cfg.poller = backend,
-                    None => {
-                        eprintln!("--poller must be auto|epoll|scan, got {name:?}");
-                        return ExitCode::FAILURE;
-                    }
-                }
             }
             let n_backends = backends.len();
             // Behind an `Arc` so the HTTP endpoint closures can call

@@ -39,9 +39,9 @@ pub mod prelude {
     pub use vrdag_obs::{JobTrace, Level, Logger, Registry as MetricsRegistry};
     pub use vrdag_serve::{
         CacheBudget, CacheStats, CancelToken, Frontend, FrontendConfig, GenRequest, GenSink,
-        HttpEndpoints, HttpExpo, LineClient, ModelRegistry, PollerBackend, Router, RouterConfig,
-        ServeConfig, ServeError, ServeHandle, ServeStats, SnapshotCache, SnapshotStream, Tenant,
-        TenantId, TenantRegistry, TenantStats, Ticket,
+        HttpEndpoints, HttpExpo, LineClient, ModelRegistry, Router, RouterConfig, ServeConfig,
+        ServeError, ServeHandle, ServeStats, SnapshotCache, SnapshotStream, Tenant, TenantId,
+        TenantRegistry, TenantStats, Ticket,
     };
     pub use vrdag_tensor::{Matrix, Tensor};
 }

@@ -87,6 +87,14 @@ fn concurrent_clients_get_bit_identical_replies_and_duplicates_coalesce() {
     .unwrap();
     let frontend = Frontend::bind(handle.clone(), "127.0.0.1:0").unwrap();
     let addr = frontend.local_addr();
+    // A run that forces a readiness backend through `VRDAG_POLLER` must
+    // really be served by it: a broken override would otherwise pass
+    // silently on the platform default.
+    if let Ok(forced) = std::env::var("VRDAG_POLLER") {
+        if forced != "auto" {
+            assert_eq!(frontend.poller(), forced, "VRDAG_POLLER override not honoured");
+        }
+    }
 
     // 4 concurrent clients all request every key — overlapping
     // (model, t, seed) traffic, half tsv, half bin (the format changes
@@ -272,8 +280,8 @@ fn parallel_sub_streams_equal_buffered_gen_and_report_consistent_stage_timings()
     registry.register("m", &model).unwrap();
     // Intra-job parallelism explicitly on (the clamp may still reduce it
     // on a small host — determinism must hold either way): the SUB below
-    // is a *cold* decode streamed through the encode pipeline, and the
-    // GEN after it replays the now-cached value buffered. Both byte
+    // is a *cold* decode streamed snapshot by snapshot, and the GEN after
+    // it replays the now-cached value buffered. Both byte
     // paths must agree exactly.
     let handle = ServeHandle::with_config(
         registry,
@@ -316,7 +324,7 @@ fn parallel_sub_streams_equal_buffered_gen_and_report_consistent_stage_timings()
                 other => panic!("unexpected frame {other:?}"),
             }
         };
-        // Stage timings survive the pipelined path: END still reports
+        // Stage timings survive intra-job parallelism: END still reports
         // queue wait and generation time for the cold parallel job.
         assert!(qms.is_some(), "fmt {fmt}: END lost qms= under intra-job parallelism");
         assert!(genms.is_some(), "fmt {fmt}: END lost genms= under intra-job parallelism");
@@ -816,7 +824,6 @@ fn metrics_exposition_agrees_exactly_with_stats_after_deterministic_workload() {
         ("first_snapshot", &stages.first_snapshot),
         ("generation", &stages.generation),
         ("delivery", &stages.delivery),
-        ("encode_wait", &stages.encode_wait),
     ] {
         let series = format!("vrdag_job_stage_seconds_count{{stage=\"{stage}\"}}");
         assert_eq!(prom_sample(&text, &series), Some(latency.samples), "{series}\n{text}");

@@ -1,9 +1,9 @@
-//! Thread-count determinism suite: the intra-job parallel decode and the
-//! snapshot encode pipeline must never change a single output byte. A
-//! `(model, t_len, seed)` triple yields the same TSV and binary payloads
-//! whether the job runs on 1, 2, 4, or 8 intra-job threads, cold or
-//! replayed from the snapshot cache, and a mid-sequence cancellation
-//! trips at the same snapshot boundary with the same delivered prefix.
+//! Thread-count determinism suite: the intra-job parallel decode must
+//! never change a single output byte. A `(model, t_len, seed)` triple
+//! yields the same TSV and binary payloads whether the job runs on 1, 2,
+//! 4, or 8 intra-job threads, cold or replayed from the snapshot cache,
+//! and a mid-sequence cancellation trips at the same snapshot boundary
+//! with the same delivered prefix.
 //!
 //! Thread counts are pinned with [`par::with_threads`] (cold paths) and
 //! [`ServeConfig::intra_threads`] (served paths) rather than
@@ -86,9 +86,9 @@ proptest! {
 
     /// A mid-sequence [`CancelToken`] trip from inside the sink stops at
     /// the same snapshot boundary with the same delivered prefix on
-    /// every thread count: the pipelined encoder checks the token
-    /// between writes, so the decode thread racing ahead never leaks an
-    /// extra snapshot to the sink.
+    /// every thread count: the worker checks the token before taking
+    /// each snapshot, so no snapshot past the trip is decoded or
+    /// written.
     #[test]
     fn cancel_trips_at_the_same_boundary_on_every_thread_count(
         seed in 0u64..1_000,
@@ -142,8 +142,8 @@ fn served_cold_and_replay_bytes_are_thread_count_invariant() {
     let (cold_tsv, cold_bin) = par::with_threads(8, || cold_payloads(t_len, seed));
     for &n in &THREAD_COUNTS {
         let handle = handle_with_intra_threads(n);
-        // First pass misses (cold decode through the pipeline), second
-        // pass replays the same key out of the snapshot cache.
+        // First pass misses (cold decode), second pass replays the same
+        // key out of the snapshot cache.
         let paths = [
             dir.join(format!("cold-{n}.tsv")),
             dir.join(format!("replay-{n}.tsv")),
