@@ -264,16 +264,13 @@ impl Tensor {
             let Some(node) = t.inner.node.as_ref() else {
                 continue;
             };
-            let grad = t.inner.grad.borrow().clone();
-            let Some(grad) = grad else { continue };
+            // Only op results have a node, and they are never trainable
+            // leaves, so their gradient is needed only until it has been
+            // propagated: take it out instead of copying it, which also
+            // bounds tape memory (leaves keep theirs).
+            let Some(grad) = t.inner.grad.borrow_mut().take() else { continue };
             let value = t.inner.value.borrow();
             (node.backward)(&grad, &value, &node.parents);
-            // Interior gradients are no longer needed once propagated; free
-            // the buffer to bound tape memory (leaves keep theirs).
-            if !t.inner.requires_grad {
-                drop(value);
-                *t.inner.grad.borrow_mut() = None;
-            }
         }
     }
 }
