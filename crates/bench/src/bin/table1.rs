@@ -3,17 +3,14 @@
 //! VRDAG}. Dymond rows that hit the motif budget are reported as missing,
 //! matching the paper's note that Dymond only runs on the smallest dataset.
 
-use vrdag_bench::harness::{fit_and_generate, load_dataset, make_method, selected_specs, RunOpts};
+use vrdag_bench::grids::{table1_rows, TABLE1_DATASETS};
+use vrdag_bench::harness::{load_dataset, selected_specs, RunOpts};
 use vrdag_bench::report::{results_dir, Table};
-use vrdag_graph::GeneratorError;
-use vrdag_metrics::structure::{structure_report, StructureReport};
-
-const METHODS: [&str; 7] = ["GRAN", "GenCAT", "TagGen", "Dymond", "TGGAN", "TIGGER", "VRDAG"];
-const ALL_DATASETS: [&str; 6] = ["Email", "Bitcoin", "Wiki", "Guarantee", "Brain", "GDELT"];
+use vrdag_metrics::structure::StructureReport;
 
 fn main() {
     let opts = RunOpts::from_env();
-    let specs = selected_specs(&opts, &ALL_DATASETS);
+    let specs = selected_specs(&opts, &TABLE1_DATASETS);
     println!(
         "Table I reproduction | scale={} seed={} ({} datasets)\n",
         opts.scale.name(),
@@ -33,31 +30,10 @@ fn main() {
             graph.t_len()
         );
         let mut table = Table::new(format!("Table I — {}", spec.name), &headers);
-        for method in METHODS {
-            let mut gen = make_method(method, opts.scale, opts.seed);
-            match fit_and_generate(&mut gen, &graph, opts.seed ^ 0x1AB1) {
-                Ok(run) => {
-                    let rep = structure_report(&graph, &run.generated);
-                    table.push_row(method, rep.as_row().to_vec());
-                    combined.push_row(format!("{}/{}", spec.name, method), rep.as_row().to_vec());
-                }
-                Err(GeneratorError::ResourceLimit(msg)) => {
-                    eprintln!("   {method}: resource limit ({msg}) — skipped, as in the paper");
-                    table.push_row_opt(method, vec![None; headers.len()]);
-                    combined.push_row_opt(
-                        format!("{}/{}", spec.name, method),
-                        vec![None; headers.len()],
-                    );
-                }
-                Err(e) => {
-                    eprintln!("   {method}: failed: {e}");
-                    table.push_row_opt(method, vec![None; headers.len()]);
-                    combined.push_row_opt(
-                        format!("{}/{}", spec.name, method),
-                        vec![None; headers.len()],
-                    );
-                }
-            }
+        for (method, row) in table1_rows(&graph, opts.scale, opts.seed) {
+            let values = row.map_or_else(|| vec![None; headers.len()], |r| r.map(Some).to_vec());
+            table.push_row_opt(method, values.clone());
+            combined.push_row_opt(format!("{}/{}", spec.name, method), values);
         }
         table.print();
         println!();

@@ -2,38 +2,22 @@
 //! coefficients of attributes on Email and Guarantee (the two datasets
 //! with ≥ 2 attribute dimensions), for {Normal, GenCAT, VRDAG}.
 
-use vrdag_bench::harness::{fit_and_generate, load_dataset, make_method, selected_specs, RunOpts};
+use vrdag_bench::grids::{table2_row, TABLE2_DATASETS, TABLE2_METHODS};
+use vrdag_bench::harness::{load_dataset, selected_specs, RunOpts};
 use vrdag_bench::report::{results_dir, Table};
-use vrdag_metrics::attribute::spearman_mae;
-
-const METHODS: [&str; 3] = ["Normal", "GenCAT", "VRDAG"];
 
 fn main() {
     let opts = RunOpts::from_env();
-    let specs = selected_specs(&opts, &["Email", "Guarantee"]);
+    let specs = selected_specs(&opts, &TABLE2_DATASETS);
     println!(
         "Table II reproduction (Spearman correlation MAE) | scale={} seed={}\n",
         opts.scale.name(),
         opts.seed
     );
-    let mut table = Table::new("Table II", &METHODS);
+    let mut table = Table::new("Table II", &TABLE2_METHODS);
     for spec in &specs {
         let graph = load_dataset(spec, opts.seed);
-        assert!(graph.n_attrs() >= 2, "{} needs ≥2 attributes for correlation analysis", spec.name);
-        let mut row = Vec::new();
-        for method in METHODS {
-            // VRDAG gets a 3x epoch budget here: correlation structure is
-            // the slowest-converging part of the attribute decoder.
-            let mut gen: Box<dyn vrdag_graph::DynamicGraphGenerator> = if method == "VRDAG" {
-                Box::new(vrdag_bench::harness::vrdag_long(opts.scale, opts.seed, 3))
-            } else {
-                make_method(method, opts.scale, opts.seed)
-            };
-            let run = fit_and_generate(&mut gen, &graph, opts.seed ^ 0x7AB2)
-                .unwrap_or_else(|e| panic!("{method} on {}: {e}", spec.name));
-            row.push(spearman_mae(&graph, &run.generated));
-        }
-        table.push_row(spec.name.clone(), row);
+        table.push_row(spec.name.clone(), table2_row(&graph, opts.scale, opts.seed));
     }
     table.print();
     let out = results_dir().join("table2.tsv");

@@ -17,10 +17,13 @@
 //! | `fig10`     | Fig. 10 — data-augmentation case study |
 //! | `ablation`  | Appendix A-E — component ablations |
 //! | `param_analysis` | Appendix A-F — sensitivity to `d_z`, `d_h`, `K`, `L` |
+//! | `fidelity`  | Tables I and II over seeds 42 and 1–5, gated against `FIDELITY.json` |
 //!
-//! All binaries accept `--scale {small|medium|paper}` (default `small`),
+//! All binaries but `fidelity` accept `--scale {small|medium|paper}` (default `small`),
 //! `--seed N`, and `--datasets a,b,c`; results are printed as aligned
 //! tables and written as TSV under `results/`.
 
+pub mod fidelity;
+pub mod grids;
 pub mod harness;
 pub mod report;
