@@ -23,21 +23,110 @@ use vrdag_suite::graph::io;
 use vrdag_suite::metrics;
 use vrdag_suite::prelude::*;
 
-fn parse_kv(args: &[String]) -> HashMap<String, String> {
-    let mut map = HashMap::new();
-    let mut i = 0;
-    while i < args.len() {
-        if let Some(key) = args[i].strip_prefix("--") {
-            if i + 1 < args.len() {
-                map.insert(key.to_string(), args[i + 1].clone());
-                i += 2;
-                continue;
+/// The `--key value` flags each command accepts.
+fn command_keys(cmd: &str) -> Option<&'static [&'static str]> {
+    Some(match cmd {
+        "synth" => &["dataset", "scale", "seed", "out"],
+        "summarize" => &["graph"],
+        "fit" => &["graph", "epochs", "seed", "model"],
+        "generate" => &["model", "t", "seed", "out"],
+        "batch-generate" => &[
+            "model",
+            "t",
+            "jobs",
+            "workers",
+            "seed",
+            "repeat",
+            "cache-entries",
+            "priority",
+            "queue-depth",
+            "intra-threads",
+            "format",
+            "json",
+            "out-dir",
+        ],
+        "serve" => &[
+            "model",
+            "name",
+            "models",
+            "addr",
+            "workers",
+            "intra-threads",
+            "cache-entries",
+            "queue-depth",
+            "max-conns",
+            "max-inflight",
+            "tenants",
+            "internal",
+            "log-level",
+            "log-json",
+            "metrics-json",
+            "http-addr",
+        ],
+        "route" => &[
+            "backends",
+            "addr",
+            "tenants",
+            "max-inflight",
+            "gen-retries",
+            "retry-backoff-ms",
+            "dial-timeout-ms",
+            "seed-range",
+            "log-level",
+            "log-json",
+            "metrics-json",
+            "http-addr",
+        ],
+        "bench-check" => &["fresh", "floor", "ratio"],
+        "evaluate" => &["original", "generated"],
+        _ => return None,
+    })
+}
+
+/// A command's parsed `--key value` flags.
+struct Flags(HashMap<String, String>);
+
+impl Flags {
+    /// Parse `args` against the keys `cmd` accepts. A key the command does
+    /// not know, a key without a value or a stray argument is a usage error.
+    fn parse(cmd: &str, keys: &[&str], args: &[String]) -> Flags {
+        let mut map = HashMap::new();
+        let mut args = args.iter();
+        while let Some(arg) = args.next() {
+            let Some(key) = arg.strip_prefix("--") else {
+                usage_error(&format!("unexpected argument {arg:?}"));
+            };
+            if !keys.contains(&key) {
+                usage_error(&format!("unknown flag --{key} for {cmd}"));
             }
+            let Some(value) = args.next() else {
+                usage_error(&format!("--{key} needs a value"));
+            };
+            map.insert(key.to_string(), value.clone());
         }
-        eprintln!("warning: ignoring argument {:?}", args[i]);
-        i += 1;
+        Flags(map)
     }
-    map
+
+    fn get(&self, key: &str) -> Option<&String> {
+        self.0.get(key)
+    }
+
+    /// The value of `--key` parsed as a `T`, or `None` when the flag is
+    /// absent. A value that does not parse is a usage error.
+    fn parsed<T: std::str::FromStr>(&self, key: &str) -> Option<T> {
+        let value = self.0.get(key)?;
+        match value.parse() {
+            Ok(v) => Some(v),
+            Err(_) => usage_error(&format!("invalid value {value:?} for --{key}")),
+        }
+    }
+}
+
+/// Print `msg` and the usage, then exit with status 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("error: {msg}");
+    usage();
+    std::process::exit(2)
 }
 
 /// Machine-readable serving-bench report (`batch-generate --json`): one
@@ -314,14 +403,17 @@ fn main() -> ExitCode {
     let Some(cmd) = args.first().cloned() else {
         return usage();
     };
-    let kv = parse_kv(&args[1..]);
-    let seed: u64 = kv.get("seed").and_then(|s| s.parse().ok()).unwrap_or(42);
+    let Some(keys) = command_keys(&cmd) else {
+        return usage();
+    };
+    let kv = Flags::parse(&cmd, keys, &args[1..]);
+    let seed: u64 = kv.parsed("seed").unwrap_or(42);
     match cmd.as_str() {
         "synth" => {
             let (Some(name), Some(out)) = (kv.get("dataset"), kv.get("out")) else {
                 return usage();
             };
-            let scale: f64 = kv.get("scale").and_then(|s| s.parse().ok()).unwrap_or(1.0);
+            let scale: f64 = kv.parsed("scale").unwrap_or(1.0);
             // The error's display form lists every valid spec name, so
             // this message can never drift out of sync with the crate.
             let spec = match datasets::by_name_or_err(name) {
@@ -365,7 +457,7 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             };
-            let epochs: usize = kv.get("epochs").and_then(|s| s.parse().ok()).unwrap_or(12);
+            let epochs: usize = kv.parsed("epochs").unwrap_or(12);
             let cfg = VrdagConfig { epochs, seed, ..VrdagConfig::default() };
             let mut model = Vrdag::new(cfg);
             let mut rng = StdRng::seed_from_u64(seed);
@@ -389,7 +481,7 @@ fn main() -> ExitCode {
             let (Some(model_path), Some(out)) = (kv.get("model"), kv.get("out")) else {
                 return usage();
             };
-            let Some(t): Option<usize> = kv.get("t").and_then(|s| s.parse().ok()) else {
+            let Some(t): Option<usize> = kv.parsed("t") else {
                 eprintln!("--t <snapshots> is required");
                 return ExitCode::FAILURE;
             };
@@ -430,7 +522,7 @@ fn main() -> ExitCode {
             let (Some(model_path), Some(out_dir)) = (kv.get("model"), kv.get("out-dir")) else {
                 return usage();
             };
-            let Some(t): Option<usize> = kv.get("t").and_then(|s| s.parse().ok()) else {
+            let Some(t): Option<usize> = kv.parsed("t") else {
                 eprintln!("--t <snapshots> is required");
                 return ExitCode::FAILURE;
             };
@@ -438,14 +530,13 @@ fn main() -> ExitCode {
                 eprintln!("--t must be >= 1 (a dynamic graph needs at least one snapshot)");
                 return ExitCode::FAILURE;
             }
-            let jobs: usize = kv.get("jobs").and_then(|s| s.parse().ok()).unwrap_or(4);
-            let workers: usize = kv.get("workers").and_then(|s| s.parse().ok()).unwrap_or(2);
-            let repeat: usize = kv.get("repeat").and_then(|s| s.parse().ok()).unwrap_or(1);
-            let cache_entries: usize =
-                kv.get("cache-entries").and_then(|s| s.parse().ok()).unwrap_or(0);
-            let priority: i32 = kv.get("priority").and_then(|s| s.parse().ok()).unwrap_or(0);
-            let queue_depth: Option<usize> = kv.get("queue-depth").and_then(|s| s.parse().ok());
-            let intra_threads: Option<usize> = kv.get("intra-threads").and_then(|s| s.parse().ok());
+            let jobs: usize = kv.parsed("jobs").unwrap_or(4);
+            let workers: usize = kv.parsed("workers").unwrap_or(2);
+            let repeat: usize = kv.parsed("repeat").unwrap_or(1);
+            let cache_entries: usize = kv.parsed("cache-entries").unwrap_or(0);
+            let priority: i32 = kv.parsed("priority").unwrap_or(0);
+            let queue_depth: Option<usize> = kv.parsed("queue-depth");
+            let intra_threads: Option<usize> = kv.parsed("intra-threads");
             let format = kv.get("format").map(String::as_str).unwrap_or("tsv");
             if !matches!(format, "tsv" | "bin") {
                 eprintln!("--format must be tsv or bin, got {format:?}");
@@ -600,17 +691,16 @@ fn main() -> ExitCode {
             // comma-separated list (--models a=p1,b=p2); clients speak
             // the line protocol documented in the README.
             let addr = kv.get("addr").cloned().unwrap_or_else(|| "127.0.0.1:7878".to_string());
-            let workers: usize = kv.get("workers").and_then(|s| s.parse().ok()).unwrap_or(2);
-            let cache_entries: usize =
-                kv.get("cache-entries").and_then(|s| s.parse().ok()).unwrap_or(64);
-            let queue_depth: Option<usize> = kv.get("queue-depth").and_then(|s| s.parse().ok());
-            let intra_threads: Option<usize> = kv.get("intra-threads").and_then(|s| s.parse().ok());
+            let workers: usize = kv.parsed("workers").unwrap_or(2);
+            let cache_entries: usize = kv.parsed("cache-entries").unwrap_or(64);
+            let queue_depth: Option<usize> = kv.parsed("queue-depth");
+            let intra_threads: Option<usize> = kv.parsed("intra-threads");
             let mut frontend_cfg = FrontendConfig::default();
-            if let Some(max_conns) = kv.get("max-conns").and_then(|s| s.parse().ok()) {
+            if let Some(max_conns) = kv.parsed("max-conns") {
                 // 0 means "no cap" on the command line.
                 frontend_cfg.max_connections = (max_conns > 0).then_some(max_conns);
             }
-            if let Some(max_inflight) = kv.get("max-inflight").and_then(|s| s.parse().ok()) {
+            if let Some(max_inflight) = kv.parsed("max-inflight") {
                 frontend_cfg.max_inflight_per_conn = max_inflight;
             }
             // Internal-hop mode for nodes behind `vrdag-cli route`: the
@@ -860,19 +950,19 @@ fn main() -> ExitCode {
                 logger: logger.clone(),
                 ..Default::default()
             };
-            if let Some(n) = kv.get("max-inflight").and_then(|s| s.parse().ok()) {
+            if let Some(n) = kv.parsed("max-inflight") {
                 cfg.max_inflight_per_conn = n;
             }
-            if let Some(n) = kv.get("gen-retries").and_then(|s| s.parse().ok()) {
+            if let Some(n) = kv.parsed("gen-retries") {
                 cfg.gen_retries = n;
             }
-            if let Some(ms) = kv.get("retry-backoff-ms").and_then(|s| s.parse().ok()) {
+            if let Some(ms) = kv.parsed("retry-backoff-ms") {
                 cfg.retry_backoff = std::time::Duration::from_millis(ms);
             }
-            if let Some(ms) = kv.get("dial-timeout-ms").and_then(|s| s.parse().ok()) {
+            if let Some(ms) = kv.parsed("dial-timeout-ms") {
                 cfg.dial_timeout = std::time::Duration::from_millis(ms);
             }
-            if let Some(n) = kv.get("seed-range").and_then(|s| s.parse::<u64>().ok()) {
+            if let Some(n) = kv.parsed::<u64>("seed-range") {
                 cfg.seed_range = n.max(1);
             }
             let n_backends = backends.len();
@@ -966,7 +1056,7 @@ fn main() -> ExitCode {
             let (Some(fresh_path), Some(floor_path)) = (kv.get("fresh"), kv.get("floor")) else {
                 return usage();
             };
-            let ratio: f64 = kv.get("ratio").and_then(|s| s.parse().ok()).unwrap_or(3.0);
+            let ratio: f64 = kv.parsed("ratio").unwrap_or(3.0);
             let read = |path: &String| match std::fs::read_to_string(path) {
                 Ok(text) => Some(text),
                 Err(e) => {

@@ -101,3 +101,35 @@ fn loaded_model_stats_survive() {
     assert_eq!(orig.train_t, rest.train_t);
     assert_eq!(orig.attr_means, rest.attr_means);
 }
+
+/// Runs `vrdag-cli` with `args` and returns its exit code and stderr.
+fn run_cli(args: &[&str]) -> (Option<i32>, String) {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_vrdag-cli"))
+        .args(args)
+        .output()
+        .expect("vrdag-cli runs");
+    (out.status.code(), String::from_utf8_lossy(&out.stderr).into_owned())
+}
+
+#[test]
+fn cli_rejects_an_unknown_flag_before_doing_anything() {
+    // `--poller` is not a `serve` flag (the backend is picked by
+    // VRDAG_POLLER), so serve must refuse it instead of starting.
+    let (code, err) =
+        run_cli(&["serve", "--model", "missing.vrdg", "--poller", "scan", "--addr", "127.0.0.1:0"]);
+    assert_eq!(code, Some(2), "stderr: {err}");
+    assert!(err.contains("unknown flag --poller for serve"), "stderr: {err}");
+    assert!(err.contains("usage: vrdag-cli"), "stderr: {err}");
+}
+
+#[test]
+fn cli_rejects_a_number_that_does_not_parse() {
+    let (code, err) = run_cli(&["serve", "--model", "missing.vrdg", "--workers", "two"]);
+    assert_eq!(code, Some(2), "stderr: {err}");
+    assert!(err.contains("invalid value \"two\" for --workers"), "stderr: {err}");
+    assert!(err.contains("usage: vrdag-cli"), "stderr: {err}");
+    // A flag without its value is refused too.
+    let (code, err) = run_cli(&["synth", "--dataset", "Email", "--out"]);
+    assert_eq!(code, Some(2), "stderr: {err}");
+    assert!(err.contains("--out needs a value"), "stderr: {err}");
+}
