@@ -6,7 +6,7 @@
 //! Training evaluates the pairwise MLPs `f_α`, `f_θ` on *sampled* pairs
 //! (positives + `Q` negatives per node, with importance weights that keep
 //! the expected loss equal to the full-matrix BCE of Eq. 17). Generation
-//! samples **all** `N(N−1)` ordered pairs using the difference
+//! samples **all** `N(N−1)` ordered pairs. Both use the difference
 //! factorization: the first Linear layer distributes over `s_i − s_j`, so
 //! `W·s_i` is precomputed once and each pair costs only `O(h + hK)` — the
 //! CPU analogue of the paper's batched GPU decode. The sampling pass scores
