@@ -6,7 +6,7 @@
 //! Training evaluates the pairwise MLPs `f_α`, `f_θ` on *sampled* pairs
 //! (positives + `Q` negatives per node, with importance weights that keep
 //! the expected loss equal to the full-matrix BCE of Eq. 17). Generation
-//! samples **all** `N(N−1)` ordered pairs. Both use the difference
+//! samples **all** `N(N−1)` ordered pairs using the difference
 //! factorization: the first Linear layer distributes over `s_i − s_j`, so
 //! `W·s_i` is precomputed once and each pair costs only `O(h + hK)` — the
 //! CPU analogue of the paper's batched GPU decode. The sampling pass scores
@@ -21,7 +21,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use std::rc::Rc;
 use vrdag_graph::Snapshot;
-use vrdag_tensor::nn::{pair_hidden_unit, Activation, Linear, Mlp};
+use vrdag_tensor::nn::{leaky_relu, Activation, Linear, Mlp};
 use vrdag_tensor::ops::{self, Segments};
 use vrdag_tensor::simd::{self, Isa};
 use vrdag_tensor::{par, Matrix, Tensor};
@@ -137,7 +137,8 @@ impl MixBernoulliDecoder {
             }
         }
         let src = Rc::new(src);
-        let f = self.pair_logits(&self.f_alpha, s, Rc::clone(&src), Rc::new(dst));
+        let d = ops::sub(&ops::gather_rows(s, Rc::clone(&src)), &ops::gather_rows(s, Rc::new(dst)));
+        let f = self.f_alpha.forward(&d);
         let pooled = ops::scatter_add_rows(&f, src, n);
         ops::softmax_rows(&ops::scale(&pooled, n as f32 / r as f32))
     }
@@ -145,23 +146,13 @@ impl MixBernoulliDecoder {
     /// Per-pair edge probabilities `p_ij = Σ_k α_{k,i} θ_{k,i,j}` for a
     /// sampled batch; `[P, 1]`.
     pub fn pair_probs(&self, s: &Tensor, alpha: &Tensor, batch: &PairBatch) -> Tensor {
-        let logits =
-            self.pair_logits(&self.f_theta, s, Rc::clone(&batch.src), Rc::clone(&batch.dst));
-        let theta = ops::sigmoid(&logits);
+        let d = ops::sub(
+            &ops::gather_rows(s, Rc::clone(&batch.src)),
+            &ops::gather_rows(s, Rc::clone(&batch.dst)),
+        );
+        let theta = ops::sigmoid(&self.f_theta.forward(&d));
         let alpha_pairs = ops::gather_rows(alpha, Rc::clone(&batch.src));
         ops::sum_cols(&ops::mul(&alpha_pairs, &theta))
-    }
-
-    /// Logits `f(s_src − s_dst)` of the pairwise MLP `mlp` (`f_α` or `f_θ`)
-    /// for every pair; `[P, K]`.
-    ///
-    /// The first layer distributes over the difference, as in decode:
-    /// `U = S·W1` once per node, then [`ops::pair_hidden`] per pair, so no
-    /// `[P, d_s]` gather or difference is built.
-    fn pair_logits(&self, mlp: &Mlp, s: &Tensor, src: Rc<Vec<u32>>, dst: Rc<Vec<u32>>) -> Tensor {
-        let first = mlp.layer(0);
-        let u = ops::matmul(s, &first.weight);
-        mlp.layer(1).forward(&ops::pair_hidden(&u, &first.bias, self.slope, src, dst))
     }
 
     /// Negative-sampled BCE structure loss (Eq. 17), normalized by `|V|`.
@@ -668,8 +659,7 @@ fn lane_logits<const KC: usize, const M: usize>(
     for x in 0..h {
         for m in 0..M {
             let (a, b, u_j) = (u_i[m][x], b1[m][x], rows[m][x]);
-            let hx: [f32; LANES] =
-                std::array::from_fn(|l| pair_hidden_unit(a, u_j[l], b, slope[m]));
+            let hx: [f32; LANES] = std::array::from_fn(|l| leaky_relu(a - u_j[l] + b, slope[m]));
             for c in 0..KC {
                 let w = w2[m][x][off + c];
                 for l in 0..LANES {
@@ -1198,19 +1188,10 @@ mod tests {
         let (b1, w2, b2) = layer;
         let mut o = b2.data()[c];
         for x in 0..u.cols() {
-            o += scalar_hidden(u, i, j, b1, slope, x) * w2.get(x, c);
+            let v = u.get(i, x) - u.get(j, x) + b1.data()[x];
+            o += if v > 0.0 { v } else { slope * v } * w2.get(x, c);
         }
         o
-    }
-
-    /// One pair's hidden unit `x`, in the scalar loop's order.
-    fn scalar_hidden(u: &Matrix, i: usize, j: usize, b1: &Matrix, slope: f32, x: usize) -> f32 {
-        let v = u.get(i, x) - u.get(j, x) + b1.data()[x];
-        if v > 0.0 {
-            v
-        } else {
-            slope * v
-        }
     }
 
     /// Ascending destination sets of row `i` for the gathered logits, as
@@ -1376,62 +1357,6 @@ mod tests {
                                         prop_assert_eq!(logit_bits(o[l]), want(1, i, js[l], c), "gathered {}", at);
                                     }
                                 }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(6))]
-
-        /// Training's pair layer, `ops::pair_hidden` on `ops::matmul(S, W1)`,
-        /// gives the scalar oracle's hidden units bit for bit, on one and
-        /// three threads: for random `S`, `W1` and `b1` with entries randomly
-        /// NaN, `±∞`, `-0.0` or subnormal, and again with such values poked
-        /// into `U` itself; with repeated indices and `src == dst` pairs.
-        #[test]
-        fn training_pair_layer_is_bitwise_the_scalar_hidden_units(case_seed in 0u64..u64::MAX, d_s in 1usize..7) {
-            let mut rng = StdRng::seed_from_u64(case_seed);
-            for n in [1, 2, 7, 9, 33] {
-                for h in [3, 8, 32] {
-                    let mut s = Matrix::rand_normal(n, d_s, 0.0, 1.5, &mut rng);
-                    let mut w1 = Matrix::rand_normal(d_s, h, 0.0, 0.5, &mut rng);
-                    let mut b1 = Matrix::rand_normal(1, h, 0.0, 0.5, &mut rng);
-                    for m in [&mut s, &mut w1, &mut b1] {
-                        poison(m, &mut rng);
-                    }
-                    let mut poked = s.matmul(&w1);
-                    for _ in 0..rng.gen_range(1..6) {
-                        let (r, x) = (rng.gen_range(0..n), rng.gen_range(0..h));
-                        poked.set(r, x, SPECIAL[rng.gen_range(0..SPECIAL.len())]);
-                    }
-                    let src: Vec<u32> = (0..4 * n).map(|_| rng.gen_range(0..n) as u32).collect();
-                    let dst: Vec<u32> = src
-                        .iter()
-                        .map(|&i| if rng.gen_bool(0.2) { i } else { rng.gen_range(0..n) as u32 })
-                        .collect();
-                    for (poke, threads) in [(false, 1), (false, 3), (true, 1), (true, 3)] {
-                        let got = par::with_threads(threads, || {
-                            let u = if poke {
-                                Tensor::param(poked.clone())
-                            } else {
-                                ops::matmul(&Tensor::param(s.clone()), &Tensor::param(w1.clone()))
-                            };
-                            let (src, dst) = (Rc::new(src.clone()), Rc::new(dst.clone()));
-                            ops::pair_hidden(&u, &Tensor::param(b1.clone()), 0.2, src, dst).value_clone()
-                        });
-                        let u = if poke { poked.clone() } else { s.matmul(&w1) };
-                        for (e, (&i, &j)) in src.iter().zip(&dst).enumerate() {
-                            for x in 0..h {
-                                let want = scalar_hidden(&u, i as usize, j as usize, &b1, 0.2, x);
-                                prop_assert_eq!(
-                                    logit_bits(got.get(e, x)), logit_bits(want),
-                                    "n={} h={} e={} ({}, {}) x={} poke={} threads={}",
-                                    n, h, e, i, j, x, poke, threads
-                                );
                             }
                         }
                     }

@@ -31,17 +31,6 @@ pub fn leaky_relu(v: f32, slope: f32) -> f32 {
     }
 }
 
-/// Hidden unit `x` of a pairwise decoder MLP for the pair `(i, j)`, given
-/// `U = S·W1`: `leaky_relu((U[i,x] − U[j,x]) + b1[x])`, which is its first
-/// layer on `s_i − s_j` with the product distributed over the difference.
-///
-/// Training ([`ops::pair_hidden`]) and the generation-time pair decode both
-/// compute the unit here, so they share one definition and one float order.
-#[inline(always)]
-pub fn pair_hidden_unit(u_i: f32, u_j: f32, b1: f32, slope: f32) -> f32 {
-    leaky_relu(u_i - u_j + b1, slope)
-}
-
 /// Activation functions used across the paper's MLPs.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Activation {

@@ -8,7 +8,6 @@
 mod elementwise;
 mod linalg;
 mod losses;
-mod pair;
 mod reduce;
 mod sparse;
 mod structural;
@@ -19,7 +18,6 @@ pub use elementwise::{
 };
 pub use linalg::matmul;
 pub use losses::{bce_probs, cosine_rows, kl_diag_gaussian, mse_loss};
-pub use pair::pair_hidden;
 pub use reduce::{mean_all, sum_all, sum_cols, sum_rows};
 pub use sparse::{segment_softmax, spmm_sum, Segments, SparseAdj};
 pub use structural::{concat_cols, gather_rows, scatter_add_rows};
