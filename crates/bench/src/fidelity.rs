@@ -321,192 +321,63 @@ impl Scoreboard {
         out
     }
 
-    /// Parse [`Scoreboard::to_json`]'s output.
+    /// Read back [`Scoreboard::to_json`]'s layout: one `"key": value`
+    /// per line. A cell starts at its `"table"` line, and every key that
+    /// follows other than `dataset`, `metric`, `vrdag_mean`, `vrdag_rank`
+    /// and `values` is a method with its per-seed list. `vrdag_mean` and
+    /// `vrdag_rank` are not read: they are recomputed from the values.
     pub fn from_json(text: &str) -> Result<Scoreboard, String> {
-        let root = json::parse(text)?;
-        fn field<'a>(v: &'a json::Value, k: &str) -> Result<&'a json::Value, String> {
-            v.get(k).ok_or_else(|| format!("missing \"{k}\""))
-        }
-        let text_of = |v: &json::Value, k: &str| -> Result<String, String> {
-            field(v, k)?.as_str().map(str::to_string).ok_or_else(|| format!("\"{k}\" is not text"))
-        };
-        let scale = Scale::parse(&text_of(&root, "scale")?).ok_or("unknown scale")?;
-        let seeds = field(&root, "seeds")?
-            .as_array()
-            .iter()
-            .map(|s| s.as_f64().map(|x| x as u64).ok_or("a seed is not a number"))
-            .collect::<Result<_, _>>()?;
-        let mut cells = Vec::new();
-        for c in field(&root, "cells")?.as_array() {
-            let json::Value::Obj(methods) = field(c, "values")? else {
-                return Err("\"values\" is not an object".into());
+        let (mut scale, mut seeds, mut cells) = (None, None, Vec::<Cell>::new());
+        for (no, line) in text.lines().enumerate() {
+            let Some((key, value)) = line.trim().split_once("\": ") else { continue };
+            let (key, value) = (key.trim_start_matches('"'), value.trim_end_matches(','));
+            let err = |what: &str| format!("line {}: {what}", no + 1);
+            let quoted = || {
+                let text = value.strip_prefix('"').and_then(|v| v.strip_suffix('"'));
+                text.map(str::to_string).ok_or_else(|| err("expected a quoted string"))
             };
-            let values = methods
-                .iter()
-                .map(|(m, vals)| (m.clone(), vals.as_array().iter().map(|v| v.as_f64()).collect()))
-                .collect();
-            cells.push(Cell {
-                table: text_of(c, "table")?,
-                dataset: text_of(c, "dataset")?,
-                metric: text_of(c, "metric")?,
-                values,
-            });
-        }
-        Ok(Scoreboard { scale, seeds, cells })
-    }
-}
-
-/// Just enough JSON to read `FIDELITY.json` back (the offline tree has no
-/// JSON crate): objects, arrays, plain strings, numbers and `null`.
-mod json {
-    #[derive(Clone, Debug, PartialEq)]
-    pub enum Value {
-        Null,
-        Num(f64),
-        Str(String),
-        Arr(Vec<Value>),
-        Obj(Vec<(String, Value)>),
-    }
-
-    impl Value {
-        pub fn get(&self, key: &str) -> Option<&Value> {
-            match self {
-                Value::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-                _ => None,
-            }
-        }
-
-        pub fn as_str(&self) -> Option<&str> {
-            match self {
-                Value::Str(s) => Some(s),
-                _ => None,
-            }
-        }
-
-        pub fn as_f64(&self) -> Option<f64> {
-            match self {
-                Value::Num(x) => Some(*x),
-                _ => None,
-            }
-        }
-
-        pub fn as_array(&self) -> &[Value] {
-            match self {
-                Value::Arr(items) => items,
-                _ => &[],
-            }
-        }
-    }
-
-    pub fn parse(text: &str) -> Result<Value, String> {
-        let mut p = Parser { s: text.as_bytes(), at: 0 };
-        let v = p.value()?;
-        p.ws();
-        if p.at != p.s.len() {
-            return Err(format!("trailing input at byte {}", p.at));
-        }
-        Ok(v)
-    }
-
-    struct Parser<'a> {
-        s: &'a [u8],
-        at: usize,
-    }
-
-    impl Parser<'_> {
-        fn ws(&mut self) {
-            while self.s.get(self.at).is_some_and(|b| b.is_ascii_whitespace()) {
-                self.at += 1;
-            }
-        }
-
-        fn eat(&mut self, b: u8) -> Result<(), String> {
-            self.ws();
-            if self.s.get(self.at) == Some(&b) {
-                self.at += 1;
-                Ok(())
-            } else {
-                Err(format!("expected '{}' at byte {}", b as char, self.at))
-            }
-        }
-
-        /// Items of a `[...]` or `{...}` list, after its opening byte.
-        fn list<T>(
-            &mut self,
-            close: u8,
-            mut item: impl FnMut(&mut Self) -> Result<T, String>,
-        ) -> Result<Vec<T>, String> {
-            let mut items = Vec::new();
-            self.ws();
-            if self.s.get(self.at) == Some(&close) {
-                self.at += 1;
-                return Ok(items);
-            }
-            loop {
-                items.push(item(self)?);
-                self.ws();
-                match self.s.get(self.at) {
-                    Some(b',') => self.at += 1,
-                    Some(&b) if b == close => {
-                        self.at += 1;
-                        return Ok(items);
-                    }
-                    _ => {
-                        return Err(format!(
-                            "expected ',' or '{}' at byte {}",
-                            close as char, self.at
-                        ))
-                    }
+            let list = || {
+                let items = value.strip_prefix('[').and_then(|v| v.strip_suffix(']'));
+                let items = items.ok_or_else(|| err("expected a [...] list"))?;
+                items
+                    .split(", ")
+                    .filter(|item| !item.is_empty())
+                    .map(|item| match item {
+                        "null" => Ok(None),
+                        x => x.parse().map(Some).map_err(|_| err(&format!("bad number {x:?}"))),
+                    })
+                    .collect::<Result<Vec<Option<f64>>, String>>()
+            };
+            match key {
+                "scale" => {
+                    scale = Some(Scale::parse(&quoted()?).ok_or_else(|| err("unknown scale"))?)
                 }
-            }
-        }
-
-        fn string(&mut self) -> Result<String, String> {
-            self.eat(b'"')?;
-            let start = self.at;
-            while self.s.get(self.at).is_some_and(|&b| b != b'"' && b != b'\\') {
-                self.at += 1;
-            }
-            let s = std::str::from_utf8(&self.s[start..self.at]).map_err(|e| e.to_string())?;
-            self.eat(b'"').map_err(|_| format!("unsupported string at byte {start}"))?;
-            Ok(s.to_string())
-        }
-
-        fn value(&mut self) -> Result<Value, String> {
-            self.ws();
-            match self.s.get(self.at) {
-                Some(b'{') => {
-                    self.at += 1;
-                    let fields = self.list(b'}', |p| {
-                        let k = p.string()?;
-                        p.eat(b':')?;
-                        Ok((k, p.value()?))
-                    })?;
-                    Ok(Value::Obj(fields))
+                "seeds" => {
+                    let list = list()?.into_iter().map(|s| s.map(|x| x as u64));
+                    seeds = Some(list.collect::<Option<_>>().ok_or_else(|| err("a null seed"))?);
                 }
-                Some(b'[') => {
-                    self.at += 1;
-                    Ok(Value::Arr(self.list(b']', Self::value)?))
-                }
-                Some(b'"') => Ok(Value::Str(self.string()?)),
-                Some(b'n') if self.s[self.at..].starts_with(b"null") => {
-                    self.at += 4;
-                    Ok(Value::Null)
-                }
+                "cells" | "vrdag_mean" | "vrdag_rank" | "values" => {}
+                "table" => cells.push(Cell {
+                    table: quoted()?,
+                    dataset: String::new(),
+                    metric: String::new(),
+                    values: Vec::new(),
+                }),
                 _ => {
-                    let start = self.at;
-                    while self
-                        .s
-                        .get(self.at)
-                        .is_some_and(|b| b.is_ascii_digit() || b"+-.eE".contains(b))
-                    {
-                        self.at += 1;
+                    let cell = cells.last_mut().ok_or_else(|| err("a key before any cell"))?;
+                    match key {
+                        "dataset" => cell.dataset = quoted()?,
+                        "metric" => cell.metric = quoted()?,
+                        method => cell.values.push((method.to_string(), list()?)),
                     }
-                    let t = std::str::from_utf8(&self.s[start..self.at]).unwrap_or("");
-                    t.parse().map(Value::Num).map_err(|_| format!("bad value at byte {start}"))
                 }
             }
         }
+        Ok(Scoreboard {
+            scale: scale.ok_or("no \"scale\" line")?,
+            seeds: seeds.ok_or("no \"seeds\" line")?,
+            cells,
+        })
     }
 }
 
@@ -535,6 +406,23 @@ mod tests {
         ])]);
         let back = Scoreboard::from_json(&b.to_json()).unwrap();
         assert_eq!(back, b);
+    }
+
+    #[test]
+    fn the_committed_scoreboard_reads_back_to_its_own_text() {
+        let text = include_str!("../../../FIDELITY.json");
+        let board = Scoreboard::from_json(text).unwrap();
+        assert_eq!(board.seeds, SEEDS);
+        assert_eq!(board.to_json(), text);
+    }
+
+    #[test]
+    fn a_value_that_does_not_parse_names_its_line() {
+        let text = board(vec![cell(&[("VRDAG", &[Some(1.0)])])]).to_json();
+        let broken = text.replace("[1.0]", "[1.0.0]");
+        let err = Scoreboard::from_json(&broken).unwrap_err();
+        assert!(err.starts_with("line 12: bad number"), "{err}");
+        assert!(Scoreboard::from_json("{}").is_err(), "no scale, no seeds");
     }
 
     #[test]
