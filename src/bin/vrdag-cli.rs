@@ -1193,3 +1193,62 @@ fn main() -> ExitCode {
     }
     ExitCode::SUCCESS
 }
+
+#[cfg(test)]
+mod tests {
+    use super::command_keys;
+    use std::collections::BTreeSet;
+
+    /// Every key `code` reads through `kv.get("…")` or `kv.parsed…("…")`.
+    fn keys_read(code: &str) -> BTreeSet<&str> {
+        let mut keys = BTreeSet::new();
+        for (at, _) in code.match_indices("kv.") {
+            let call = &code[at + 3..];
+            if !(call.starts_with("get(") || call.starts_with("parsed")) {
+                continue;
+            }
+            let open = call.find("(\"").expect("a flag read names its key as a literal");
+            let key = &call[open + 2..];
+            keys.insert(&key[..key.find('"').expect("a closing quote")]);
+        }
+        keys
+    }
+
+    /// Each command's flag list is exactly the keys that command reads, so
+    /// a flag the code reads is never rejected as unknown and a listed flag
+    /// is never accepted and then ignored. A read before the `match` on the
+    /// command serves every command that lists its key.
+    #[test]
+    fn each_command_lists_exactly_the_flags_it_reads() {
+        let src = include_str!("vrdag-cli.rs");
+        let main = &src[src.find("\nfn main()").unwrap()..src.find("\n#[cfg(test)]").unwrap()];
+        let commands = [
+            "synth",
+            "summarize",
+            "fit",
+            "generate",
+            "batch-generate",
+            "serve",
+            "route",
+            "bench-check",
+            "evaluate",
+        ];
+        let arm = |cmd: &str| {
+            main.find(&format!("\n        \"{cmd}\" => {{\n")).unwrap_or_else(|| panic!("{cmd}"))
+        };
+        let mut starts: Vec<(usize, &str)> = commands.iter().map(|&c| (arm(c), c)).collect();
+        starts.sort();
+        let shared = keys_read(&main[..starts[0].0]);
+        for (i, &(start, cmd)) in starts.iter().enumerate() {
+            let end = starts.get(i + 1).map_or(main.len(), |&(next, _)| next);
+            let listed: BTreeSet<&str> = command_keys(cmd).unwrap().iter().copied().collect();
+            let read = keys_read(&main[start..end]);
+            let unlisted: Vec<_> = read.difference(&listed).collect();
+            assert!(unlisted.is_empty(), "{cmd} reads {unlisted:?} but does not list them");
+            let unread: Vec<_> =
+                listed.iter().filter(|k| !read.contains(*k) && !shared.contains(*k)).collect();
+            assert!(unread.is_empty(), "{cmd} lists {unread:?} but never reads them");
+        }
+        assert_eq!(command_keys("no-such-command"), None);
+    }
+}
