@@ -269,7 +269,7 @@ impl Matrix {
             "matmul shape mismatch: [{},{}] x [{},{}]",
             self.rows, self.cols, b.rows, b.cols
         );
-        gemm(self, b, true)
+        gemm(self, b, true, false)
     }
 
     /// `C = A · Bᵀ`, through a transposed copy of `B`; no product is skipped.
@@ -279,7 +279,7 @@ impl Matrix {
             "matmul_nt shape mismatch: [{},{}] x [{},{}]^T",
             self.rows, self.cols, b.rows, b.cols
         );
-        gemm(self, &b.transpose(), false)
+        gemm(self, &b.transpose(), false, true)
     }
 
     /// `C = Aᵀ · B`, through a transposed copy of `A`; zero entries of `A` are skipped.
@@ -289,7 +289,7 @@ impl Matrix {
             "matmul_tn shape mismatch: [{},{}]^T x [{},{}]",
             self.rows, self.cols, b.rows, b.cols
         );
-        gemm(&self.transpose(), b, true)
+        gemm(&self.transpose(), b, true, true)
     }
 
     /// Concatenate matrices horizontally (same row count).
@@ -380,6 +380,12 @@ const NR: usize = 16;
 /// Multiply-adds worth a thread: a smaller product runs inline on the
 /// caller, a larger one gives every thread at least this much.
 const PAR_WORK: usize = 1 << 20;
+/// Fewest multiply-adds for which a scanning [`gemm`] looks for zero rows
+/// and subnormal steps; a smaller product would pay more for the scan than
+/// it could save.
+const SCAN_WORK: usize = 1 << 18;
+/// [`magnitude_scan`]'s minimum over `±0.0` only.
+const ZERO_ROW: u32 = u32::MAX;
 
 /// `out[m, n] = a[m, k] · b[k, n]`, the kernel behind every matrix product
 /// (docs/ARCHITECTURE.md, "Dense kernels"). Lanes run over output columns.
@@ -390,13 +396,28 @@ const PAR_WORK: usize = 1 << 20;
 /// `skip_zeros` leaves out products whose `a` entry is zero. Only a non-finite
 /// `b` needs that: any other such product is `±0.0`, and adding `±0.0` keeps
 /// the bits of an accumulator that starts at `+0.0`, which is never `-0.0`.
-fn gemm(a: &Matrix, b: &Matrix, skip_zeros: bool) -> Matrix {
+///
+/// `scan` (the backward products `matmul_nt` and `matmul_tn`, which meet the
+/// zero and subnormal gradients a saturated softmax sends back) also looks
+/// for work that cannot change a bit or that costs more than it should, in
+/// products of at least [`SCAN_WORK`] multiply-adds. For the same reason as
+/// above, a pair of all-zero `a` rows against a finite `b`, and an all-zero
+/// row of a lane strip of `b` against finite `a` entries, are left out. A
+/// step that may multiply into or out of the subnormal range forms its
+/// products in `f64` instead (see [`tile`]): on x86 such an `f32` multiply
+/// costs some 20–40 times a normal one.
+fn gemm(a: &Matrix, b: &Matrix, skip_zeros: bool, scan: bool) -> Matrix {
     let (m, k, n) = (a.rows, a.cols, b.cols);
     let mut out = Matrix::zeros(m, n);
     if out.is_empty() || k == 0 {
         return out;
     }
-    let skip = skip_zeros && b.has_non_finite();
+    let (strip_mins, b_finite) = if scan && m * k * n >= SCAN_WORK {
+        strip_mins(b)
+    } else {
+        (Vec::new(), !(skip_zeros && b.has_non_finite()))
+    };
+    let skip = skip_zeros && !b_finite;
     // The last, partial column strip, zero-padded to NR lanes so that edge
     // tiles run the same code; the padding lanes are never stored.
     let n_full = n - n % NR;
@@ -404,7 +425,19 @@ fn gemm(a: &Matrix, b: &Matrix, skip_zeros: bool) -> Matrix {
     for (dst, src) in pad.chunks_exact_mut(NR).zip(b.data.chunks_exact(n)) {
         dst[..n - n_full].copy_from_slice(&src[n_full..]);
     }
-    let ops = Operands { a: &a.data, b: &b.data, pad: &pad, k, n, skip };
+    let ops = Operands {
+        a: &a.data,
+        b: &b.data,
+        pad: &pad,
+        k,
+        n,
+        skip,
+        // Unscanned, `b_finite` is known only where `skip_zeros` asked.
+        zero_rows_stay_zero: !strip_mins.is_empty() && (skip || b_finite),
+        b_min: strip_mins.iter().copied().min().unwrap_or(ZERO_ROW),
+        zero_strip_rows: strip_mins.contains(&ZERO_ROW),
+        strip_mins: &strip_mins,
+    };
     let isa = simd::isa();
     par::par_row_chunks_mut(&mut out.data, n, PAR_WORK.div_ceil(k * n), |row0, chunk| match isa {
         #[cfg(target_arch = "x86_64")]
@@ -425,12 +458,75 @@ struct Operands<'a> {
     k: usize,
     n: usize,
     skip: bool,
+    /// Whether a pair of all-zero `a` rows leaves its outputs `+0.0`: `b` is
+    /// finite, or zero `a` entries are skipped anyway.
+    zero_rows_stay_zero: bool,
+    /// [`strip_mins`] of `b`; empty when the product is too small to scan.
+    strip_mins: &'a [u32],
+    /// The smallest of `strip_mins`.
+    b_min: u32,
+    /// Whether some strip row of `b` is all `±0.0`.
+    zero_strip_rows: bool,
+}
+
+/// The bits of the smallest nonzero `|x|` over `xs` ([`ZERO_ROW`] if there
+/// is none), and whether every `x` is finite. It works on the bits, whose
+/// order as integers is that of the magnitudes, so that it vectorizes.
+#[inline(always)]
+fn magnitude_scan(xs: &[f32]) -> (u32, bool) {
+    // `bits - 1` wraps zero to `u32::MAX` and keeps the order of the rest.
+    let (mut min, mut max) = (u32::MAX, 0u32);
+    for &x in xs {
+        let bits = x.to_bits() & 0x7fff_ffff;
+        min = min.min(bits.wrapping_sub(1));
+        max = max.max(bits);
+    }
+    let min = if min == u32::MAX { ZERO_ROW } else { min + 1 };
+    (min, max < f32::INFINITY.to_bits())
+}
+
+/// Per column strip `s` of `b` and row `kk`, at `[s * k + kk]`: the bits of
+/// the smallest nonzero magnitude over the strip's lanes, [`ZERO_ROW`] when
+/// they are all `±0.0` ([`magnitude_scan`]); and whether `b` is finite.
+fn strip_mins(b: &Matrix) -> (Vec<u32>, bool) {
+    let k = b.rows;
+    let (mut mins, mut b_finite) = (vec![ZERO_ROW; b.cols.div_ceil(NR) * k], true);
+    for kk in 0..k {
+        for (s, lanes) in b.row(kk).chunks(NR).enumerate() {
+            let (min, finite) = magnitude_scan(lanes);
+            mins[s * k + kk] = min;
+            b_finite &= finite;
+        }
+    }
+    (mins, b_finite)
+}
+
+/// Whether an `f32` multiply of magnitudes no smaller than the nonzero
+/// ones with the bits `a_min` and `b_min` may have a subnormal operand or
+/// result. Either is some 20–40 times slower than a normal multiply on x86.
+#[inline(always)]
+fn may_be_subnormal(a_min: u32, b_min: u32) -> bool {
+    let (a, b) = (f32::from_bits(a_min), f32::from_bits(b_min));
+    a < f32::MIN_POSITIVE
+        || b < f32::MIN_POSITIVE
+        || f64::from(a) * f64::from(b) < f64::from(f32::MIN_POSITIVE)
 }
 
 /// The output rows `row0..` of [`gemm`] that `chunk` holds.
 #[inline(always)]
 fn gemm_rows(ops: &Operands, row0: usize, chunk: &mut [f32]) {
-    let &Operands { a, b, pad, k, n, skip } = ops;
+    let &Operands {
+        a,
+        b,
+        pad,
+        k,
+        n,
+        skip,
+        zero_rows_stay_zero,
+        strip_mins,
+        b_min,
+        zero_strip_rows,
+    } = ops;
     let n_full = n - n % NR;
     let rows = chunk.len() / n;
     for i0 in (0..rows).step_by(MR) {
@@ -438,12 +534,30 @@ fn gemm_rows(ops: &Operands, row0: usize, chunk: &mut [f32]) {
         let h = MR.min(rows - i0);
         let a_rows: [&[f32]; MR] =
             std::array::from_fn(|r| &a[(row0 + i0 + r.min(h - 1)) * k..][..k]);
+        if zero_rows_stay_zero && a_rows.iter().all(|r| r.iter().all(|&v| v == 0.0)) {
+            continue;
+        }
+        // The steps are checked one by one only when some may be skipped
+        // or be subnormal.
+        let (mut a_min, mut a_finite) = (ZERO_ROW, true);
+        if !strip_mins.is_empty() {
+            for row in a_rows {
+                let (min, finite) = magnitude_scan(row);
+                a_min = a_min.min(min);
+                a_finite &= finite;
+            }
+        }
+        let check = !strip_mins.is_empty()
+            && (zero_strip_rows
+                || (a_min != ZERO_ROW && b_min != ZERO_ROW && may_be_subnormal(a_min, b_min)));
         for j0 in (0..n).step_by(NR) {
             let (panel, stride) = if j0 < n_full { (&b[j0..], n) } else { (pad, NR) };
-            let acc = if skip {
-                tile::<true>(a_rows, panel, stride)
-            } else {
-                tile::<false>(a_rows, panel, stride)
+            let mins = if check { &strip_mins[j0 / NR * k..][..k] } else { &[][..] };
+            let acc = match (skip, check) {
+                (true, false) => tile::<true, false>(a_rows, panel, stride, mins, false),
+                (false, false) => tile::<false, false>(a_rows, panel, stride, mins, false),
+                (true, true) => tile::<true, true>(a_rows, panel, stride, mins, a_finite),
+                (false, true) => tile::<false, true>(a_rows, panel, stride, mins, a_finite),
             };
             let w = NR.min(n - j0);
             for (r, acc_r) in acc.iter().take(h).enumerate() {
@@ -463,15 +577,48 @@ fn gemm_rows_avx2(ops: &Operands, row0: usize, chunk: &mut [f32]) {
 
 /// One `MR × NR` tile of [`gemm`]: `a_rows` (each of length `k`) times the
 /// column strip whose row `kk` is `panel[kk * stride..][..NR]`.
+///
+/// With `CHECK`, each step first looks at `mins[kk]`, the strip row's
+/// [`strip_mins`] entry. An all-zero row against finite `a_rows` adds only
+/// `±0.0` and is skipped. A step that [`may_be_subnormal`] forms each
+/// product as `f32(f64(a) · f64(b))`, which is the `f32` product bit for
+/// bit: the `f64` product of two `f32` values is exact, so converting it
+/// rounds once, as the `f32` multiply does, for subnormal results,
+/// overflow, signed zeros and NaNs alike. Only the cost differs.
 #[inline(always)]
-fn tile<const SKIP: bool>(a_rows: [&[f32]; MR], panel: &[f32], stride: usize) -> [[f32; NR]; MR] {
+fn tile<const SKIP: bool, const CHECK: bool>(
+    a_rows: [&[f32]; MR],
+    panel: &[f32],
+    stride: usize,
+    mins: &[u32],
+    a_finite: bool,
+) -> [[f32; NR]; MR] {
     let mut acc = [[0.0f32; NR]; MR];
     for kk in 0..a_rows[0].len() {
         let bk: &[f32; NR] = panel[kk * stride..][..NR].try_into().expect("NR-wide strip");
-        for (acc_r, a_r) in acc.iter_mut().zip(a_rows) {
-            let av = a_r[kk];
+        let av = a_rows.map(|r| r[kk]);
+        if CHECK {
+            let b_min = mins[kk];
+            if b_min == ZERO_ROW {
+                if a_finite {
+                    continue;
+                }
+            } else if av.iter().any(|&a| a != 0.0 && may_be_subnormal(a.abs().to_bits(), b_min)) {
+                for (acc_r, &a) in acc.iter_mut().zip(&av) {
+                    // Opaque, so that the compiler cannot narrow the `f64`
+                    // product back into the `f32` multiply it equals.
+                    let a64 = std::hint::black_box(f64::from(a));
+                    for (c, &bv) in acc_r.iter_mut().zip(bk) {
+                        let p = (a64 * f64::from(bv)) as f32;
+                        *c = if SKIP && a == 0.0 { *c } else { *c + p };
+                    }
+                }
+                continue;
+            }
+        }
+        for (acc_r, &a) in acc.iter_mut().zip(&av) {
             for (c, &bv) in acc_r.iter_mut().zip(bk) {
-                *c = if SKIP && av == 0.0 { *c } else { *c + av * bv };
+                *c = if SKIP && a == 0.0 { *c } else { *c + a * bv };
             }
         }
     }
@@ -545,6 +692,35 @@ mod tests {
         })
     }
 
+    /// Rows as a backward pass sends them back from a saturated softmax:
+    /// each all `±0.0`, scaled by `2^-e` for `e` up to 150 (so that its
+    /// products with plain entries land below, across and above the
+    /// subnormal boundary, or flush to zero), or plain; plus a few `±∞`
+    /// and NaN entries when `inf` is set.
+    fn gradient_matrix(rows: usize, cols: usize, inf: bool, rng: &mut StdRng) -> Matrix {
+        let mut m = Matrix::rand_normal(rows, cols, 0.0, 1.0, rng);
+        for r in 0..rows {
+            let kind = rng.gen_range(0u32..4);
+            let scale = 2f64.powi(-rng.gen_range(60..151));
+            for v in m.row_mut(r) {
+                *v = match kind {
+                    0 if rng.gen_bool(0.5) => 0.0,
+                    0 => -0.0,
+                    1 | 2 => (f64::from(*v) * scale) as f32,
+                    _ => *v,
+                };
+            }
+        }
+        if inf {
+            for _ in 0..rng.gen_range(1..4) {
+                let (r, c) = (rng.gen_range(0..rows), rng.gen_range(0..cols));
+                let special = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN][rng.gen_range(0..3)];
+                m.set(r, c, special);
+            }
+        }
+        m
+    }
+
     /// `matmul`, `matmul_nt` and `matmul_tn` of `[m, k] · [k, n]` equal
     /// their oracles bit for bit (two NaNs count as equal) on every
     /// instruction set this CPU supports, on 1 and 3 threads.
@@ -554,13 +730,20 @@ mod tests {
         let b = special_matrix(k, n, inf, rng);
         let b_nt = special_matrix(n, k, inf, rng);
         let a_tn = special_matrix(k, m, inf, rng);
-        let want =
-            [oracle_matmul(&a, &b), oracle_matmul_nt(&a, &b_nt), oracle_matmul_tn(&a_tn, &b)];
+        assert_products_match_oracles([&a, &b, &b_nt, &a_tn], &format!("inf={inf}"));
+    }
+
+    /// `a·b`, `a·b_ntᵀ` and `a_tnᵀ·b` through `matmul`, `matmul_nt` and
+    /// `matmul_tn` equal their oracles as in
+    /// [`assert_entry_points_match_oracles`].
+    fn assert_products_match_oracles([a, b, b_nt, a_tn]: [&Matrix; 4], label: &str) {
+        let want = [oracle_matmul(a, b), oracle_matmul_nt(a, b_nt), oracle_matmul_tn(a_tn, b)];
+        let (m, k, n) = (a.rows, a.cols, b.cols);
         for isa in simd::supported() {
             for threads in [1, 3] {
                 let got = simd::with_isa(isa, || {
                     par::with_threads(threads, || {
-                        [a.matmul(&b), a.matmul_nt(&b_nt), a_tn.matmul_tn(&b)]
+                        [a.matmul(b), a.matmul_nt(b_nt), a_tn.matmul_tn(b)]
                     })
                 });
                 for ((name, g), w) in
@@ -573,9 +756,45 @@ mod tests {
                         .zip(&w.data)
                         .all(|(x, y)| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()));
                     let isa = isa.name();
-                    assert!(same, "{name} m={m} k={k} n={n} inf={inf} isa={isa} threads={threads}");
+                    assert!(same, "{name} m={m} k={k} n={n} {label} isa={isa} threads={threads}");
                 }
             }
+        }
+    }
+
+    /// Products large enough that `matmul_nt` and `matmul_tn` scan their
+    /// operands, on gradient-like rows (zero, scaled into and past the
+    /// subnormal range, plain) against plain and gradient-like partners,
+    /// keep the oracles' bits: the skipped zero rows and the steps formed
+    /// in `f64` change nothing.
+    #[test]
+    fn scanned_products_on_zero_and_subnormal_rows_match_the_oracles_bitwise() {
+        let (m, k, n) = (67, 65, 70);
+        assert!(m * k * n >= SCAN_WORK);
+        let mut rng = StdRng::seed_from_u64(11);
+        for case in 0..8 {
+            let inf = case % 2 == 1;
+            let plain = |rows, cols, rng: &mut StdRng| {
+                if case < 4 {
+                    Matrix::rand_normal(rows, cols, 0.0, 0.5, rng)
+                } else {
+                    gradient_matrix(rows, cols, inf, rng)
+                }
+            };
+            let (mut b_nt, mut a_tn) = (plain(n, k, &mut rng), plain(k, m, &mut rng));
+            let mut a = gradient_matrix(m, k, inf, &mut rng);
+            let mut b = gradient_matrix(k, n, inf, &mut rng);
+            if inf {
+                // An infinite `a` entry against an all-zero strip row makes
+                // a NaN, so that row may not be skipped.
+                for j in 0..n {
+                    b.set(0, j, 0.0);
+                    b_nt.set(j, 0, 0.0);
+                }
+                a.set(1, 0, f32::INFINITY);
+                a_tn.set(0, 1, f32::NEG_INFINITY);
+            }
+            assert_products_match_oracles([&a, &b, &b_nt, &a_tn], &format!("case={case}"));
         }
     }
 
