@@ -137,8 +137,7 @@ impl MixBernoulliDecoder {
             }
         }
         let src = Rc::new(src);
-        let d = ops::sub(&ops::gather_rows(s, Rc::clone(&src)), &ops::gather_rows(s, Rc::new(dst)));
-        let f = self.f_alpha.forward(&d);
+        let f = self.f_alpha.forward(&ops::row_differences(s, Rc::clone(&src), Rc::new(dst)));
         let pooled = ops::scatter_add_rows(&f, src, n);
         ops::softmax_rows(&ops::scale(&pooled, n as f32 / r as f32))
     }
@@ -146,10 +145,7 @@ impl MixBernoulliDecoder {
     /// Per-pair edge probabilities `p_ij = Σ_k α_{k,i} θ_{k,i,j}` for a
     /// sampled batch; `[P, 1]`.
     pub fn pair_probs(&self, s: &Tensor, alpha: &Tensor, batch: &PairBatch) -> Tensor {
-        let d = ops::sub(
-            &ops::gather_rows(s, Rc::clone(&batch.src)),
-            &ops::gather_rows(s, Rc::clone(&batch.dst)),
-        );
+        let d = ops::row_differences(s, Rc::clone(&batch.src), Rc::clone(&batch.dst));
         let theta = ops::sigmoid(&self.f_theta.forward(&d));
         let alpha_pairs = ops::gather_rows(alpha, Rc::clone(&batch.src));
         ops::sum_cols(&ops::mul(&alpha_pairs, &theta))

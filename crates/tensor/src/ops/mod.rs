@@ -20,4 +20,4 @@ pub use linalg::matmul;
 pub use losses::{bce_probs, cosine_rows, kl_diag_gaussian, mse_loss};
 pub use reduce::{mean_all, sum_all, sum_cols, sum_rows};
 pub use sparse::{segment_softmax, spmm_sum, Segments, SparseAdj};
-pub use structural::{concat_cols, gather_rows, scatter_add_rows};
+pub use structural::{concat_cols, gather_rows, row_differences, scatter_add_rows};
