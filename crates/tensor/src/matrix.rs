@@ -384,8 +384,12 @@ const PAR_WORK: usize = 1 << 20;
 /// and subnormal steps; a smaller product would pay more for the scan than
 /// it could save.
 const SCAN_WORK: usize = 1 << 18;
-/// [`magnitude_scan`]'s minimum over `±0.0` only.
+/// [`strip_thresholds`]' mark for a strip row of `±0.0` only; also the
+/// [`magnitude_key`] of `±0.0`.
 const ZERO_ROW: u32 = u32::MAX;
+/// Bits of `f32::MIN_POSITIVE`: an `f32` magnitude's bits are below this
+/// exactly when it is zero or subnormal.
+const MIN_NORMAL_BITS: u32 = 0x0080_0000;
 
 /// `out[m, n] = a[m, k] · b[k, n]`, the kernel behind every matrix product
 /// (docs/ARCHITECTURE.md, "Dense kernels"). Lanes run over output columns.
@@ -412,8 +416,8 @@ fn gemm(a: &Matrix, b: &Matrix, skip_zeros: bool, scan: bool) -> Matrix {
     if out.is_empty() || k == 0 {
         return out;
     }
-    let (strip_mins, b_finite) = if scan && m * k * n >= SCAN_WORK {
-        strip_mins(b)
+    let (thresholds, b_finite) = if scan && m * k * n >= SCAN_WORK {
+        strip_thresholds(b)
     } else {
         (Vec::new(), !(skip_zeros && b.has_non_finite()))
     };
@@ -433,10 +437,10 @@ fn gemm(a: &Matrix, b: &Matrix, skip_zeros: bool, scan: bool) -> Matrix {
         n,
         skip,
         // Unscanned, `b_finite` is known only where `skip_zeros` asked.
-        zero_rows_stay_zero: !strip_mins.is_empty() && (skip || b_finite),
-        b_min: strip_mins.iter().copied().min().unwrap_or(ZERO_ROW),
-        zero_strip_rows: strip_mins.contains(&ZERO_ROW),
-        strip_mins: &strip_mins,
+        zero_rows_stay_zero: !thresholds.is_empty() && (skip || b_finite),
+        max_threshold: thresholds.iter().copied().filter(|&t| t != ZERO_ROW).max().unwrap_or(0),
+        zero_strip_rows: thresholds.contains(&ZERO_ROW),
+        thresholds: &thresholds,
     };
     let isa = simd::isa();
     par::par_row_chunks_mut(&mut out.data, n, PAR_WORK.div_ceil(k * n), |row0, chunk| match isa {
@@ -461,55 +465,65 @@ struct Operands<'a> {
     /// Whether a pair of all-zero `a` rows leaves its outputs `+0.0`: `b` is
     /// finite, or zero `a` entries are skipped anyway.
     zero_rows_stay_zero: bool,
-    /// [`strip_mins`] of `b`; empty when the product is too small to scan.
-    strip_mins: &'a [u32],
-    /// The smallest of `strip_mins`.
-    b_min: u32,
+    /// [`strip_thresholds`] of `b`; empty when `b` was not scanned.
+    thresholds: &'a [u32],
+    /// The largest of `thresholds` other than [`ZERO_ROW`].
+    max_threshold: u32,
     /// Whether some strip row of `b` is all `±0.0`.
     zero_strip_rows: bool,
 }
 
-/// The bits of the smallest nonzero `|x|` over `xs` ([`ZERO_ROW`] if there
-/// is none), and whether every `x` is finite. It works on the bits, whose
-/// order as integers is that of the magnitudes, so that it vectorizes.
+/// `|x|`'s bits less one, which wraps `±0.0` to [`ZERO_ROW`] and keeps
+/// the order of the nonzero magnitudes.
+#[inline(always)]
+fn magnitude_key(x: f32) -> u32 {
+    (x.to_bits() & 0x7fff_ffff).wrapping_sub(1)
+}
+
+/// The smallest [`magnitude_key`] over `xs` (that of the smallest nonzero
+/// magnitude, or [`ZERO_ROW`]), and whether every `x` is finite. Integer
+/// work only, so that it vectorizes.
 #[inline(always)]
 fn magnitude_scan(xs: &[f32]) -> (u32, bool) {
-    // `bits - 1` wraps zero to `u32::MAX` and keeps the order of the rest.
-    let (mut min, mut max) = (u32::MAX, 0u32);
+    let (mut min, mut max) = (ZERO_ROW, 0u32);
     for &x in xs {
-        let bits = x.to_bits() & 0x7fff_ffff;
-        min = min.min(bits.wrapping_sub(1));
-        max = max.max(bits);
+        min = min.min(magnitude_key(x));
+        max = max.max(x.to_bits() & 0x7fff_ffff);
     }
-    let min = if min == u32::MAX { ZERO_ROW } else { min + 1 };
     (min, max < f32::INFINITY.to_bits())
 }
 
-/// Per column strip `s` of `b` and row `kk`, at `[s * k + kk]`: the bits of
-/// the smallest nonzero magnitude over the strip's lanes, [`ZERO_ROW`] when
-/// they are all `±0.0` ([`magnitude_scan`]); and whether `b` is finite.
-fn strip_mins(b: &Matrix) -> (Vec<u32>, bool) {
+/// Per column strip `s` of `b` and row `kk`, at `[s * k + kk]`: [`ZERO_ROW`]
+/// when the strip's lanes are all `±0.0`, else the [`magnitude_key`] below
+/// which an `a` entry may meet that row in an `f32` multiply with a
+/// subnormal operand or result (either takes a microcode assist on x86,
+/// some 20–40 times a normal multiply); and whether `b` is finite.
+fn strip_thresholds(b: &Matrix) -> (Vec<u32>, bool) {
     let k = b.rows;
-    let (mut mins, mut b_finite) = (vec![ZERO_ROW; b.cols.div_ceil(NR) * k], true);
+    let (mut thresholds, mut b_finite) = (vec![ZERO_ROW; b.cols.div_ceil(NR) * k], true);
     for kk in 0..k {
         for (s, lanes) in b.row(kk).chunks(NR).enumerate() {
             let (min, finite) = magnitude_scan(lanes);
-            mins[s * k + kk] = min;
             b_finite &= finite;
+            if min == ZERO_ROW {
+                continue;
+            }
+            let b_min = f32::from_bits(min + 1);
+            // The bits below which a magnitude `a` is risky: every nonzero
+            // one against a subnormal row, else subnormal ones and those
+            // whose product with `b_min` is below `f32::MIN_POSITIVE`.
+            let below = if b_min < f32::MIN_POSITIVE {
+                ZERO_ROW - 1
+            } else if !b_min.is_finite() {
+                MIN_NORMAL_BITS
+            } else {
+                let t = f64::from(f32::MIN_POSITIVE) / f64::from(b_min);
+                ((t as f32).to_bits() + 1).max(MIN_NORMAL_BITS)
+            };
+            thresholds[s * k + kk] = below - 1;
         }
     }
-    (mins, b_finite)
-}
-
-/// Whether an `f32` multiply of magnitudes no smaller than the nonzero
-/// ones with the bits `a_min` and `b_min` may have a subnormal operand or
-/// result. Either is some 20–40 times slower than a normal multiply on x86.
-#[inline(always)]
-fn may_be_subnormal(a_min: u32, b_min: u32) -> bool {
-    let (a, b) = (f32::from_bits(a_min), f32::from_bits(b_min));
-    a < f32::MIN_POSITIVE
-        || b < f32::MIN_POSITIVE
-        || f64::from(a) * f64::from(b) < f64::from(f32::MIN_POSITIVE)
+    (thresholds, b_finite)
 }
 
 /// The output rows `row0..` of [`gemm`] that `chunk` holds.
@@ -523,8 +537,8 @@ fn gemm_rows(ops: &Operands, row0: usize, chunk: &mut [f32]) {
         n,
         skip,
         zero_rows_stay_zero,
-        strip_mins,
-        b_min,
+        thresholds,
+        max_threshold,
         zero_strip_rows,
     } = ops;
     let n_full = n - n % NR;
@@ -540,24 +554,22 @@ fn gemm_rows(ops: &Operands, row0: usize, chunk: &mut [f32]) {
         // The steps are checked one by one only when some may be skipped
         // or be subnormal.
         let (mut a_min, mut a_finite) = (ZERO_ROW, true);
-        if !strip_mins.is_empty() {
+        if !thresholds.is_empty() {
             for row in a_rows {
                 let (min, finite) = magnitude_scan(row);
                 a_min = a_min.min(min);
                 a_finite &= finite;
             }
         }
-        let check = !strip_mins.is_empty()
-            && (zero_strip_rows
-                || (a_min != ZERO_ROW && b_min != ZERO_ROW && may_be_subnormal(a_min, b_min)));
+        let check = !thresholds.is_empty() && (zero_strip_rows || a_min < max_threshold);
         for j0 in (0..n).step_by(NR) {
             let (panel, stride) = if j0 < n_full { (&b[j0..], n) } else { (pad, NR) };
-            let mins = if check { &strip_mins[j0 / NR * k..][..k] } else { &[][..] };
+            let strip = if check { &thresholds[j0 / NR * k..][..k] } else { &[][..] };
             let acc = match (skip, check) {
-                (true, false) => tile::<true, false>(a_rows, panel, stride, mins, false),
-                (false, false) => tile::<false, false>(a_rows, panel, stride, mins, false),
-                (true, true) => tile::<true, true>(a_rows, panel, stride, mins, a_finite),
-                (false, true) => tile::<false, true>(a_rows, panel, stride, mins, a_finite),
+                (true, false) => tile::<true, false>(a_rows, panel, stride, strip, false),
+                (false, false) => tile::<false, false>(a_rows, panel, stride, strip, false),
+                (true, true) => tile::<true, true>(a_rows, panel, stride, strip, a_finite),
+                (false, true) => tile::<false, true>(a_rows, panel, stride, strip, a_finite),
             };
             let w = NR.min(n - j0);
             for (r, acc_r) in acc.iter().take(h).enumerate() {
@@ -578,19 +590,20 @@ fn gemm_rows_avx2(ops: &Operands, row0: usize, chunk: &mut [f32]) {
 /// One `MR × NR` tile of [`gemm`]: `a_rows` (each of length `k`) times the
 /// column strip whose row `kk` is `panel[kk * stride..][..NR]`.
 ///
-/// With `CHECK`, each step first looks at `mins[kk]`, the strip row's
-/// [`strip_mins`] entry. An all-zero row against finite `a_rows` adds only
-/// `±0.0` and is skipped. A step that [`may_be_subnormal`] forms each
-/// product as `f32(f64(a) · f64(b))`, which is the `f32` product bit for
-/// bit: the `f64` product of two `f32` values is exact, so converting it
-/// rounds once, as the `f32` multiply does, for subnormal results,
-/// overflow, signed zeros and NaNs alike. Only the cost differs.
+/// With `CHECK`, each step first looks at `strip[kk]`, the strip row's
+/// [`strip_thresholds`] entry. An all-zero row against finite `a_rows`
+/// adds only `±0.0` and is skipped. A step whose smallest nonzero `a`
+/// entry is under the threshold forms each product as
+/// `f32(f64(a) · f64(b))`, which is the `f32` product bit for bit: the
+/// `f64` product of two `f32` values is exact, so converting it rounds
+/// once, as the `f32` multiply does, for subnormal results, overflow,
+/// signed zeros and NaNs alike. Only the cost differs.
 #[inline(always)]
 fn tile<const SKIP: bool, const CHECK: bool>(
     a_rows: [&[f32]; MR],
     panel: &[f32],
     stride: usize,
-    mins: &[u32],
+    strip: &[u32],
     a_finite: bool,
 ) -> [[f32; NR]; MR] {
     let mut acc = [[0.0f32; NR]; MR];
@@ -598,12 +611,12 @@ fn tile<const SKIP: bool, const CHECK: bool>(
         let bk: &[f32; NR] = panel[kk * stride..][..NR].try_into().expect("NR-wide strip");
         let av = a_rows.map(|r| r[kk]);
         if CHECK {
-            let b_min = mins[kk];
-            if b_min == ZERO_ROW {
+            let threshold = strip[kk];
+            if threshold == ZERO_ROW {
                 if a_finite {
                     continue;
                 }
-            } else if av.iter().any(|&a| a != 0.0 && may_be_subnormal(a.abs().to_bits(), b_min)) {
+            } else if av.iter().map(|&a| magnitude_key(a)).min() < Some(threshold) {
                 for (acc_r, &a) in acc.iter_mut().zip(&av) {
                     // Opaque, so that the compiler cannot narrow the `f64`
                     // product back into the `f32` multiply it equals.
