@@ -1,14 +1,14 @@
-//! Micro-benchmarks for the tensor substrate: matmul kernels, sparse
-//! aggregation, and autograd overhead. The matmul group is named after the
-//! instruction set the kernel was dispatched to (`matmul/avx2` or
-//! `matmul/baseline`).
+//! Micro-benchmarks for the tensor substrate: matmul kernels, the `exp`,
+//! sigmoid and `tanh` slice kernels, sparse aggregation, and autograd
+//! overhead. The matmul and math groups are named after the instruction set
+//! the kernels were dispatched to (`matmul/avx2` or `matmul/baseline`).
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::rc::Rc;
 use vrdag_tensor::ops::{self, SparseAdj};
-use vrdag_tensor::{simd, Matrix, Tensor};
+use vrdag_tensor::{math, simd, Matrix, Tensor};
 
 fn bench_matmul(c: &mut Criterion) {
     let mut group = c.benchmark_group(format!("matmul/{}", simd::isa().name()));
@@ -34,6 +34,43 @@ fn bench_matmul(c: &mut Criterion) {
     group.bench_function("nn/3024x48x32", |bch| bch.iter(|| black_box(x.matmul(&w))));
     group.bench_function("nt/3024x32x48", |bch| bch.iter(|| black_box(g.matmul_nt(&w))));
     group.bench_function("tn/48x3024x32", |bch| bch.iter(|| black_box(x.matmul_tn(&g))));
+    group.finish();
+}
+
+/// A slice kernel's name, the kernel, and the scalar libm form it replaced.
+type MathKernel = (&'static str, fn(&mut [f32]), fn(f32) -> f32);
+
+/// The slice kernels of `vrdag_tensor::math` at the GRU's gate shape of the
+/// `cold_gen` model, [189, 32], and at pass A's 106,596 `σ(f_θ)` logits per
+/// snapshot (189·188 pairs, K = 3), each beside the host libm's scalar loop.
+fn bench_math(c: &mut Criterion) {
+    let mut group = c.benchmark_group(format!("math/{}", simd::isa().name()));
+    let mut rng = StdRng::seed_from_u64(4);
+    let kernels: [MathKernel; 3] = [
+        ("exp", math::exp_slice, f32::exp),
+        ("sigmoid", math::sigmoid_slice, |x| 1.0 / (1.0 + (-x).exp())),
+        ("tanh", math::tanh_slice, f32::tanh),
+    ];
+    for (shape, len) in [("189x32", 189 * 32), ("106596", 106_596)] {
+        let x = Matrix::rand_uniform(1, len, -6.0, 6.0, &mut rng);
+        let mut buf = vec![0.0f32; len];
+        for (name, slice, libm) in kernels {
+            group.bench_function(format!("{name}/{shape}"), |bch| {
+                bch.iter(|| {
+                    buf.copy_from_slice(x.data());
+                    slice(black_box(&mut buf));
+                    black_box(buf[len - 1])
+                });
+            });
+            group.bench_function(format!("{name}_libm/{shape}"), |bch| {
+                bch.iter(|| {
+                    buf.copy_from_slice(x.data());
+                    black_box(&mut buf).iter_mut().for_each(|v| *v = libm(*v));
+                    black_box(buf[len - 1])
+                });
+            });
+        }
+    }
     group.finish();
 }
 
@@ -78,5 +115,5 @@ fn bench_autograd_overhead(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_matmul, bench_spmm, bench_autograd_overhead);
+criterion_group!(benches, bench_matmul, bench_math, bench_spmm, bench_autograd_overhead);
 criterion_main!(benches);

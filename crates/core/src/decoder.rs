@@ -24,7 +24,7 @@ use vrdag_graph::Snapshot;
 use vrdag_tensor::nn::{leaky_relu, Activation, Linear, Mlp};
 use vrdag_tensor::ops::{self, Segments};
 use vrdag_tensor::simd::{self, Isa};
-use vrdag_tensor::{par, Matrix, Tensor};
+use vrdag_tensor::{math, par, Matrix, Tensor};
 
 /// Sampled pair batch for the structure reconstruction loss (Eq. 17 with
 /// negative sampling).
@@ -356,7 +356,8 @@ fn pass_a(alpha: &PairMlp, theta: &PairMlp, m_target: Option<f64>) -> (Vec<RowSt
 ///
 /// One block loop scores both MLPs (2·KC accumulators, all in registers),
 /// and the row sums stay in locals until the row ends. The sigmoid
-/// `1/(1+e)` runs over all lanes after the scalar `f32::exp` calls.
+/// `1/(1 + e^{−o})` of a block's KC·8 `f_θ` logits is one call of
+/// [`math::sigmoid_slice`], eight lanes at a time.
 #[inline(always)]
 fn row_sums<const KC: usize>(
     alpha: &PairMlp,
@@ -382,9 +383,10 @@ fn row_sums<const KC: usize>(
         for c in 0..KC {
             add_lanes(&mut acc[c], &oa[c], lanes, own);
         }
-        let e = ot.map(|o| o.map(|o| (-o).exp()));
+        let mut theta = ot;
+        math::sigmoid_slice(theta.as_flattened_mut());
         for c in 0..KC {
-            add_lanes(&mut theta_sum[c], &e[c].map(|e| 1.0 / (1.0 + e)), lanes, own);
+            add_lanes(&mut theta_sum[c], &theta[c], lanes, own);
         }
     }
     sums.0[..KC].copy_from_slice(&acc);
@@ -882,7 +884,7 @@ fn scalar_pass_a(plan: &DecodePlan, s: &Matrix, m_target: Option<f64>) -> (Vec<R
                     for x in 0..h {
                         o += ht[x] * w2t.get(x, kk);
                     }
-                    theta_sum[kk] += (1.0 / (1.0 + (-o).exp())) as f64;
+                    theta_sum[kk] += (1.0 / (1.0 + math::exp_f32(-o))) as f64;
                 }
             }
         }

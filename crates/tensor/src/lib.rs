@@ -15,6 +15,8 @@
 //!   primitives the paper's encoder/decoder need: CSR neighbor aggregation
 //!   ([`ops::spmm_sum`]) and per-destination softmax
 //!   ([`ops::segment_softmax`]) for GAT attention.
+//! * [`math`] — `exp` and `tanh` for `f32` in plain IEEE-754 operations,
+//!   with the same bits on every host, and their 8-lane slice kernels.
 //! * [`nn`] — `Linear`, `Mlp`, `GruCell`, activations.
 //! * [`optim`] — Adam / SGD and global-norm gradient clipping.
 //! * [`par`] — scoped-thread helpers used by the hot kernels.
@@ -44,6 +46,7 @@
 //! ```
 
 pub mod autograd;
+pub mod math;
 pub mod matrix;
 pub mod nn;
 pub mod ops;

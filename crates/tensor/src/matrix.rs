@@ -184,13 +184,19 @@ impl Matrix {
 
     /// Element-wise map in place (parallel for large matrices).
     pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32 + Sync) {
+        self.map_chunks_inplace(|chunk| chunk.iter_mut().for_each(|x| *x = f(*x)));
+    }
+
+    /// Run the element-wise slice kernel `f` (such as
+    /// [`math::exp_slice`](crate::math::exp_slice)) over the elements in
+    /// place: once over all of them, or once per row chunk in parallel for
+    /// large matrices.
+    pub fn map_chunks_inplace(&mut self, f: impl Fn(&mut [f32]) + Sync) {
         if self.data.len() >= 1 << 16 {
             let cols = self.cols.max(1);
-            par::par_row_chunks_mut(&mut self.data, cols, 64, |_, chunk| {
-                chunk.iter_mut().for_each(|x| *x = f(*x));
-            });
+            par::par_row_chunks_mut(&mut self.data, cols, 64, |_, chunk| f(chunk));
         } else {
-            self.data.iter_mut().for_each(|x| *x = f(*x));
+            f(&mut self.data);
         }
     }
 

@@ -1,6 +1,7 @@
 //! Element-wise and broadcasting operations.
 
 use crate::autograd::Tensor;
+use crate::math;
 use crate::matrix::Matrix;
 
 fn assert_same_shape(a: &Tensor, b: &Tensor, op: &str) {
@@ -265,9 +266,16 @@ pub fn clamp(a: &Tensor, lo: f32, hi: f32) -> Tensor {
     )
 }
 
-/// Logistic sigmoid.
+/// `a`'s value through the element-wise slice kernel `f`.
+fn mapped(a: &Tensor, f: fn(&mut [f32])) -> Matrix {
+    let mut value = a.value_clone();
+    value.map_chunks_inplace(f);
+    value
+}
+
+/// Logistic sigmoid `1/(1 + e^{−x})`, with [`math::exp_f32`].
 pub fn sigmoid(a: &Tensor) -> Tensor {
-    let value = a.value().map(|x| 1.0 / (1.0 + (-x).exp()));
+    let value = mapped(a, math::sigmoid_slice);
     Tensor::from_op(
         value,
         vec![a.clone()],
@@ -279,9 +287,9 @@ pub fn sigmoid(a: &Tensor) -> Tensor {
     )
 }
 
-/// Hyperbolic tangent.
+/// Hyperbolic tangent, with [`math::tanh_f32`].
 pub fn tanh(a: &Tensor) -> Tensor {
-    let value = a.value().map(|x| x.tanh());
+    let value = mapped(a, math::tanh_slice);
     Tensor::from_op(
         value,
         vec![a.clone()],
@@ -330,9 +338,9 @@ pub fn leaky_relu(a: &Tensor, slope: f32) -> Tensor {
     )
 }
 
-/// Element-wise exponential.
+/// Element-wise exponential, with [`math::exp_f32`].
 pub fn exp(a: &Tensor) -> Tensor {
-    let value = a.value().map(|x| x.exp());
+    let value = mapped(a, math::exp_slice);
     Tensor::from_op(
         value,
         vec![a.clone()],
@@ -383,7 +391,8 @@ pub fn powf(a: &Tensor, p: f32) -> Tensor {
     )
 }
 
-/// Row-wise softmax (used for the α mixture weights, Eq. 11).
+/// Row-wise softmax (used for the α mixture weights, Eq. 11), with
+/// [`math::exp_f32`].
 pub fn softmax_rows(a: &Tensor) -> Tensor {
     let value = {
         let av = a.value();
@@ -392,12 +401,11 @@ pub fn softmax_rows(a: &Tensor) -> Tensor {
         for i in 0..r {
             let row = av.row(i);
             let m = row.iter().fold(f32::NEG_INFINITY, |m, &x| m.max(x));
-            let mut denom = 0.0;
-            for (o, &x) in out.row_mut(i).iter_mut().zip(row.iter()) {
-                *o = (x - m).exp();
-                denom += *o;
-            }
-            out.row_mut(i).iter_mut().for_each(|x| *x /= denom);
+            let dst = out.row_mut(i);
+            dst.iter_mut().zip(row).for_each(|(o, &x)| *o = x - m);
+            math::exp_slice(dst);
+            let denom = dst.iter().fold(0.0, |d, &o| d + o);
+            dst.iter_mut().for_each(|x| *x /= denom);
         }
         out
     };

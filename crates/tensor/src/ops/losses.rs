@@ -3,6 +3,7 @@
 //! between diagonal Gaussians (Eq. 15), and MSE (ablation).
 
 use crate::autograd::Tensor;
+use crate::math;
 use crate::matrix::Matrix;
 use std::rc::Rc;
 
@@ -126,7 +127,8 @@ pub fn cosine_rows(a: &Tensor, b: &Tensor) -> Tensor {
 }
 
 /// `KL( N(μ_q, diag e^{lv_q}) ‖ N(μ_p, diag e^{lv_p}) )` summed over all
-/// elements, as a `[1,1]` tensor (Eq. 15; log-variance parameterization).
+/// elements, as a `[1,1]` tensor (Eq. 15; log-variance parameterization,
+/// `e^{lv}` with [`math::exp_f32`]).
 pub fn kl_diag_gaussian(mu_q: &Tensor, lv_q: &Tensor, mu_p: &Tensor, lv_p: &Tensor) -> Tensor {
     let shape = mu_q.shape();
     for (t, name) in [(lv_q, "lv_q"), (mu_p, "mu_p"), (lv_p, "lv_p")] {
@@ -141,7 +143,7 @@ pub fn kl_diag_gaussian(mu_q: &Tensor, lv_q: &Tensor, mu_p: &Tensor, lv_p: &Tens
         for i in 0..mq.len() {
             let (mq, lq, mp, lp) = (mq.data()[i], lq.data()[i], mp.data()[i], lp.data()[i]);
             let d = mq - mp;
-            acc += 0.5 * (lp - lq + (lq.exp() + d * d) / lp.exp() - 1.0) as f64;
+            acc += 0.5 * (lp - lq + (math::exp_f32(lq) + d * d) / math::exp_f32(lp) - 1.0) as f64;
         }
         Matrix::scalar(acc as f32)
     };
@@ -164,8 +166,8 @@ pub fn kl_diag_gaussian(mu_q: &Tensor, lv_q: &Tensor, mu_p: &Tensor, lv_p: &Tens
             }
             for i in 0..n {
                 let d = mq.data()[i] - mp.data()[i];
-                let elp = lp.data()[i].exp();
-                let elq = lq.data()[i].exp();
+                let elp = math::exp_f32(lp.data()[i]);
+                let elq = math::exp_f32(lq.data()[i]);
                 if let Some(gm) = grads[0].as_mut() {
                     gm.data_mut()[i] = gs * d / elp;
                 }

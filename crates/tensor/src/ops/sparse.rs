@@ -3,6 +3,7 @@
 //! Eq. 12).
 
 use crate::autograd::Tensor;
+use crate::math;
 use crate::matrix::Matrix;
 use crate::par;
 use std::rc::Rc;
@@ -165,7 +166,8 @@ impl Segments {
 }
 
 /// Softmax over edge scores within each segment: for segment `S` and edge
-/// `e ∈ S`, `α_e = exp(x_e) / Σ_{e' ∈ S} exp(x_{e'})` (max-subtracted).
+/// `e ∈ S`, `α_e = exp(x_e) / Σ_{e' ∈ S} exp(x_{e'})` (max-subtracted, with
+/// [`math::exp_f32`]).
 ///
 /// Input and output are `[m, 1]` column vectors. Edges whose segment is
 /// empty cannot exist by construction.
@@ -184,7 +186,7 @@ pub fn segment_softmax(scores: &Tensor, segments: Rc<Segments>) -> Tensor {
             let mx = edges.iter().fold(f32::NEG_INFINITY, |mx, &e| mx.max(sv.get(e as usize, 0)));
             let mut denom = 0.0;
             for &e in edges {
-                let v = (sv.get(e as usize, 0) - mx).exp();
+                let v = math::exp_f32(sv.get(e as usize, 0) - mx);
                 out.set(e as usize, 0, v);
                 denom += v;
             }
