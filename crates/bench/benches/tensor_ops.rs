@@ -1,7 +1,9 @@
 //! Micro-benchmarks for the tensor substrate: matmul kernels, the `exp`,
 //! sigmoid and `tanh` slice kernels, sparse aggregation, and autograd
 //! overhead. The matmul and math groups are named after the instruction set
-//! the kernels were dispatched to (`matmul/avx2` or `matmul/baseline`).
+//! the kernels were dispatched to (`matmul/avx512`, `matmul/avx2` or
+//! `matmul/baseline`); `cargo bench --bench tensor_ops -- matmul` times the
+//! matmul group alone.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;

@@ -5,7 +5,8 @@
 //! per-sample duration, run for `sample_size` samples, and reported as
 //! min / mean / max nanoseconds per iteration on stdout. No statistical
 //! analysis, no HTML reports — just enough to keep `cargo bench` useful
-//! offline.
+//! offline. As in criterion, `cargo bench -- <filter>` runs only the
+//! benchmarks whose label (`group/name`) contains the filter.
 
 use std::fmt::Display;
 use std::time::{Duration, Instant};
@@ -113,10 +114,28 @@ impl From<String> for BenchmarkId {
     }
 }
 
+/// Runs `f` on a fresh [`Bencher`] under `label`, unless `filter` is set
+/// and `label` does not contain it.
+fn bench(label: String, samples: usize, filter: Option<&str>, f: impl FnOnce(&mut Bencher)) {
+    if filter.is_some_and(|want| !label.contains(want)) {
+        return;
+    }
+    CURRENT_LABEL.with(|l| *l.borrow_mut() = label);
+    f(&mut Bencher { samples });
+}
+
+/// The benchmark filter in a bench binary's arguments (program name
+/// first): the first one that is not a flag, as `cargo bench -- <filter>`
+/// passes it after its own `--bench`.
+fn filter_from(args: impl Iterator<Item = String>) -> Option<String> {
+    args.skip(1).find(|a| !a.starts_with('-'))
+}
+
 /// A named group of related benchmarks.
 pub struct BenchmarkGroup {
     name: String,
     sample_size: usize,
+    filter: Option<String>,
 }
 
 impl BenchmarkGroup {
@@ -126,9 +145,8 @@ impl BenchmarkGroup {
     }
 
     fn bench_inner(&mut self, label: String, f: impl FnOnce(&mut Bencher)) {
-        CURRENT_LABEL.with(|l| *l.borrow_mut() = format!("{}/{}", self.name, label));
-        let mut b = Bencher { samples: self.sample_size };
-        f(&mut b);
+        let label = format!("{}/{}", self.name, label);
+        bench(label, self.sample_size, self.filter.as_deref(), f);
     }
 
     pub fn bench_function(&mut self, id: impl Into<BenchmarkId>, f: impl FnOnce(&mut Bencher)) {
@@ -152,28 +170,39 @@ impl BenchmarkGroup {
 /// Top-level benchmark driver.
 pub struct Criterion {
     sample_size: usize,
+    /// Runs only the benchmarks whose label contains this.
+    filter: Option<String>,
 }
 
 impl Default for Criterion {
     fn default() -> Self {
-        Criterion { sample_size: 10 }
+        Criterion { sample_size: 10, filter: None }
     }
 }
 
 impl Criterion {
+    /// Takes the benchmark filter from the command line: the first argument
+    /// that is not a flag. `criterion_group!` calls this.
+    pub fn configure_from_args(mut self) -> Criterion {
+        self.filter = filter_from(std::env::args());
+        self
+    }
+
     pub fn sample_size(&mut self, n: usize) -> &mut Self {
         self.sample_size = n.max(2);
         self
     }
 
     pub fn benchmark_group(&mut self, name: impl Into<String>) -> BenchmarkGroup {
-        BenchmarkGroup { name: name.into(), sample_size: self.sample_size }
+        BenchmarkGroup {
+            name: name.into(),
+            sample_size: self.sample_size,
+            filter: self.filter.clone(),
+        }
     }
 
     pub fn bench_function(&mut self, name: &str, f: impl FnOnce(&mut Bencher)) -> &mut Self {
-        CURRENT_LABEL.with(|l| *l.borrow_mut() = name.to_string());
-        let mut b = Bencher { samples: self.sample_size };
-        f(&mut b);
+        bench(name.to_string(), self.sample_size, self.filter.as_deref(), f);
         self
     }
 }
@@ -182,7 +211,7 @@ impl Criterion {
 macro_rules! criterion_group {
     ($name:ident, $($target:path),+ $(,)?) => {
         pub fn $name() {
-            let mut criterion = $crate::Criterion::default();
+            let mut criterion = $crate::Criterion::default().configure_from_args();
             $($target(&mut criterion);)+
         }
     };
@@ -223,5 +252,41 @@ mod tests {
             b.iter(|| black_box(x * x))
         });
         group.finish();
+    }
+
+    #[test]
+    fn the_filter_is_the_first_argument_that_is_not_a_flag() {
+        let args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>().into_iter();
+        assert_eq!(filter_from(args(&["bench", "--bench", "matmul"])), Some("matmul".into()));
+        assert_eq!(
+            filter_from(args(&["bench", "decode/avx512", "--bench"])),
+            Some("decode/avx512".into())
+        );
+        assert_eq!(filter_from(args(&["bench", "--bench"])), None);
+        assert_eq!(filter_from(args(&["matmul"])), None, "the program name is no filter");
+    }
+
+    #[test]
+    fn a_filter_skips_every_label_that_does_not_contain_it() {
+        let mut c = Criterion { filter: Some("keep".into()), ..Criterion::default() };
+        c.sample_size(2);
+        let ran = std::cell::RefCell::new(Vec::new());
+        let ran = &ran;
+        let body = move |label: &'static str| {
+            move |b: &mut Bencher| {
+                ran.borrow_mut().push(label);
+                b.iter(|| black_box(1));
+            }
+        };
+        c.bench_function("skip", body("skip"));
+        c.bench_function("keep_top", body("keep_top"));
+        let mut group = c.benchmark_group("g");
+        group.sample_size(2);
+        group.bench_function("skip", body("g/skip"));
+        group.bench_function("keep", body("g/keep"));
+        group.bench_with_input(BenchmarkId::new("keep_in", 1), &1, |b, _| body("g/keep_in/1")(b));
+        group.finish();
+        c.benchmark_group("keep_group").bench_function("any", body("keep_group/any"));
+        assert_eq!(*ran.borrow(), ["keep_top", "g/keep", "g/keep_in/1", "keep_group/any"]);
     }
 }

@@ -19,6 +19,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
+use std::hint::black_box;
 use std::rc::Rc;
 use vrdag_graph::Snapshot;
 use vrdag_tensor::nn::{leaky_relu, Activation, Linear, Mlp};
@@ -221,13 +222,13 @@ impl DecodePlan {
     /// by `par::num_threads()` never change the output bytes.
     ///
     /// Pair logits come from one block routine that scores 8 destinations
-    /// at once without reordering any pair's float operations, so the bytes
-    /// are those of a plain per-pair loop on every instruction set (see
-    /// `docs/ARCHITECTURE.md`, "Decode kernel"). The sampling pass still
-    /// draws one uniform per pair, but scores only the candidates, the
-    /// pairs whose draw lies below the density scale `c`: an edge
-    /// probability `min(c·θ, 1)` never exceeds `c`, so the others are
-    /// rejected whatever their logit.
+    /// at once (16 on AVX-512) without reordering any pair's float
+    /// operations, so the bytes are those of a plain per-pair loop on every
+    /// instruction set (see `docs/ARCHITECTURE.md`, "Decode kernel"). The
+    /// sampling pass still draws one uniform per pair, but scores only the
+    /// candidates, the pairs whose draw lies below the density scale `c`:
+    /// an edge probability `min(c·θ, 1)` never exceeds `c`, so the others
+    /// are rejected whatever their logit.
     pub fn generate_edges(&self, s: &Matrix, m_target: Option<f64>, seed: u64) -> Vec<(u32, u32)> {
         self.generate_edges_counted(s, m_target, seed).0
     }
@@ -244,8 +245,24 @@ impl DecodePlan {
     }
 
     /// [`DecodePlan::generate_edges_counted`] with the pair logits compiled
-    /// for `isa`, which this CPU must support.
+    /// for `isa`, which this CPU must support: blocks of 16 destinations, one
+    /// 512-bit register, on AVX-512, and of 8 (one AVX2 register, two SSE2
+    /// ones) on the others.
     fn generate_edges_on(
+        &self,
+        isa: Isa,
+        s: &Matrix,
+        m_target: Option<f64>,
+        seed: u64,
+    ) -> (Vec<(u32, u32)>, DecodeCounts) {
+        match isa {
+            Isa::Avx512 => self.generate_edges_in::<16>(isa, s, m_target, seed),
+            _ => self.generate_edges_in::<8>(isa, s, m_target, seed),
+        }
+    }
+
+    /// [`DecodePlan::generate_edges_on`] in blocks of `L` destinations.
+    fn generate_edges_in<const L: usize>(
         &self,
         isa: Isa,
         s: &Matrix,
@@ -256,7 +273,7 @@ impl DecodePlan {
         if n < 2 {
             return (Vec::new(), DecodeCounts::default());
         }
-        let (alpha_mlp, theta_mlp) = self.pair_mlps(isa, s);
+        let (alpha_mlp, theta_mlp) = self.pair_mlps::<L>(isa, s);
         let (stats, c) = pass_a(&alpha_mlp, &theta_mlp, m_target);
 
         // Pass B: choose a mixture component per row and Bernoulli-sample
@@ -282,8 +299,9 @@ impl DecodePlan {
         (edges, counts)
     }
 
-    /// `f_α` and `f_θ` laid out for a decode of the states `s` on `isa`.
-    fn pair_mlps(&self, isa: Isa, s: &Matrix) -> (PairMlp<'_>, PairMlp<'_>) {
+    /// `f_α` and `f_θ` laid out for a decode of the states `s` on `isa`, in
+    /// blocks of `L` destinations.
+    fn pair_mlps<const L: usize>(&self, isa: Isa, s: &Matrix) -> (PairMlp<'_, L>, PairMlp<'_, L>) {
         (
             PairMlp::new(isa, s, &self.w1a, &self.b1a, &self.w2a, &self.b2a, self.slope),
             PairMlp::new(isa, s, &self.w1t, &self.b1t, &self.w2t, &self.b2t, self.slope),
@@ -309,25 +327,21 @@ const GROUP: usize = 4;
 ///
 /// A row sums `f_α`, and when calibrating `σ(f_θ)`, over `j ≠ i` in
 /// ascending `j`, in `f64`, component group by component group (see
-/// [`row_sums`]). Each sum adds the same terms in the same order as a
+/// [`group_sums`]). Each sum adds the same terms in the same order as a
 /// plain pair loop, so the bits are that loop's.
-fn pass_a(alpha: &PairMlp, theta: &PairMlp, m_target: Option<f64>) -> (Vec<RowStat>, f64) {
+fn pass_a<const L: usize>(
+    alpha: &PairMlp<L>,
+    theta: &PairMlp<L>,
+    m_target: Option<f64>,
+) -> (Vec<RowStat>, f64) {
     let (n, k) = (alpha.u.rows(), alpha.k);
-    let shape = |m: &PairMlp| (m.isa, m.k, m.b1.len(), m.u_blocks.len());
+    let shape = |m: &PairMlp<L>| (m.isa, m.k, m.b1.len(), m.u_blocks.len());
     assert_eq!(shape(theta), shape(alpha), "f_α and f_θ are laid out alike");
     let theta = m_target.is_some().then_some(theta);
     let stats: Vec<RowStat> = par::par_map_collect(n, 1, |i| {
         let mut acc = vec![0.0f64; k];
         let mut theta_sum = vec![0.0f64; k];
-        for k0 in (0..k).step_by(GROUP) {
-            let sums = (&mut acc[k0..], &mut theta_sum[k0..]);
-            match GROUP.min(k - k0) {
-                1 => row_sums::<1>(alpha, theta, i, k0, sums),
-                2 => row_sums::<2>(alpha, theta, i, k0, sums),
-                3 => row_sums::<3>(alpha, theta, i, k0, sums),
-                _ => row_sums::<GROUP>(alpha, theta, i, k0, sums),
-            }
-        }
+        pass_a_row(alpha, theta, i, (&mut acc, &mut theta_sum));
         // Softmax over K.
         let mx = acc.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
         let exps: Vec<f64> = acc.iter().map(|&a| (a - mx).exp()).collect();
@@ -350,36 +364,109 @@ fn pass_a(alpha: &PairMlp, theta: &PairMlp, m_target: Option<f64>) -> (Vec<RowSt
     (stats, c)
 }
 
+/// Pass A of row `i`: adds `f_α`'s logits of every component into
+/// `sums.0` and, when `theta` is given, `σ(f_θ)` into `sums.1`, on the
+/// MLPs' instruction set.
+///
+/// The instruction set is chosen once per row: the row's whole loop, with
+/// its logit bodies and lane sums, is compiled inside each wrapper, so no
+/// block costs a call.
+fn pass_a_row<const L: usize>(
+    alpha: &PairMlp<L>,
+    theta: Option<&PairMlp<L>>,
+    i: usize,
+    sums: (&mut [f64], &mut [f64]),
+) {
+    match alpha.isa {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: AVX-512F detected at runtime: `PairMlp::new` keeps only an
+        // instruction set this CPU supports.
+        Isa::Avx512 => unsafe { pass_a_row_avx512(alpha, theta, i, sums) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: AVX2 detected at runtime, as above.
+        Isa::Avx2 => unsafe { pass_a_row_avx2(alpha, theta, i, sums) },
+        _ => row_sums(alpha, theta, i, sums),
+    }
+}
+
+/// [`row_sums`] compiled with AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn pass_a_row_avx2<const L: usize>(
+    alpha: &PairMlp<L>,
+    theta: Option<&PairMlp<L>>,
+    i: usize,
+    sums: (&mut [f64], &mut [f64]),
+) {
+    row_sums(alpha, theta, i, sums)
+}
+
+/// [`row_sums`] compiled with AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn pass_a_row_avx512<const L: usize>(
+    alpha: &PairMlp<L>,
+    theta: Option<&PairMlp<L>>,
+    i: usize,
+    sums: (&mut [f64], &mut [f64]),
+) {
+    row_sums(alpha, theta, i, sums)
+}
+
+/// The body of [`pass_a_row`]: [`group_sums`] over the component groups.
+#[inline(always)]
+fn row_sums<const L: usize>(
+    alpha: &PairMlp<L>,
+    theta: Option<&PairMlp<L>>,
+    i: usize,
+    (acc, theta_sum): (&mut [f64], &mut [f64]),
+) {
+    let k = alpha.k;
+    for k0 in (0..k).step_by(GROUP) {
+        let sums = (&mut acc[k0..], &mut theta_sum[k0..]);
+        match GROUP.min(k - k0) {
+            1 => group_sums::<1, L>(alpha, theta, i, k0, sums),
+            2 => group_sums::<2, L>(alpha, theta, i, k0, sums),
+            3 => group_sums::<3, L>(alpha, theta, i, k0, sums),
+            _ => group_sums::<GROUP, L>(alpha, theta, i, k0, sums),
+        }
+    }
+}
+
 /// Pass A of row `i` on components `k0..k0 + KC`: adds `f_α`'s logits
 /// into `sums.0[..KC]` and, when `theta` is given, `σ(f_θ)` into
 /// `sums.1[..KC]`.
 ///
 /// One block loop scores both MLPs (2·KC accumulators, all in registers),
 /// and the row sums stay in locals until the row ends. The sigmoid
-/// `1/(1 + e^{−o})` of a block's KC·8 `f_θ` logits is one call of
+/// `1/(1 + e^{−o})` of a block's KC·L `f_θ` logits is one call of
 /// [`math::sigmoid_slice`], eight lanes at a time.
 #[inline(always)]
-fn row_sums<const KC: usize>(
-    alpha: &PairMlp,
-    theta: Option<&PairMlp>,
+fn group_sums<const KC: usize, const L: usize>(
+    alpha: &PairMlp<L>,
+    theta: Option<&PairMlp<L>>,
     i: usize,
     k0: usize,
     sums: (&mut [f64], &mut [f64]),
 ) {
     let n = alpha.u.rows();
     let (mut acc, mut theta_sum) = ([0.0f64; KC], [0.0f64; KC]);
-    for j0 in (0..n).step_by(LANES) {
+    // The logits pass through `black_box`, so that the compiler keeps the
+    // logit loop's accumulators in registers: folded into the lane sums, the
+    // loop may be vectorized across components, with its accumulators in
+    // memory, some three times slower.
+    for j0 in (0..n).step_by(L) {
         // The pairs `(i, j0 + l)` the sums take: `l < lanes`, `l ≠ own`.
-        let (lanes, own) = (LANES.min(n - j0), i.wrapping_sub(j0));
+        let (lanes, own) = (L.min(n - j0), i.wrapping_sub(j0));
         let Some(theta) = theta else {
-            let [oa] = block_logits::<KC, 1>([alpha], [alpha.block(j0)], i, k0);
+            let [oa] = black_box(lane_logits::<KC, 1, L>([alpha], [alpha.block(j0)], i, k0));
             for c in 0..KC {
                 add_lanes(&mut acc[c], &oa[c], lanes, own);
             }
             continue;
         };
         let rows = [alpha.block(j0), theta.block(j0)];
-        let [oa, ot] = block_logits::<KC, 2>([alpha, theta], rows, i, k0);
+        let [oa, ot] = black_box(lane_logits::<KC, 2, L>([alpha, theta], rows, i, k0));
         for c in 0..KC {
             add_lanes(&mut acc[c], &oa[c], lanes, own);
         }
@@ -396,9 +483,9 @@ fn row_sums<const KC: usize>(
 /// Adds lanes `0..lanes` of `v` except lane `own` to `sum`, in `f64` and
 /// in lane order. A whole block without `own` takes an unrolled path.
 #[inline(always)]
-fn add_lanes(sum: &mut f64, v: &[f32; LANES], lanes: usize, own: usize) {
+fn add_lanes<const L: usize>(sum: &mut f64, v: &[f32; L], lanes: usize, own: usize) {
     let mut s = *sum;
-    if lanes == LANES && own >= LANES {
+    if lanes == L && own >= L {
         for &x in v {
             s += x as f64;
         }
@@ -440,13 +527,19 @@ pub struct DecodeCounts {
 ///   test is written `u >= c`, never `!(u < c)`, so that a NaN `c` can
 ///   never reject.
 ///
-/// Otherwise the candidates are collected into groups of [`LANES`] as
-/// they are drawn. A group that is a whole block of destinations is
-/// scored with the contiguous logits, any other with the gathered ones.
-fn sample_row(mlp: &PairMlp, i: usize, kk: usize, c: f64, rng: &mut StdRng) -> (Vec<u32>, u64) {
+/// Otherwise the candidates are collected into groups of `L` as they are
+/// drawn. A group that is a whole block of destinations is scored with the
+/// contiguous logits, any other with the gathered ones.
+fn sample_row<const L: usize>(
+    mlp: &PairMlp<L>,
+    i: usize,
+    kk: usize,
+    c: f64,
+    rng: &mut StdRng,
+) -> (Vec<u32>, u64) {
     let n = mlp.u.rows();
     let mut out = Vec::new();
-    let mut sample = |o: &[f32; LANES], l: usize, u: f64, j: usize| {
+    let mut sample = |o: &[f32; L], l: usize, u: f64, j: usize| {
         let theta = 1.0 / (1.0 + (-o[l] as f64).exp());
         let p = (c * theta).min(1.0);
         if u < p {
@@ -454,9 +547,9 @@ fn sample_row(mlp: &PairMlp, i: usize, kk: usize, c: f64, rng: &mut StdRng) -> (
         }
     };
     if c >= 1.0 || c.is_nan() {
-        for j0 in (0..n).step_by(LANES) {
+        for j0 in (0..n).step_by(L) {
             let o = mlp.logits(i, j0, kk);
-            for l in 0..LANES.min(n - j0) {
+            for l in 0..L.min(n - j0) {
                 if j0 + l != i {
                     sample(&o, l, rng.gen::<f64>(), j0 + l);
                 }
@@ -464,17 +557,15 @@ fn sample_row(mlp: &PairMlp, i: usize, kk: usize, c: f64, rng: &mut StdRng) -> (
         }
         return (out, (n - 1) as u64);
     }
-    // Candidates `js[..len]` with their draws `us`; the lanes past `len`
-    // hold earlier destinations, valid indices whose logits are ignored.
-    let (mut js, mut us, mut len) = ([0usize; LANES], [0.0f64; LANES], 0);
+    // Candidates `js[..len]` with their draws `us[..len]`.
+    let (mut js, mut us, mut len) = ([0usize; L], [0.0f64; L], 0);
     let mut scored = 0u64;
-    let mut rows = vec![[0.0f32; LANES]; mlp.b1.len()];
-    let mut score = |js: &[usize; LANES], us: &[f64; LANES], len: usize| {
-        let o = if len == LANES && js[0].is_multiple_of(LANES) && js[LANES - 1] - js[0] == LANES - 1
-        {
+    let mut rows = vec![[0.0f32; L]; mlp.b1.len()];
+    let mut score = |js: &[usize; L], us: &[f64; L], len: usize| {
+        let o = if len == L && js[0].is_multiple_of(L) && js[L - 1] - js[0] == L - 1 {
             mlp.logits(i, js[0], kk)
         } else {
-            mlp.gathered_logits(i, js, kk, &mut rows)
+            mlp.gathered_logits(i, &js[..len], kk, &mut rows)
         };
         for l in 0..len {
             sample(&o, l, us[l], js[l]);
@@ -488,7 +579,7 @@ fn sample_row(mlp: &PairMlp, i: usize, kk: usize, c: f64, rng: &mut StdRng) -> (
         }
         (js[len], us[len]) = (j, u);
         len += 1;
-        if len == LANES {
+        if len == L {
             score(&js, &us, len);
             len = 0;
         }
@@ -499,24 +590,21 @@ fn sample_row(mlp: &PairMlp, i: usize, kk: usize, c: f64, rng: &mut StdRng) -> (
     (out, scored)
 }
 
-/// Destinations scored together by [`PairMlp::logits`]: eight `f32` lanes,
-/// one AVX2 register, or two SSE2 registers on the baseline x86-64 target.
-const LANES: usize = 8;
-
 /// One pairwise decoder MLP (`f_α` or `f_θ`) laid out for a decode call.
 ///
 /// Its first layer distributes over `s_i − s_j`, so `U = S·W1` is computed
 /// once per call and a pair's hidden unit `x` is `U[i,x] − U[j,x] + b1[x]`.
-/// `U` is kept row-major for the source rows, and by blocks of [`LANES`]
-/// destinations (zero padded past `n`) so that a block's lane vectors for
-/// every `x` are one contiguous run: O(n·h) memory, no `n²` buffer.
-struct PairMlp<'a> {
+/// `U` is kept row-major for the source rows, and by blocks of `L`
+/// destinations, the `f32` lanes the logits are scored on (zero padded past
+/// `n`), so that a block's lane vectors for every `x` are one contiguous
+/// run: O(n·h) memory, no `n²` buffer.
+struct PairMlp<'a, const L: usize> {
     /// The instruction set the logits run on; `new` checks that this CPU
     /// supports it.
     isa: Isa,
     u: Matrix,
-    /// `u_blocks[b·h + x][l] = U[b·LANES + l, x]`.
-    u_blocks: Vec<[f32; LANES]>,
+    /// `u_blocks[b·h + x][l] = U[b·L + l, x]`.
+    u_blocks: Vec<[f32; L]>,
     b1: &'a [f32],
     /// `W2` by component groups: `w2_groups[g·h + x][c] = W2[x, g·GROUP + c]`,
     /// zero past `K`.
@@ -526,7 +614,7 @@ struct PairMlp<'a> {
     slope: f32,
 }
 
-impl<'a> PairMlp<'a> {
+impl<'a, const L: usize> PairMlp<'a, L> {
     /// # Panics
     /// Panics when this CPU does not support `isa`.
     fn new(
@@ -541,10 +629,10 @@ impl<'a> PairMlp<'a> {
         assert!(isa.is_supported(), "this CPU does not support {}", isa.name());
         let u = s.matmul(w1);
         let (n, h, k) = (u.rows(), u.cols(), w2.cols());
-        let mut u_blocks = vec![[0.0f32; LANES]; n.div_ceil(LANES) * h];
+        let mut u_blocks = vec![[0.0f32; L]; n.div_ceil(L) * h];
         for j in 0..n {
             for (x, &v) in u.row(j).iter().enumerate() {
-                u_blocks[j / LANES * h + x][j % LANES] = v;
+                u_blocks[j / L * h + x][j % L] = v;
             }
         }
         let mut w2_groups = vec![[0.0f32; GROUP]; k.div_ceil(GROUP) * h];
@@ -556,39 +644,39 @@ impl<'a> PairMlp<'a> {
         PairMlp { isa, u, u_blocks, b1: b1.data(), w2_groups, b2: b2.data(), k, slope }
     }
 
-    /// The lane vectors of the block of destinations `j0..j0 + LANES`,
-    /// `j0` a multiple of [`LANES`], one per `x`.
-    fn block(&self, j0: usize) -> &[[f32; LANES]] {
-        debug_assert!(j0.is_multiple_of(LANES), "block start {j0} is not aligned");
+    /// The lane vectors of the block of destinations `j0..j0 + L`, `j0` a
+    /// multiple of `L`, one per `x`.
+    fn block(&self, j0: usize) -> &[[f32; L]] {
+        debug_assert!(j0.is_multiple_of(L), "block start {j0} is not aligned");
         let h = self.b1.len();
-        &self.u_blocks[j0 / LANES * h..][..h]
+        &self.u_blocks[j0 / L * h..][..h]
     }
 
-    /// Logits of component `kk` for the pairs `(i, j0 + l)`, `l < LANES`,
-    /// `j0` a multiple of [`LANES`]. Lanes past `n` read the zero padding;
-    /// their logits are meaningless and callers skip them, as they skip
-    /// `j == i`.
+    /// Logits of component `kk` for the pairs `(i, j0 + l)`, `l < L`, `j0`
+    /// a multiple of `L`. Lanes past `n` read the zero padding; their
+    /// logits are meaningless and callers skip them, as they skip `j == i`.
     #[inline]
-    fn logits(&self, i: usize, j0: usize, kk: usize) -> [f32; LANES] {
+    fn logits(&self, i: usize, j0: usize, kk: usize) -> [f32; L] {
         let [[o]] = block_logits([self], [self.block(j0)], i, kk);
         o
     }
 
-    /// [`PairMlp::logits`] for the pairs `(i, js[l])`: the destinations'
-    /// lane vectors are first gathered into `rows` (`h` long), then scored
-    /// as a block, with the same per-lane float order.
+    /// [`PairMlp::logits`] for the pairs `(i, js[l])`, `l < js.len() ≤ L`:
+    /// the destinations' rows of `U` are first gathered into the lanes of
+    /// `rows` (`h` long), then scored as a block, with the same per-lane
+    /// float order. The lanes past `js.len()` keep what `rows` held; their
+    /// logits are meaningless.
     #[inline]
     fn gathered_logits(
         &self,
         i: usize,
-        js: &[usize; LANES],
+        js: &[usize],
         kk: usize,
-        rows: &mut [[f32; LANES]],
-    ) -> [f32; LANES] {
+        rows: &mut [[f32; L]],
+    ) -> [f32; L] {
         for (l, &j) in js.iter().enumerate() {
-            let src = self.block(j - j % LANES);
-            for (row, v) in rows.iter_mut().zip(src) {
-                row[l] = v[j % LANES];
+            for (row, &v) in rows.iter_mut().zip(self.u.row(j)) {
+                row[l] = v;
             }
         }
         let [[o]] = block_logits([self], [rows], i, kk);
@@ -597,34 +685,49 @@ impl<'a> PairMlp<'a> {
 }
 
 /// Logits `out[m][c][l]` of component `k0 + c` of `mlps[m]` for the pairs
-/// `(i, j_l)`, where `rows[m][x]` holds the eight destinations' `U[j_l, x]`
+/// `(i, j_l)`, where `rows[m][x]` holds the `L` destinations' `U[j_l, x]`
 /// of `mlps[m]`, on the MLPs' instruction set.
 #[inline(always)]
-fn block_logits<const KC: usize, const M: usize>(
-    mlps: [&PairMlp; M],
-    rows: [&[[f32; LANES]]; M],
+fn block_logits<const KC: usize, const M: usize, const L: usize>(
+    mlps: [&PairMlp<L>; M],
+    rows: [&[[f32; L]]; M],
     i: usize,
     k0: usize,
-) -> [[[f32; LANES]; KC]; M] {
+) -> [[[f32; L]; KC]; M] {
     match mlps[0].isa {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: AVX2 detected at runtime: `PairMlp::new` keeps only an
+        // SAFETY: AVX-512F detected at runtime: `PairMlp::new` keeps only an
         // instruction set this CPU supports.
+        Isa::Avx512 => unsafe { lane_logits_avx512(mlps, rows, i, k0) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: AVX2 detected at runtime, as above.
         Isa::Avx2 => unsafe { lane_logits_avx2(mlps, rows, i, k0) },
         _ => lane_logits(mlps, rows, i, k0),
     }
 }
 
-/// [`lane_logits`] compiled with AVX2, where the eight lanes fill one
-/// register.
+/// [`lane_logits`] compiled with AVX2, where eight lanes fill one register.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn lane_logits_avx2<const KC: usize, const M: usize>(
-    mlps: [&PairMlp; M],
-    rows: [&[[f32; LANES]]; M],
+fn lane_logits_avx2<const KC: usize, const M: usize, const L: usize>(
+    mlps: [&PairMlp<L>; M],
+    rows: [&[[f32; L]]; M],
     i: usize,
     k0: usize,
-) -> [[[f32; LANES]; KC]; M] {
+) -> [[[f32; L]; KC]; M] {
+    lane_logits(mlps, rows, i, k0)
+}
+
+/// [`lane_logits`] compiled with AVX-512F, where sixteen lanes fill one
+/// register.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn lane_logits_avx512<const KC: usize, const M: usize, const L: usize>(
+    mlps: [&PairMlp<L>; M],
+    rows: [&[[f32; L]]; M],
+    i: usize,
+    k0: usize,
+) -> [[[f32; L]; KC]; M] {
     lane_logits(mlps, rows, i, k0)
 }
 
@@ -639,12 +742,12 @@ fn lane_logits_avx2<const KC: usize, const M: usize>(
 /// is sliced to `h` first, so the compiler drops nearly all of the
 /// loop's bounds checks.
 #[inline(always)]
-fn lane_logits<const KC: usize, const M: usize>(
-    mlps: [&PairMlp; M],
-    rows: [&[[f32; LANES]]; M],
+fn lane_logits<const KC: usize, const M: usize, const L: usize>(
+    mlps: [&PairMlp<L>; M],
+    rows: [&[[f32; L]]; M],
     i: usize,
     k0: usize,
-) -> [[[f32; LANES]; KC]; M] {
+) -> [[[f32; L]; KC]; M] {
     let h = mlps[0].b1.len();
     let rows = rows.map(|r| &r[..h]);
     let u_i = mlps.map(|m| &m.u.row(i)[..h]);
@@ -653,14 +756,14 @@ fn lane_logits<const KC: usize, const M: usize>(
     let (w2, off) = (mlps.map(|m| &m.w2_groups[k0 / GROUP * h..][..h]), k0 % GROUP);
     assert!(off + KC <= GROUP, "components {k0}..{} span two groups", k0 + KC);
     let slope = mlps.map(|m| m.slope);
-    let mut out = mlps.map(|m| std::array::from_fn(|c| [m.b2[k0 + c]; LANES]));
+    let mut out = mlps.map(|m| std::array::from_fn(|c| [m.b2[k0 + c]; L]));
     for x in 0..h {
         for m in 0..M {
             let (a, b, u_j) = (u_i[m][x], b1[m][x], rows[m][x]);
-            let hx: [f32; LANES] = std::array::from_fn(|l| leaky_relu(a - u_j[l] + b, slope[m]));
+            let hx: [f32; L] = std::array::from_fn(|l| leaky_relu(a - u_j[l] + b, slope[m]));
             for c in 0..KC {
                 let w = w2[m][x][off + c];
-                for l in 0..LANES {
+                for l in 0..L {
                     out[m][c][l] += hx[l] * w;
                 }
             }
@@ -1026,19 +1129,65 @@ mod tests {
         dec
     }
 
+    /// Every instruction set this CPU supports, each with `U` in blocks of
+    /// 8 and of 16 destinations: the width a decode picks for it (16 on
+    /// AVX-512, else 8) and the other, so that every CPU checks the 16-lane
+    /// instance of the source bodies.
+    fn layouts() -> impl Iterator<Item = (Isa, usize)> {
+        simd::supported().flat_map(|isa| [(isa, 8), (isa, 16)])
+    }
+
+    /// [`DecodePlan::generate_edges_in`] on `isa` in blocks of `lanes`.
+    fn decode_on(
+        plan: &DecodePlan,
+        (isa, lanes): (Isa, usize),
+        s: &Matrix,
+        m_target: Option<f64>,
+        seed: u64,
+    ) -> (Vec<(u32, u32)>, DecodeCounts) {
+        match lanes {
+            8 => plan.generate_edges_in::<8>(isa, s, m_target, seed),
+            16 => plan.generate_edges_in::<16>(isa, s, m_target, seed),
+            _ => unreachable!("no decode in blocks of {lanes}"),
+        }
+    }
+
+    /// [`pass_a`] on `isa` in blocks of `lanes`.
+    fn pass_a_on(
+        plan: &DecodePlan,
+        (isa, lanes): (Isa, usize),
+        s: &Matrix,
+        m_target: Option<f64>,
+    ) -> (Vec<RowStat>, f64) {
+        fn run<const L: usize>(
+            plan: &DecodePlan,
+            isa: Isa,
+            s: &Matrix,
+            m: Option<f64>,
+        ) -> (Vec<RowStat>, f64) {
+            let (alpha, theta) = plan.pair_mlps::<L>(isa, s);
+            pass_a(&alpha, &theta, m)
+        }
+        match lanes {
+            8 => run::<8>(plan, isa, s, m_target),
+            16 => run::<16>(plan, isa, s, m_target),
+            _ => unreachable!("no decode in blocks of {lanes}"),
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(6))]
 
         /// The lane-batched kernel returns exactly the scalar oracle's
         /// edges, and scores exactly the pairs a draw alone does not
-        /// reject: below one block (n < 8), whole blocks, a partial last
-        /// block, and `i` inside that block, with and without calibration,
-        /// on every instruction set this CPU supports, on one and three
-        /// threads.
+        /// reject: below one block (n < 8), whole blocks of 8 and of 16,
+        /// partial last blocks, and `i` inside such a block, with and
+        /// without calibration, on every layout (see `layouts`), on one and
+        /// three threads.
         #[test]
         fn lane_kernel_matches_the_scalar_oracle(case_seed in 0u64..u64::MAX, d_s in 1usize..7) {
             let mut rng = StdRng::seed_from_u64(case_seed);
-            for n in [2, 7, 8, 9, 17, 33] {
+            for n in [2, 7, 8, 9, 16, 17, 33] {
                 for h in [3, 8, 32] {
                     for k in [1, 3, 4] {
                         let plan = random_decoder(d_s, h, k, &mut rng).plan();
@@ -1047,14 +1196,14 @@ mod tests {
                         let target = rng.gen_range(0.5..(n * n) as f64);
                         for m_target in [None, Some(target)] {
                             let want = scalar_generate_edges(&plan, &s, m_target, seed);
-                            for (isa, threads) in simd::supported().flat_map(|isa| [(isa, 1), (isa, 3)]) {
+                            for (layout, threads) in layouts().flat_map(|l| [(l, 1), (l, 3)]) {
                                 let got = par::with_threads(threads, || {
-                                    plan.generate_edges_on(isa, &s, m_target, seed)
+                                    decode_on(&plan, layout, &s, m_target, seed)
                                 });
                                 prop_assert_eq!(
                                     &got, &want,
-                                    "n={} h={} k={} calibrate={} isa={} threads={}",
-                                    n, h, k, m_target.is_some(), isa.name(), threads
+                                    "n={} h={} k={} calibrate={} isa={} lanes={} threads={}",
+                                    n, h, k, m_target.is_some(), layout.0.name(), layout.1, threads
                                 );
                             }
                         }
@@ -1089,8 +1238,8 @@ mod tests {
     }
 
     /// The candidate skip's edge cases, each equal to the scalar oracle on
-    /// every instruction set on one and three threads. The scored count
-    /// shows which pairs the skip kept.
+    /// every layout on one and three threads. The scored count shows which
+    /// pairs the skip kept.
     #[test]
     fn candidate_skip_edge_cases_match_the_scalar_oracle() {
         let (s, cases) = skip_edge_cases();
@@ -1100,11 +1249,12 @@ mod tests {
             let (plan, m_target) = (plan, *m_target);
             for seed in [3, 77] {
                 let want = scalar_generate_edges(plan, &s, m_target, seed);
-                for (isa, threads) in simd::supported().flat_map(|isa| [(isa, 1), (isa, 3)]) {
-                    let got = par::with_threads(threads, || {
-                        plan.generate_edges_on(isa, &s, m_target, seed)
-                    });
-                    let at = format!("{name} seed={seed} isa={} threads={threads}", isa.name());
+                for (layout, threads) in layouts().flat_map(|l| [(l, 1), (l, 3)]) {
+                    let got =
+                        par::with_threads(threads, || decode_on(plan, layout, &s, m_target, seed));
+                    let (isa, lanes) = (layout.0.name(), layout.1);
+                    let at =
+                        format!("{name} seed={seed} isa={isa} lanes={lanes} threads={threads}");
                     assert_eq!(got, want, "{at}");
                     let counts = got.1;
                     assert_eq!(counts.pairs, all, "{at}");
@@ -1119,14 +1269,13 @@ mod tests {
     }
 
     /// Pass A of `plan` equals the scalar oracle's bit for bit, on every
-    /// instruction set this CPU supports, on one and three threads: each
-    /// row's `α` and expected edge mass, and the density scale `c`.
+    /// layout, on one and three threads: each row's `α` and expected edge
+    /// mass, and the density scale `c`.
     fn assert_pass_a_is_the_oracle(plan: &DecodePlan, s: &Matrix, m_target: Option<f64>, at: &str) {
         let (want, want_c) = scalar_pass_a(plan, s, m_target);
-        for (isa, threads) in simd::supported().flat_map(|isa| [(isa, 1), (isa, 3)]) {
-            let (alpha, theta) = plan.pair_mlps(isa, s);
-            let (got, c) = par::with_threads(threads, || pass_a(&alpha, &theta, m_target));
-            let at = format!("{at} isa={} threads={threads}", isa.name());
+        for (layout, threads) in layouts().flat_map(|l| [(l, 1), (l, 3)]) {
+            let (got, c) = par::with_threads(threads, || pass_a_on(plan, layout, s, m_target));
+            let at = format!("{at} isa={} lanes={} threads={threads}", layout.0.name(), layout.1);
             assert_eq!(c.to_bits(), want_c.to_bits(), "{at}: c {c} vs {want_c}");
             assert_eq!(got.len(), want.len(), "{at}");
             for (i, (got, want)) in got.iter().zip(&want).enumerate() {
@@ -1148,7 +1297,7 @@ mod tests {
         #[test]
         fn pass_a_is_bitwise_the_scalar_oracle(case_seed in 0u64..u64::MAX, d_s in 1usize..7) {
             let mut rng = StdRng::seed_from_u64(case_seed);
-            for n in [2, 7, 8, 9, 17, 33] {
+            for n in [2, 7, 8, 9, 16, 17, 33] {
                 for h in [3, 8, 32] {
                     for k in [1, 3, 4, 5, 9] {
                         let plan = random_decoder(d_s, h, k, &mut rng).plan();
@@ -1192,19 +1341,14 @@ mod tests {
         o
     }
 
-    /// Ascending destination sets of row `i` for the gathered logits, as
-    /// `(len, js)` with `js[len..]` padded by arbitrary valid indices: a
-    /// random partial group, a full random group, a set that straddles
-    /// `i`, and a consecutive run.
-    fn gather_sets(n: usize, i: usize, rng: &mut StdRng) -> Vec<(usize, [usize; LANES])> {
+    /// Ascending destination sets of row `i` for the gathered logits, at
+    /// most `L` long: a random partial group, a full random group, a set
+    /// that straddles `i`, and a consecutive run.
+    fn gather_sets<const L: usize>(n: usize, i: usize, rng: &mut StdRng) -> Vec<Vec<usize>> {
         let mut sets = Vec::new();
-        let mut push = |mut picked: Vec<usize>, rng: &mut StdRng| {
+        let mut push = |mut picked: Vec<usize>| {
             picked.sort_unstable();
-            let mut js = [0; LANES];
-            for (l, j) in js.iter_mut().enumerate() {
-                *j = picked.get(l).copied().unwrap_or_else(|| rng.gen_range(0..n));
-            }
-            sets.push((picked.len(), js));
+            sets.push(picked);
         };
         let subset = |len: usize, from: &[usize], rng: &mut StdRng| {
             let mut pool = from.to_vec();
@@ -1213,20 +1357,20 @@ mod tests {
                 .collect()
         };
         let all: Vec<usize> = (0..n).collect();
-        let len = rng.gen_range(1..LANES.min(n) + 1);
+        let len = rng.gen_range(1..L.min(n) + 1);
         let picked = subset(len, &all, rng);
-        push(picked, rng);
-        let picked = subset(LANES, &all, rng);
-        push(picked, rng);
+        push(picked);
+        let picked = subset(L, &all, rng);
+        push(picked);
         if 0 < i && i + 1 < n {
-            let below = rng.gen_range(1..i.min(LANES - 1) + 1);
+            let below = rng.gen_range(1..i.min(L - 1) + 1);
             let mut picked: Vec<usize> = subset(below, &all[..i], rng);
-            picked.extend(subset(LANES - below, &all[i + 1..], rng));
-            push(picked, rng);
+            picked.extend(subset(L - below, &all[i + 1..], rng));
+            push(picked);
         }
-        let len = LANES.min(n);
+        let len = L.min(n);
         let start = rng.gen_range(0..n - len + 1);
-        push((start..start + len).collect(), rng);
+        push((start..start + len).collect());
         sets
     }
 
@@ -1255,28 +1399,92 @@ mod tests {
         }
     }
 
-    impl PairMlp<'_> {
+    impl<const L: usize> PairMlp<'_, L> {
         /// Sets `U[j, x]` in both of its layouts.
         fn set_u(&mut self, j: usize, x: usize, v: f32) {
             let h = self.b1.len();
             self.u.set(j, x, v);
-            self.u_blocks[j / LANES * h + x][j % LANES] = v;
+            self.u_blocks[j / L * h + x][j % L] = v;
         }
     }
 
     /// The logits of components `k0..k0 + KC` for the block `j0` of row
     /// `i`, as pass A computes them: `[f_α, f_θ]` from the fused block,
     /// then `f_α` alone.
-    fn group_logits<const KC: usize>(
-        mlps: [&PairMlp; 2],
+    fn group_logits<const KC: usize, const L: usize>(
+        mlps: [&PairMlp<L>; 2],
         i: usize,
         j0: usize,
         k0: usize,
-    ) -> [Vec<[f32; LANES]>; 3] {
+    ) -> [Vec<[f32; L]>; 3] {
         let rows = mlps.map(|m| m.block(j0));
-        let [fa, ft] = block_logits::<KC, 2>(mlps, rows, i, k0);
-        let [a] = block_logits::<KC, 1>([mlps[0]], [rows[0]], i, k0);
+        let [fa, ft] = block_logits::<KC, 2, L>(mlps, rows, i, k0);
+        let [a] = block_logits::<KC, 1, L>([mlps[0]], [rows[0]], i, k0);
         [fa.to_vec(), ft.to_vec(), a.to_vec()]
+    }
+
+    /// `U` entries `(is_alpha, j, x, value)` to poke before scoring.
+    type UPokes = [(bool, usize, usize, f32)];
+
+    /// The checks of `lane_logits_are_bitwise_the_scalar_pair_logits` for
+    /// one plan on `isa` in blocks of `L`: every block of every row, every
+    /// component group, and the gathered form on [`gather_sets`].
+    fn assert_lane_logits_are_the_scalar_ones<const L: usize>(
+        plan: &DecodePlan,
+        s: &Matrix,
+        u_pokes: &UPokes,
+        isa: Isa,
+        rng: &mut StdRng,
+    ) {
+        let (n, h, k) = (s.rows(), plan.w1a.cols(), plan.w2a.cols());
+        let sets: Vec<_> = (0..n).map(|i| gather_sets::<L>(n, i, rng)).collect();
+        let mut rows = vec![[0.0f32; L]; h];
+        let (mut alpha, mut theta) = plan.pair_mlps::<L>(isa, s);
+        for &(is_alpha, j, x, v) in u_pokes {
+            if is_alpha { &mut alpha } else { &mut theta }.set_u(j, x, v);
+        }
+        let layers = [(&plan.b1a, &plan.w2a, &plan.b2a), (&plan.b1t, &plan.w2t, &plan.b2t)];
+        let want = |m: usize, i: usize, j: usize, c: usize| {
+            let u = if m == 0 { &alpha.u } else { &theta.u };
+            logit_bits(scalar_logit(u, i, j, layers[m], plan.slope, c))
+        };
+        let isa = isa.name();
+        for i in 0..n {
+            for j0 in (0..n).step_by(L) {
+                for k0 in (0..k).step_by(GROUP) {
+                    let mlps = [&alpha, &theta];
+                    let [fa, ft, a] = match GROUP.min(k - k0) {
+                        1 => group_logits::<1, L>(mlps, i, j0, k0),
+                        2 => group_logits::<2, L>(mlps, i, j0, k0),
+                        3 => group_logits::<3, L>(mlps, i, j0, k0),
+                        _ => group_logits::<GROUP, L>(mlps, i, j0, k0),
+                    };
+                    for c in k0..k0 + fa.len() {
+                        let (pa, pt) = (alpha.logits(i, j0, c), theta.logits(i, j0, c));
+                        for j in j0..n.min(j0 + L) {
+                            let (l, g) = (j - j0, c - k0);
+                            let at =
+                                format!("n={n} h={h} k={k} i={i} j={j} c={c} isa={isa} lanes={L}");
+                            assert_eq!(logit_bits(pa[l]), want(0, i, j, c), "pass B f_α {at}");
+                            assert_eq!(logit_bits(pt[l]), want(1, i, j, c), "pass B f_θ {at}");
+                            assert_eq!(logit_bits(fa[g][l]), logit_bits(pa[l]), "fused f_α {at}");
+                            assert_eq!(logit_bits(ft[g][l]), logit_bits(pt[l]), "fused f_θ {at}");
+                            assert_eq!(logit_bits(a[g][l]), logit_bits(pa[l]), "f_α only {at}");
+                        }
+                    }
+                }
+            }
+            // `rows` carries the lanes of the previous sets past `js.len()`.
+            for js in &sets[i] {
+                for c in 0..k {
+                    let o = theta.gathered_logits(i, js, c, &mut rows);
+                    for l in 0..js.len() {
+                        let at = format!("n={n} h={h} k={k} i={i} js={js:?} c={c} isa={isa}");
+                        assert_eq!(logit_bits(o[l]), want(1, i, js[l], c), "gathered {at}");
+                    }
+                }
+            }
+        }
     }
 
     proptest! {
@@ -1284,17 +1492,17 @@ mod tests {
 
         /// Sampled edges hide sub-ulp logit drift (it almost never flips a
         /// Bernoulli draw), so the block routine is also checked directly,
-        /// on every instruction set this CPU supports: every lane's logit
-        /// of pass B's one-component form has the scalar loop's exact bits
-        /// for both MLPs, and pass A's fused `f_α`/`f_θ` form and its
-        /// `f_α`-only form give those bits lane for lane, component group
-        /// by component group (K of one group, a whole group, a group and a
-        /// remainder, three groups). So does every lane of the gathered
-        /// form, on random ascending destination sets: partial groups,
-        /// sets that straddle `i`, and consecutive runs. Entries of `U`,
-        /// `b1` and `W2` are randomly NaN, `±∞`, `-0.0` or subnormal, so
-        /// the leaky ReLU's edge cases are taken too; a NaN logit must stay
-        /// NaN (see `logit_bits`).
+        /// on every layout (see `layouts`): every lane's logit of pass B's
+        /// one-component form has the scalar loop's exact bits for both
+        /// MLPs, and pass A's fused `f_α`/`f_θ` form and its `f_α`-only
+        /// form give those bits lane for lane, component group by component
+        /// group (K of one group, a whole group, a group and a remainder,
+        /// three groups). So does every lane of the gathered form, on
+        /// random ascending destination sets: partial groups, sets that
+        /// straddle `i`, and consecutive runs. Entries of `U`, `b1` and
+        /// `W2` are randomly NaN, `±∞`, `-0.0` or subnormal, so the leaky
+        /// ReLU's edge cases are taken too; a NaN logit must stay NaN (see
+        /// `logit_bits`).
         #[test]
         fn lane_logits_are_bitwise_the_scalar_pair_logits(case_seed in 0u64..u64::MAX, d_s in 1usize..7) {
             let mut rng = StdRng::seed_from_u64(case_seed);
@@ -1310,53 +1518,9 @@ mod tests {
                         let v = SPECIAL[rng.gen_range(0..SPECIAL.len())];
                         u_pokes.push((rng.gen_bool(0.5), rng.gen_range(0..n), rng.gen_range(0..h), v));
                     }
-                    let sets: Vec<_> = (0..n).map(|i| gather_sets(n, i, &mut rng)).collect();
-                    let mut rows = vec![[0.0f32; LANES]; h];
                     for isa in simd::supported() {
-                        let (mut alpha, mut theta) = plan.pair_mlps(isa, &s);
-                        for &(is_alpha, j, x, v) in &u_pokes {
-                            if is_alpha { &mut alpha } else { &mut theta }.set_u(j, x, v);
-                        }
-                        let layers = [(&plan.b1a, &plan.w2a, &plan.b2a), (&plan.b1t, &plan.w2t, &plan.b2t)];
-                        let want = |m: usize, i: usize, j: usize, c: usize| {
-                            let u = if m == 0 { &alpha.u } else { &theta.u };
-                            logit_bits(scalar_logit(u, i, j, layers[m], plan.slope, c))
-                        };
-                        let isa = isa.name();
-                        for i in 0..n {
-                            for j0 in (0..n).step_by(LANES) {
-                                for k0 in (0..k).step_by(GROUP) {
-                                    let mlps = [&alpha, &theta];
-                                    let [fa, ft, a] = match GROUP.min(k - k0) {
-                                        1 => group_logits::<1>(mlps, i, j0, k0),
-                                        2 => group_logits::<2>(mlps, i, j0, k0),
-                                        3 => group_logits::<3>(mlps, i, j0, k0),
-                                        _ => group_logits::<GROUP>(mlps, i, j0, k0),
-                                    };
-                                    for c in k0..k0 + fa.len() {
-                                        let (pa, pt) = (alpha.logits(i, j0, c), theta.logits(i, j0, c));
-                                        for j in j0..n.min(j0 + LANES) {
-                                            let (l, g) = (j - j0, c - k0);
-                                            let at = format!("n={n} h={h} k={k} i={i} j={j} c={c} isa={isa}");
-                                            prop_assert_eq!(logit_bits(pa[l]), want(0, i, j, c), "pass B f_α {}", at);
-                                            prop_assert_eq!(logit_bits(pt[l]), want(1, i, j, c), "pass B f_θ {}", at);
-                                            prop_assert_eq!(logit_bits(fa[g][l]), logit_bits(pa[l]), "fused f_α {}", at);
-                                            prop_assert_eq!(logit_bits(ft[g][l]), logit_bits(pt[l]), "fused f_θ {}", at);
-                                            prop_assert_eq!(logit_bits(a[g][l]), logit_bits(pa[l]), "f_α only {}", at);
-                                        }
-                                    }
-                                }
-                            }
-                            for &(len, js) in &sets[i] {
-                                for c in 0..k {
-                                    let o = theta.gathered_logits(i, &js, c, &mut rows);
-                                    for l in 0..len {
-                                        let at = format!("n={n} h={h} k={k} i={i} js={js:?} c={c} isa={isa}");
-                                        prop_assert_eq!(logit_bits(o[l]), want(1, i, js[l], c), "gathered {}", at);
-                                    }
-                                }
-                            }
-                        }
+                        assert_lane_logits_are_the_scalar_ones::<8>(&plan, &s, &u_pokes, isa, &mut rng);
+                        assert_lane_logits_are_the_scalar_ones::<16>(&plan, &s, &u_pokes, isa, &mut rng);
                     }
                 }
             }
@@ -1364,14 +1528,11 @@ mod tests {
     }
 
     /// At the model shape `tests/decode_golden.rs` pins (the `test_small`
-    /// configuration on the `tiny` dataset), the AVX2 decode gives exactly
-    /// the baseline edges, calibrated and not, on one and three threads.
+    /// configuration on the `tiny` dataset), the decode on every instruction
+    /// set this CPU supports, at the width it picks, gives exactly the
+    /// baseline edges, calibrated and not, on one and three threads.
     #[test]
-    fn avx2_decode_gives_the_baseline_edges_at_the_golden_shape() {
-        if !Isa::Avx2.is_supported() {
-            println!("skipped: this CPU does not support avx2");
-            return;
-        }
+    fn every_isa_decode_gives_the_baseline_edges_at_the_golden_shape() {
         let cfg = crate::VrdagConfig::test_small();
         let n = vrdag_datasets::tiny().n;
         let mut rng = StdRng::seed_from_u64(10);
@@ -1388,16 +1549,13 @@ mod tests {
             for seed in [0, 7, 4242] {
                 let want = plan.generate_edges_on(Isa::Baseline, &s, m_target, seed).0;
                 assert!(!want.is_empty(), "an empty graph pins no decode");
-                for threads in [1, 3] {
+                for (isa, threads) in simd::supported().flat_map(|isa| [(isa, 1), (isa, 3)]) {
                     let got = par::with_threads(threads, || {
-                        plan.generate_edges_on(Isa::Avx2, &s, m_target, seed).0
+                        plan.generate_edges_on(isa, &s, m_target, seed).0
                     });
-                    assert_eq!(
-                        got,
-                        want,
-                        "calibrate={} seed={seed} threads={threads}",
-                        m_target.is_some()
-                    );
+                    let calibrate = m_target.is_some();
+                    let at = format!("calibrate={calibrate} seed={seed} isa={}", isa.name());
+                    assert_eq!(got, want, "{at} threads={threads}");
                 }
             }
         }

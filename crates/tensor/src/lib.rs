@@ -20,7 +20,7 @@
 //! * [`nn`] — `Linear`, `Mlp`, `GruCell`, activations.
 //! * [`optim`] — Adam / SGD and global-norm gradient clipping.
 //! * [`par`] — scoped-thread helpers used by the hot kernels.
-//! * [`simd`] — the runtime instruction-set selection (baseline or AVX2)
+//! * [`simd`] — the runtime instruction-set selection (baseline, AVX2 or AVX-512)
 //!   behind the dispatched kernels.
 //! * [`testing`] — finite-difference gradient checking, shared by the tests
 //!   of every downstream crate.

@@ -379,9 +379,8 @@ fn box_muller(rng: &mut impl Rng) -> (f32, f32) {
     (r * theta.cos(), r * theta.sin())
 }
 
-/// Rows of one register tile of [`gemm`].
-const MR: usize = 2;
-/// Columns of one register tile: the SIMD lanes of [`gemm`].
+/// Columns of one register tile: the SIMD lanes of [`gemm`]. The tile's
+/// row count is [`gemm_rows`]' `MR`: 4 on AVX-512, else 2.
 const NR: usize = 16;
 /// Multiply-adds worth a thread: a smaller product runs inline on the
 /// caller, a larger one gives every thread at least this much.
@@ -411,7 +410,7 @@ const MIN_NORMAL_BITS: u32 = 0x0080_0000;
 /// zero and subnormal gradients a saturated softmax sends back) also looks
 /// for work that cannot change a bit or that costs more than it should, in
 /// products of at least [`SCAN_WORK`] multiply-adds. For the same reason as
-/// above, a pair of all-zero `a` rows against a finite `b`, and an all-zero
+/// above, a tile of all-zero `a` rows against a finite `b`, and an all-zero
 /// row of a lane strip of `b` against finite `a` entries, are left out. A
 /// step that may multiply into or out of the subnormal range forms its
 /// products in `f64` instead (see [`tile`]): on x86 such an `f32` multiply
@@ -451,10 +450,13 @@ fn gemm(a: &Matrix, b: &Matrix, skip_zeros: bool, scan: bool) -> Matrix {
     let isa = simd::isa();
     par::par_row_chunks_mut(&mut out.data, n, PAR_WORK.div_ceil(k * n), |row0, chunk| match isa {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: AVX2 detected at runtime: `simd::isa` names only an
+        // SAFETY: AVX-512F detected at runtime: `simd::isa` names only an
         // instruction set this CPU supports.
+        simd::Isa::Avx512 => unsafe { gemm_rows_avx512(&ops, row0, chunk) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: AVX2 detected at runtime, as above.
         simd::Isa::Avx2 => unsafe { gemm_rows_avx2(&ops, row0, chunk) },
-        _ => gemm_rows(&ops, row0, chunk),
+        _ => gemm_rows::<2>(&ops, row0, chunk),
     });
     out
 }
@@ -468,7 +470,7 @@ struct Operands<'a> {
     k: usize,
     n: usize,
     skip: bool,
-    /// Whether a pair of all-zero `a` rows leaves its outputs `+0.0`: `b` is
+    /// Whether a tile of all-zero `a` rows leaves its outputs `+0.0`: `b` is
     /// finite, or zero `a` entries are skipped anyway.
     zero_rows_stay_zero: bool,
     /// [`strip_thresholds`] of `b`; empty when `b` was not scanned.
@@ -532,9 +534,10 @@ fn strip_thresholds(b: &Matrix) -> (Vec<u32>, bool) {
     (thresholds, b_finite)
 }
 
-/// The output rows `row0..` of [`gemm`] that `chunk` holds.
+/// The output rows `row0..` of [`gemm`] that `chunk` holds, in tiles of
+/// `MR` rows.
 #[inline(always)]
-fn gemm_rows(ops: &Operands, row0: usize, chunk: &mut [f32]) {
+fn gemm_rows<const MR: usize>(ops: &Operands, row0: usize, chunk: &mut [f32]) {
     let &Operands {
         a,
         b,
@@ -550,7 +553,7 @@ fn gemm_rows(ops: &Operands, row0: usize, chunk: &mut [f32]) {
     let n_full = n - n % NR;
     let rows = chunk.len() / n;
     for i0 in (0..rows).step_by(MR) {
-        // A last odd row fills both tile rows and is stored once.
+        // A last, partial tile repeats its last row; each row is stored once.
         let h = MR.min(rows - i0);
         let a_rows: [&[f32]; MR] =
             std::array::from_fn(|r| &a[(row0 + i0 + r.min(h - 1)) * k..][..k]);
@@ -572,10 +575,10 @@ fn gemm_rows(ops: &Operands, row0: usize, chunk: &mut [f32]) {
             let (panel, stride) = if j0 < n_full { (&b[j0..], n) } else { (pad, NR) };
             let strip = if check { &thresholds[j0 / NR * k..][..k] } else { &[][..] };
             let acc = match (skip, check) {
-                (true, false) => tile::<true, false>(a_rows, panel, stride, strip, false),
-                (false, false) => tile::<false, false>(a_rows, panel, stride, strip, false),
-                (true, true) => tile::<true, true>(a_rows, panel, stride, strip, a_finite),
-                (false, true) => tile::<false, true>(a_rows, panel, stride, strip, a_finite),
+                (true, false) => tile::<MR, true, false>(a_rows, panel, stride, strip, false),
+                (false, false) => tile::<MR, false, false>(a_rows, panel, stride, strip, false),
+                (true, true) => tile::<MR, true, true>(a_rows, panel, stride, strip, a_finite),
+                (false, true) => tile::<MR, false, true>(a_rows, panel, stride, strip, a_finite),
             };
             let w = NR.min(n - j0);
             for (r, acc_r) in acc.iter().take(h).enumerate() {
@@ -585,12 +588,21 @@ fn gemm_rows(ops: &Operands, row0: usize, chunk: &mut [f32]) {
     }
 }
 
-/// [`gemm_rows`] compiled with AVX2: each `NR`-lane accumulator row takes
-/// two 256-bit registers instead of four SSE2 ones.
+/// [`gemm_rows`] compiled with AVX2, on 2-row tiles: each `NR`-lane
+/// accumulator row takes two 256-bit registers instead of four SSE2 ones.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 fn gemm_rows_avx2(ops: &Operands, row0: usize, chunk: &mut [f32]) {
-    gemm_rows(ops, row0, chunk)
+    gemm_rows::<2>(ops, row0, chunk)
+}
+
+/// [`gemm_rows`] compiled with AVX-512F, on 4-row tiles: each `NR`-lane
+/// accumulator row is one 512-bit register, so 2-row tiles would leave
+/// only two add chains, each waiting out the add latency every step.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn gemm_rows_avx512(ops: &Operands, row0: usize, chunk: &mut [f32]) {
+    gemm_rows::<4>(ops, row0, chunk)
 }
 
 /// One `MR × NR` tile of [`gemm`]: `a_rows` (each of length `k`) times the
@@ -605,7 +617,7 @@ fn gemm_rows_avx2(ops: &Operands, row0: usize, chunk: &mut [f32]) {
 /// once, as the `f32` multiply does, for subnormal results, overflow,
 /// signed zeros and NaNs alike. Only the cost differs.
 #[inline(always)]
-fn tile<const SKIP: bool, const CHECK: bool>(
+fn tile<const MR: usize, const SKIP: bool, const CHECK: bool>(
     a_rows: [&[f32]; MR],
     panel: &[f32],
     stride: usize,
@@ -817,17 +829,40 @@ mod tests {
         }
     }
 
+    /// Scanned products whose output row count 4 does not divide (1, 3, 5
+    /// and 7 rows, each ending in a partial tile of either height) keep the
+    /// oracles' bits, on gradient-like rows.
+    #[test]
+    fn scanned_products_in_partial_row_tiles_match_the_oracles_bitwise() {
+        let mut rng = StdRng::seed_from_u64(12);
+        for m in [1, 3, 5, 7] {
+            // Square `k = n`, just large enough to scan, and odd, so that the
+            // last lane strip is partial.
+            let side = ((SCAN_WORK / m).isqrt() + 1) | 1;
+            assert!(m * side * side >= SCAN_WORK && !side.is_multiple_of(NR));
+            for case in 0..2 {
+                let inf = case == 1;
+                let a = gradient_matrix(m, side, inf, &mut rng);
+                let b = gradient_matrix(side, side, inf, &mut rng);
+                let b_nt = Matrix::rand_normal(side, side, 0.0, 0.5, &mut rng);
+                let a_tn = gradient_matrix(side, m, inf, &mut rng);
+                assert_products_match_oracles([&a, &b, &b_nt, &a_tn], &format!("case={case}"));
+            }
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(4))]
 
-        /// Every shape from {0, 1, 2, 3, 15, 16, 17, 33, 48}³: empty
-        /// products, single and partial row tiles, and column counts below,
-        /// at, just past and a few tiles past one lane strip.
+        /// Every shape from {0, 1, 2, 3, 15, 16, 17, 33, 48}³, and with 5
+        /// or 7 rows: empty products, single and partial row tiles of both
+        /// tile heights (2 and 4), and column counts below, at, just past
+        /// and a few tiles past one lane strip.
         #[test]
         fn gemm_entry_points_match_the_scalar_oracles_bitwise(case_seed in 0u64..u64::MAX) {
             let mut rng = StdRng::seed_from_u64(case_seed);
             let dims = [0, 1, 2, 3, 15, 16, 17, 33, 48];
-            for m in dims {
+            for m in dims.into_iter().chain([5, 7]) {
                 for k in dims {
                     for n in dims {
                         assert_entry_points_match_oracles(m, k, n, &mut rng);

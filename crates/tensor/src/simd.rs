@@ -1,23 +1,32 @@
 //! Runtime instruction-set selection for the dispatched kernels
 //! (docs/ARCHITECTURE.md, "Dense kernels").
 //!
-//! A dispatched kernel is one `#[inline(always)]` body compiled twice: as
-//! is, for the target's baseline, and inside a wrapper marked
-//! `#[target_feature(enable = "avx2")]`. The caller branches on [`isa`]
-//! once per row chunk or block, never per lane. Only `avx2` is enabled,
-//! never `fma`, and Rust never contracts `a * b + c`, so both copies round
-//! every product and sum apart in the same order and give the same bits.
+//! A dispatched kernel is one `#[inline(always)]` body compiled once per
+//! instruction set: as is, for the target's baseline, and inside wrappers
+//! marked `#[target_feature(enable = "avx2")]` or
+//! `#[target_feature(enable = "avx512f")]`. A kernel may instantiate the
+//! body at a width that suits the instruction set (more lanes or rows per
+//! register tile), but never reorders a float operation to do so. The
+//! caller branches on [`isa`] once per row chunk, row or block, never per
+//! lane. The wrappers enable avx2 or avx512f, never fma, and Rust never
+//! contracts `a * b + c` (not even where the compiler takes `avx512f` to
+//! imply `fma`), so every copy rounds every product and sum apart in the
+//! same order and gives the same bits.
 //!
 //! Detection runs once per process and is cached. It is compiled only on
 //! x86-64; every other target runs the baseline body.
 
-/// An instruction set a dispatched kernel can be compiled for.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// An instruction set a dispatched kernel can be compiled for, narrowest
+/// first.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Isa {
     /// The target's baseline (SSE2 on x86-64).
     Baseline,
     /// AVX2: one 256-bit register holds eight `f32` lanes.
     Avx2,
+    /// AVX-512F (with AVX2): one 512-bit register holds sixteen `f32`
+    /// lanes, and there are 32 of them.
+    Avx512,
 }
 
 impl Isa {
@@ -26,18 +35,19 @@ impl Isa {
         match self {
             Isa::Baseline => "baseline",
             Isa::Avx2 => "avx2",
+            Isa::Avx512 => "avx512",
         }
     }
 
     /// True when this CPU can run kernels compiled for `self`.
     pub fn is_supported(self) -> bool {
-        self == Isa::Baseline || detected() == Isa::Avx2
+        self <= detected()
     }
 }
 
 /// Every instruction set this CPU supports, baseline first.
 pub fn supported() -> impl Iterator<Item = Isa> {
-    [Isa::Baseline, Isa::Avx2].into_iter().filter(|isa| isa.is_supported())
+    [Isa::Baseline, Isa::Avx2, Isa::Avx512].into_iter().filter(|isa| isa.is_supported())
 }
 
 /// The instruction set the dispatched kernels run on: the widest one the
@@ -51,12 +61,13 @@ pub fn isa() -> Isa {
     detected()
 }
 
-/// The widest instruction set this CPU supports. `std` queries the CPU
-/// once per process and caches the answer.
+/// The widest instruction set this CPU supports: each one includes the
+/// narrower ones. `std` queries the CPU (and the OS's register state) once
+/// per process and caches the answer.
 fn detected() -> Isa {
     #[cfg(target_arch = "x86_64")]
     if std::is_x86_feature_detected!("avx2") {
-        return Isa::Avx2;
+        return if std::is_x86_feature_detected!("avx512f") { Isa::Avx512 } else { Isa::Avx2 };
     }
     Isa::Baseline
 }
@@ -70,8 +81,8 @@ thread_local! {
 /// previous selection afterwards (also on panic).
 ///
 /// # Panics
-/// Panics when the CPU does not support `isa`: the kernels' `avx2` copies
-/// rely on [`isa`] never naming an instruction set the CPU lacks.
+/// Panics when the CPU does not support `isa`: the kernels' `avx2` and
+/// `avx512f` copies rely on [`isa`] never naming an instruction set the CPU lacks.
 #[cfg(test)]
 pub(crate) fn with_isa<R>(isa: Isa, f: impl FnOnce() -> R) -> R {
     struct Reset(Option<Isa>);
@@ -95,6 +106,23 @@ mod tests {
         assert_eq!(supported().next(), Some(Isa::Baseline));
         assert!(isa().is_supported());
         assert_eq!(supported().last(), Some(isa()), "the widest supported ISA is selected");
+    }
+
+    #[test]
+    fn avx512_is_selected_exactly_when_avx2_and_avx512f_are_detected() {
+        #[cfg(target_arch = "x86_64")]
+        let (avx2, avx512f) =
+            (std::is_x86_feature_detected!("avx2"), std::is_x86_feature_detected!("avx512f"));
+        #[cfg(not(target_arch = "x86_64"))]
+        let (avx2, avx512f) = (false, false);
+        let want = match (avx2, avx512f) {
+            (true, true) => Isa::Avx512,
+            (true, false) => Isa::Avx2,
+            (false, _) => Isa::Baseline,
+        };
+        assert_eq!(isa(), want, "avx2={avx2} avx512f={avx512f}");
+        assert_eq!(Isa::Avx512.is_supported(), avx2 && avx512f);
+        assert_eq!(Isa::Avx2.is_supported(), avx2);
     }
 
     #[test]
