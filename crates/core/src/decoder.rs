@@ -17,8 +17,10 @@
 // iterator zips would obscure them. (clippy::needless_range_loop)
 #![allow(clippy::needless_range_loop)]
 
-use rand::rngs::StdRng;
-use rand::{Rng, RngCore, SeedableRng};
+use rand::Rng;
+#[cfg(test)]
+use rand::{rngs::StdRng, RngCore, SeedableRng};
+use std::array::from_fn;
 use std::hint::black_box;
 use std::rc::Rc;
 use vrdag_graph::Snapshot;
@@ -26,6 +28,9 @@ use vrdag_tensor::nn::{leaky_relu, Activation, Linear, Mlp};
 use vrdag_tensor::ops::{self, Segments};
 use vrdag_tensor::simd::{self, Isa};
 use vrdag_tensor::{math, par, Matrix, Tensor};
+
+mod streams;
+use streams::{draw_rows, Candidates};
 
 /// Sampled pair batch for the structure reconstruction loss (Eq. 17 with
 /// negative sampling).
@@ -222,13 +227,14 @@ impl DecodePlan {
     /// by `par::num_threads()` never change the output bytes.
     ///
     /// Pair logits come from one block routine that scores 8 destinations
-    /// at once (16 on AVX-512) without reordering any pair's float
-    /// operations, so the bytes are those of a plain per-pair loop on every
-    /// instruction set (see `docs/ARCHITECTURE.md`, "Decode kernel"). The
-    /// sampling pass still draws one uniform per pair, but scores only the
-    /// candidates, the pairs whose draw lies below the density scale `c`:
-    /// an edge probability `min(c·θ, 1)` never exceeds `c`, so the others
-    /// are rejected whatever their logit.
+    /// at once (16 on AVX-512), for two source rows at once in pass A,
+    /// without reordering any pair's float operations, so the bytes are
+    /// those of a plain per-pair loop on every instruction set (see
+    /// `docs/ARCHITECTURE.md`, "Decode kernel"). The sampling pass still
+    /// draws one uniform per pair, eight rows' streams side by side, but
+    /// scores only the candidates, the pairs whose draw lies below the
+    /// density scale `c`: an edge probability `min(c·θ, 1)` never exceeds
+    /// `c`, so the others are rejected whatever their logit.
     pub fn generate_edges(&self, s: &Matrix, m_target: Option<f64>, seed: u64) -> Vec<(u32, u32)> {
         self.generate_edges_counted(s, m_target, seed).0
     }
@@ -274,27 +280,24 @@ impl DecodePlan {
             return (Vec::new(), DecodeCounts::default());
         }
         let (alpha_mlp, theta_mlp) = self.pair_mlps::<L>(isa, s);
-        let (stats, c) = pass_a(&alpha_mlp, &theta_mlp, m_target);
+        let stats = pass_a(&alpha_mlp, &theta_mlp, m_target);
 
         // Pass B: choose a mixture component per row and Bernoulli-sample
         // its adjacency list (rows are independent given α — the paper's
-        // "different rows can be computed in parallel"). Only candidates
-        // are scored; see `sample_row`.
-        let rows: Vec<(Vec<u32>, u64)> = par::par_map_collect(n, 1, |i| {
-            let mut rng = StdRng::seed_from_u64(splitmix64(
-                seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-            ));
-            let kk = sample_categorical(&stats[i].alpha, &mut rng);
-            sample_row(&theta_mlp, i, kk, c, &mut rng)
-        });
+        // "different rows can be computed in parallel"), in groups of
+        // `DRAW_ROWS` rows. Only candidates are scored; see `sample_rows`.
+        let groups: Vec<(Vec<(u32, u32)>, u64)> = par::par_map_init_collect(
+            n.div_ceil(DRAW_ROWS),
+            1,
+            || Scratch::new(n, theta_mlp.b1.len()),
+            |scratch, g| sample_rows(&theta_mlp, &stats, g * DRAW_ROWS, seed, scratch),
+        );
 
         let counts =
-            DecodeCounts { pairs: (n * (n - 1)) as u64, scored: rows.iter().map(|r| r.1).sum() };
-        let mut edges = Vec::with_capacity(rows.iter().map(|r| r.0.len()).sum());
-        for (i, (dsts, _)) in rows.into_iter().enumerate() {
-            for j in dsts {
-                edges.push((i as u32, j));
-            }
+            DecodeCounts { pairs: (n * (n - 1)) as u64, scored: groups.iter().map(|g| g.1).sum() };
+        let mut edges = Vec::with_capacity(groups.iter().map(|g| g.0.len()).sum());
+        for (group, _) in &groups {
+            edges.extend_from_slice(group);
         }
         (edges, counts)
     }
@@ -309,50 +312,82 @@ impl DecodePlan {
     }
 }
 
-/// Pass A's result for one row.
-#[derive(Clone, Debug, Default)]
-struct RowStat {
-    /// Mixture weights `α_i` (Eq. 11, with the exact `Σ_j`).
+/// Pass A's result.
+struct RowStats {
+    /// Mixture weights (Eq. 11, with the exact `Σ_j`), `K` per row: `α_i`
+    /// is `alpha[i·K..][..K]`.
     alpha: Vec<f32>,
-    /// Expected edge mass `Σ_k α_k Σ_j θ_kj` when calibrating, else 0.
-    expected: f64,
+    /// Each row's expected edge mass `Σ_k α_k Σ_j θ_kj` when calibrating,
+    /// else 0.
+    expected: Vec<f64>,
+    /// The density scale that makes the expected edge count `m_target` (1
+    /// without a target).
+    c: f64,
+}
+
+impl RowStats {
+    /// `α_i`.
+    fn alpha(&self, i: usize) -> &[f32] {
+        let k = self.alpha.len() / self.expected.len();
+        &self.alpha[i * k..][..k]
+    }
 }
 
 /// Components whose logits one block loop keeps in registers: pass A runs
 /// a larger K as groups of at most this many.
 const GROUP: usize = 4;
 
-/// Pass A: every row's [`RowStat`], and the density scale `c` that makes
-/// the expected edge count `m_target` (1 without a target).
+/// Source rows pass A scores per block of destinations: one load of each
+/// `U[j]` lane vector and each `W2` weight serves them all.
+const ROWS_A: usize = 2;
+
+/// Pass A: every row's mixture weights and expected edge mass, and the
+/// density scale `c`.
 ///
 /// A row sums `f_α`, and when calibrating `σ(f_θ)`, over `j ≠ i` in
 /// ascending `j`, in `f64`, component group by component group (see
 /// [`group_sums`]). Each sum adds the same terms in the same order as a
-/// plain pair loop, so the bits are that loop's.
+/// plain pair loop, so the bits are that loop's. Rows are taken in pairs
+/// `(2q, 2q + 1)` whatever the thread count, and a pair's two rows share
+/// their loads but none of their sums.
 fn pass_a<const L: usize>(
     alpha: &PairMlp<L>,
     theta: &PairMlp<L>,
     m_target: Option<f64>,
-) -> (Vec<RowStat>, f64) {
+) -> RowStats {
     let (n, k) = (alpha.u.rows(), alpha.k);
     let shape = |m: &PairMlp<L>| (m.isa, m.k, m.b1.len(), m.u_blocks.len());
     assert_eq!(shape(theta), shape(alpha), "f_α and f_θ are laid out alike");
     let theta = m_target.is_some().then_some(theta);
-    let stats: Vec<RowStat> = par::par_map_collect(n, 1, |i| {
-        let mut acc = vec![0.0f64; k];
-        let mut theta_sum = vec![0.0f64; k];
-        pass_a_row(alpha, theta, i, (&mut acc, &mut theta_sum));
-        // Softmax over K.
-        let mx = acc.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        let exps: Vec<f64> = acc.iter().map(|&a| (a - mx).exp()).collect();
-        let z: f64 = exps.iter().sum();
-        let alpha: Vec<f32> = exps.iter().map(|&e| (e / z) as f32).collect();
-        let expected: f64 = alpha.iter().zip(theta_sum.iter()).map(|(&a, &t)| a as f64 * t).sum();
-        RowStat { alpha, expected }
-    });
+    let (mut probs, mut expected) = (vec![0.0f32; n * k], vec![0.0f64; n]);
+    // A chunk row is a pair of source rows.
+    par::par_zip_row_chunks_mut(
+        &mut probs,
+        ROWS_A * k,
+        &mut expected,
+        ROWS_A,
+        1,
+        |pair0, probs, expected| {
+            // Each row's `f_α` sums, then its `σ(f_θ)` sums.
+            let mut sums = vec![0.0f64; ROWS_A * 2 * k];
+            for (p, expected) in expected.chunks_mut(ROWS_A).enumerate() {
+                let i0 = (pair0 + p) * ROWS_A;
+                let sums = &mut sums[..expected.len() * 2 * k];
+                match expected.len() {
+                    1 => pass_a_rows(alpha, theta, [i0], sums),
+                    _ => pass_a_rows(alpha, theta, [i0, i0 + 1], sums),
+                }
+                let probs = probs[p * ROWS_A * k..].chunks_exact_mut(k);
+                for ((sums, e), probs) in sums.chunks_exact_mut(2 * k).zip(expected).zip(probs) {
+                    let (acc, theta_sum) = sums.split_at_mut(k);
+                    *e = mixture_weights(acc, theta_sum, probs);
+                }
+            }
+        },
+    );
     let c = match m_target {
         Some(target) => {
-            let e_total: f64 = stats.iter().map(|r| r.expected).sum();
+            let e_total: f64 = expected.iter().sum();
             if e_total > 1e-9 {
                 (target / e_total).clamp(1e-4, 1e4)
             } else {
@@ -361,123 +396,147 @@ fn pass_a<const L: usize>(
         }
         None => 1.0,
     };
-    (stats, c)
+    RowStats { alpha: probs, expected, c }
 }
 
-/// Pass A of row `i`: adds `f_α`'s logits of every component into
-/// `sums.0` and, when `theta` is given, `σ(f_θ)` into `sums.1`, on the
-/// MLPs' instruction set.
+/// A row's mixture weights, the softmax over K of its `f_α` sums `acc`,
+/// into `alpha`; returns its expected edge mass `Σ_k α_k theta_sum_k`.
+/// `acc` is left holding the softmax's exponentials.
+fn mixture_weights(acc: &mut [f64], theta_sum: &[f64], alpha: &mut [f32]) -> f64 {
+    let mx = acc.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+    acc.iter_mut().for_each(|a| *a = (*a - mx).exp());
+    let z: f64 = acc.iter().sum();
+    for (a, &e) in alpha.iter_mut().zip(&*acc) {
+        *a = (e / z) as f32;
+    }
+    alpha.iter().zip(theta_sum).map(|(&a, &t)| a as f64 * t).sum()
+}
+
+/// Pass A of the rows `is`: adds row `is[r]`'s `f_α` logits of every
+/// component into `sums[2rK..][..K]` and, when `theta` is given, its
+/// `σ(f_θ)` into `sums[2rK + K..][..K]`, on the MLPs' instruction set.
 ///
-/// The instruction set is chosen once per row: the row's whole loop, with
-/// its logit bodies and lane sums, is compiled inside each wrapper, so no
-/// block costs a call.
-fn pass_a_row<const L: usize>(
+/// The instruction set is chosen once per pair of rows: the rows' whole
+/// loop, with its logit bodies, sigmoids and lane sums, is compiled inside
+/// each wrapper, so no block costs a call.
+fn pass_a_rows<const R: usize, const L: usize>(
     alpha: &PairMlp<L>,
     theta: Option<&PairMlp<L>>,
-    i: usize,
-    sums: (&mut [f64], &mut [f64]),
+    is: [usize; R],
+    sums: &mut [f64],
 ) {
     match alpha.isa {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: AVX-512F detected at runtime: `PairMlp::new` keeps only an
         // instruction set this CPU supports.
-        Isa::Avx512 => unsafe { pass_a_row_avx512(alpha, theta, i, sums) },
+        Isa::Avx512 => unsafe { pass_a_rows_avx512(alpha, theta, is, sums) },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: AVX2 detected at runtime, as above.
-        Isa::Avx2 => unsafe { pass_a_row_avx2(alpha, theta, i, sums) },
-        _ => row_sums(alpha, theta, i, sums),
+        Isa::Avx2 => unsafe { pass_a_rows_avx2(alpha, theta, is, sums) },
+        _ => row_sums(alpha, theta, is, sums),
     }
 }
 
 /// [`row_sums`] compiled with AVX2.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn pass_a_row_avx2<const L: usize>(
+fn pass_a_rows_avx2<const R: usize, const L: usize>(
     alpha: &PairMlp<L>,
     theta: Option<&PairMlp<L>>,
-    i: usize,
-    sums: (&mut [f64], &mut [f64]),
+    is: [usize; R],
+    sums: &mut [f64],
 ) {
-    row_sums(alpha, theta, i, sums)
+    row_sums(alpha, theta, is, sums)
 }
 
 /// [`row_sums`] compiled with AVX-512F.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-fn pass_a_row_avx512<const L: usize>(
+fn pass_a_rows_avx512<const R: usize, const L: usize>(
     alpha: &PairMlp<L>,
     theta: Option<&PairMlp<L>>,
-    i: usize,
-    sums: (&mut [f64], &mut [f64]),
+    is: [usize; R],
+    sums: &mut [f64],
 ) {
-    row_sums(alpha, theta, i, sums)
+    row_sums(alpha, theta, is, sums)
 }
 
-/// The body of [`pass_a_row`]: [`group_sums`] over the component groups.
+/// The body of [`pass_a_rows`]: [`group_sums`] over the component groups.
 #[inline(always)]
-fn row_sums<const L: usize>(
+fn row_sums<const R: usize, const L: usize>(
     alpha: &PairMlp<L>,
     theta: Option<&PairMlp<L>>,
-    i: usize,
-    (acc, theta_sum): (&mut [f64], &mut [f64]),
+    is: [usize; R],
+    sums: &mut [f64],
 ) {
     let k = alpha.k;
     for k0 in (0..k).step_by(GROUP) {
-        let sums = (&mut acc[k0..], &mut theta_sum[k0..]);
         match GROUP.min(k - k0) {
-            1 => group_sums::<1, L>(alpha, theta, i, k0, sums),
-            2 => group_sums::<2, L>(alpha, theta, i, k0, sums),
-            3 => group_sums::<3, L>(alpha, theta, i, k0, sums),
-            _ => group_sums::<GROUP, L>(alpha, theta, i, k0, sums),
+            1 => group_sums::<1, R, L>(alpha, theta, is, k0, sums),
+            2 => group_sums::<2, R, L>(alpha, theta, is, k0, sums),
+            3 => group_sums::<3, R, L>(alpha, theta, is, k0, sums),
+            _ => group_sums::<GROUP, R, L>(alpha, theta, is, k0, sums),
         }
     }
 }
 
-/// Pass A of row `i` on components `k0..k0 + KC`: adds `f_α`'s logits
-/// into `sums.0[..KC]` and, when `theta` is given, `σ(f_θ)` into
-/// `sums.1[..KC]`.
+/// Pass A of the rows `is` on components `k0..k0 + KC`: adds the `f_α`
+/// logits of row `is[r]` into `sums[2rK + k0..][..KC]` and, when `theta`
+/// is given, its `σ(f_θ)` into `sums[2rK + K + k0..][..KC]`.
 ///
-/// One block loop scores both MLPs (2·KC accumulators, all in registers),
-/// and the row sums stay in locals until the row ends. The sigmoid
-/// `1/(1 + e^{−o})` of a block's KC·L `f_θ` logits is one call of
-/// [`math::sigmoid_slice`], eight lanes at a time.
+/// One block loop scores both MLPs for every row (2·R·KC accumulators,
+/// all in registers), and the row sums stay in locals until the rows end.
+/// The sigmoid `1/(1 + e^{−o})` of a block's R·KC·L `f_θ` logits is
+/// [`math::sigmoid_on`], inlined here, eight lanes at a time.
 #[inline(always)]
-fn group_sums<const KC: usize, const L: usize>(
+fn group_sums<const KC: usize, const R: usize, const L: usize>(
     alpha: &PairMlp<L>,
     theta: Option<&PairMlp<L>>,
-    i: usize,
+    is: [usize; R],
     k0: usize,
-    sums: (&mut [f64], &mut [f64]),
+    sums: &mut [f64],
 ) {
-    let n = alpha.u.rows();
-    let (mut acc, mut theta_sum) = ([0.0f64; KC], [0.0f64; KC]);
+    let (n, k) = (alpha.u.rows(), alpha.k);
+    let (mut acc, mut theta_sum) = ([[0.0f64; KC]; R], [[0.0f64; KC]; R]);
     // The logits pass through `black_box`, so that the compiler keeps the
     // logit loop's accumulators in registers: folded into the lane sums, the
     // loop may be vectorized across components, with its accumulators in
     // memory, some three times slower.
     for j0 in (0..n).step_by(L) {
-        // The pairs `(i, j0 + l)` the sums take: `l < lanes`, `l ≠ own`.
-        let (lanes, own) = (L.min(n - j0), i.wrapping_sub(j0));
+        // The pairs `(is[r], j0 + l)` the sums take: `l < lanes`, `l ≠ own[r]`.
+        let (lanes, own) = (L.min(n - j0), from_fn(|r| is[r].wrapping_sub(j0)));
         let Some(theta) = theta else {
-            let [oa] = black_box(lane_logits::<KC, 1, L>([alpha], [alpha.block(j0)], i, k0));
-            for c in 0..KC {
-                add_lanes(&mut acc[c], &oa[c], lanes, own);
-            }
+            let [oa] = black_box(lane_logits::<KC, 1, R, L>([alpha], [alpha.block(j0)], is, k0));
+            add_rows(&mut acc, &oa, lanes, own);
             continue;
         };
-        let rows = [alpha.block(j0), theta.block(j0)];
-        let [oa, ot] = black_box(lane_logits::<KC, 2, L>([alpha, theta], rows, i, k0));
+        let blocks = [alpha.block(j0), theta.block(j0)];
+        let [oa, mut ot] = black_box(lane_logits::<KC, 2, R, L>([alpha, theta], blocks, is, k0));
+        add_rows(&mut acc, &oa, lanes, own);
+        // SAFETY: `PairMlp::new` keeps only an instruction set this CPU
+        // supports.
+        unsafe { math::sigmoid_on(theta.isa, ot.as_flattened_mut().as_flattened_mut()) };
+        add_rows(&mut theta_sum, &ot, lanes, own);
+    }
+    for r in 0..R {
+        sums[2 * r * k + k0..][..KC].copy_from_slice(&acc[r]);
+        sums[2 * r * k + k + k0..][..KC].copy_from_slice(&theta_sum[r]);
+    }
+}
+
+/// [`add_lanes`] of every row's and component's lanes of one block.
+#[inline(always)]
+fn add_rows<const KC: usize, const R: usize, const L: usize>(
+    sums: &mut [[f64; KC]; R],
+    v: &[[[f32; L]; KC]; R],
+    lanes: usize,
+    own: [usize; R],
+) {
+    for r in 0..R {
         for c in 0..KC {
-            add_lanes(&mut acc[c], &oa[c], lanes, own);
-        }
-        let mut theta = ot;
-        math::sigmoid_slice(theta.as_flattened_mut());
-        for c in 0..KC {
-            add_lanes(&mut theta_sum[c], &theta[c], lanes, own);
+            add_lanes(&mut sums[r][c], &v[r][c], lanes, own[r]);
         }
     }
-    sums.0[..KC].copy_from_slice(&acc);
-    sums.1[..KC].copy_from_slice(&theta_sum);
 }
 
 /// Adds lanes `0..lanes` of `v` except lane `own` to `sum`, in `f64` and
@@ -508,86 +567,128 @@ pub struct DecodeCounts {
     pub scored: u64,
 }
 
-/// Pass B of row `i` on mixture component `kk`: Bernoulli-samples every
-/// pair `(i, j)`, `j ≠ i`, with probability `p = min(c·θ, 1)`. Returns the
-/// accepted destinations, ascending, and the number of pairs scored.
+/// Source rows whose draws pass B makes side by side, one stream per lane.
+const DRAW_ROWS: usize = 8;
+
+/// Pass B of the rows `i0..i0 + DRAW_ROWS` (fewer at the end): each row
+/// draws its mixture component, then Bernoulli-samples every pair `(i, j)`,
+/// `j ≠ i`, with probability `p = min(c·θ, 1)`. Returns the accepted
+/// edges, by row and then ascending `j`, and the number of pairs scored.
 ///
-/// One uniform `u` is drawn per pair in ascending `j`, as a plain pair
-/// loop draws them, but only the candidates are scored, with the same
-/// bits:
+/// A row's stream is its lane of [`streams::RowStreams`]: its first output picks
+/// the component, then one uniform `u` is drawn per pair in ascending `j`,
+/// as a plain pair loop draws them. Only the candidates are scored, with
+/// the same bits:
 ///
 /// - `θ = 1/(1+e^{−o})` lies in `[0, 1]` unless the logit is NaN, and
 ///   rounding is monotone, so for `c > 0` `p ≤ c` and a draw `u >= c`
-///   rejects its pair whatever the logit.
+///   rejects its pair whatever the logit. The test is made on the draw's
+///   integer bits (see [`draw_bound`]).
 /// - A NaN logit also makes pass A's `theta_sum` NaN, which sends `c` to
 ///   1 (without calibration `c` is 1 anyway). As `u < 1`, every pair is
-///   then a candidate, and the row is scored block by block as it is
-///   drawn.
-/// - A NaN target makes `c` NaN, and every pair is a candidate too. The
-///   test is written `u >= c`, never `!(u < c)`, so that a NaN `c` can
-///   never reject.
+///   then a candidate, and the row is scored block by block.
+/// - A NaN target makes `c` NaN, and every pair is a candidate too.
 ///
-/// Otherwise the candidates are collected into groups of `L` as they are
-/// drawn. A group that is a whole block of destinations is scored with the
-/// contiguous logits, any other with the gathered ones.
-fn sample_row<const L: usize>(
+/// Otherwise a row's candidates are scored in groups of `L`, in the order
+/// they were drawn. A group that is a whole block of destinations is
+/// scored with the contiguous logits, any other with the gathered ones.
+fn sample_rows<const L: usize>(
+    mlp: &PairMlp<L>,
+    stats: &RowStats,
+    i0: usize,
+    seed: u64,
+    Scratch { cands, gather }: &mut Scratch<L>,
+) -> (Vec<(u32, u32)>, u64) {
+    let n = mlp.u.rows();
+    let first = draw_rows(mlp.isa, seed, i0, n, draw_bound(stats.c), cands);
+    let mut edges = Vec::new();
+    for r in 0..DRAW_ROWS.min(n - i0) {
+        let i = i0 + r;
+        let kk = sample_categorical(stats.alpha(i), first[r]);
+        score_row(mlp, i, kk, stats.c, cands.row(r), gather, &mut edges);
+    }
+    (edges, cands.len() as u64)
+}
+
+/// The buffers pass B reuses from one group of rows to the next: their
+/// contents never outlive a group.
+struct Scratch<const L: usize> {
+    cands: Candidates,
+    /// The `h` lane vectors [`PairMlp::gathered_logits`] fills.
+    gather: Vec<[f32; L]>,
+}
+
+impl<const L: usize> Scratch<L> {
+    /// Buffers for a decode of `n` rows through `h` hidden units.
+    fn new(n: usize, h: usize) -> Self {
+        Scratch { cands: Candidates::new(n - 1), gather: vec![[0.0; L]; h] }
+    }
+}
+
+/// The bound on a draw's top 53 bits below which its pair is a candidate.
+///
+/// A draw `r` is the uniform `u = (r >> 11)·2⁻⁵³`. `c·2⁵³` is exact, and
+/// `r >> 11` is an integer, so `u < c` exactly when `r >> 11 < ⌈c·2⁵³⌉`.
+/// With `c ≥ 1` or NaN every draw is a candidate: the bound is `2⁵³`.
+fn draw_bound(c: f64) -> u64 {
+    const ONE: u64 = 1 << 53;
+    if c >= 1.0 || c.is_nan() {
+        ONE
+    } else {
+        // A `c ≤ 0` gives 0: no candidate, as `u >= c` rejects every draw.
+        (c * ONE as f64).ceil() as u64
+    }
+}
+
+/// The golden ratio's 64-bit fraction, the step of `splitmix64`, which
+/// also spreads the row index over a row's seed.
+const PHI: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// Samples row `i`'s candidates on mixture component `kk`: the pair `(i,
+/// j)` with the draw's top 53 bits `m` is an edge when `u = m·2⁻⁵³` lies
+/// below `p = min(c·θ_j, 1)`. `(js, ms)` holds the row's candidates,
+/// ascending; with `c ≥ 1` or NaN they are all the `j ≠ i`, and the row
+/// is scored block by block. `gather` is the `h` lane vectors
+/// [`PairMlp::gathered_logits`] uses.
+fn score_row<const L: usize>(
     mlp: &PairMlp<L>,
     i: usize,
     kk: usize,
     c: f64,
-    rng: &mut StdRng,
-) -> (Vec<u32>, u64) {
+    (js, ms): (&[u32], &[u64]),
+    gather: &mut [[f32; L]],
+    edges: &mut Vec<(u32, u32)>,
+) {
     let n = mlp.u.rows();
-    let mut out = Vec::new();
-    let mut sample = |o: &[f32; L], l: usize, u: f64, j: usize| {
+    let mut sample = |o: &[f32; L], l: usize, m: u64, j: usize| {
+        let u = m as f64 * (1.0 / (1u64 << 53) as f64);
         let theta = 1.0 / (1.0 + (-o[l] as f64).exp());
         let p = (c * theta).min(1.0);
         if u < p {
-            out.push(j as u32);
+            edges.push((i as u32, j as u32));
         }
     };
     if c >= 1.0 || c.is_nan() {
+        let mut ms = ms.iter();
         for j0 in (0..n).step_by(L) {
             let o = mlp.logits(i, j0, kk);
-            for l in 0..L.min(n - j0) {
-                if j0 + l != i {
-                    sample(&o, l, rng.gen::<f64>(), j0 + l);
-                }
+            for l in (0..L.min(n - j0)).filter(|&l| j0 + l != i) {
+                sample(&o, l, *ms.next().expect("a draw per pair"), j0 + l);
             }
         }
-        return (out, (n - 1) as u64);
+        return;
     }
-    // Candidates `js[..len]` with their draws `us[..len]`.
-    let (mut js, mut us, mut len) = ([0usize; L], [0.0f64; L], 0);
-    let mut scored = 0u64;
-    let mut rows = vec![[0.0f32; L]; mlp.b1.len()];
-    let mut score = |js: &[usize; L], us: &[f64; L], len: usize| {
-        let o = if len == L && js[0].is_multiple_of(L) && js[L - 1] - js[0] == L - 1 {
-            mlp.logits(i, js[0], kk)
+    for (js, ms) in js.chunks(L).zip(ms.chunks(L)) {
+        let (j0, len) = (js[0] as usize, js.len());
+        let o = if len == L && j0.is_multiple_of(L) && js[L - 1] as usize - j0 == L - 1 {
+            mlp.logits(i, j0, kk)
         } else {
-            mlp.gathered_logits(i, &js[..len], kk, &mut rows)
+            mlp.gathered_logits(i, js, kk, gather)
         };
         for l in 0..len {
-            sample(&o, l, us[l], js[l]);
-        }
-        scored += len as u64;
-    };
-    for j in (0..n).filter(|&j| j != i) {
-        let u = rng.gen::<f64>();
-        if u >= c {
-            continue;
-        }
-        (js[len], us[len]) = (j, u);
-        len += 1;
-        if len == L {
-            score(&js, &us, len);
-            len = 0;
+            sample(&o, l, ms[l], js[l] as usize);
         }
     }
-    if len > 0 {
-        score(&js, &us, len);
-    }
-    (out, scored)
 }
 
 /// One pairwise decoder MLP (`f_α` or `f_θ`) laid out for a decode call.
@@ -657,78 +758,78 @@ impl<'a, const L: usize> PairMlp<'a, L> {
     /// logits are meaningless and callers skip them, as they skip `j == i`.
     #[inline]
     fn logits(&self, i: usize, j0: usize, kk: usize) -> [f32; L] {
-        let [[o]] = block_logits([self], [self.block(j0)], i, kk);
+        let [[[o]]] = block_logits([self], [self.block(j0)], [i], kk);
         o
     }
 
     /// [`PairMlp::logits`] for the pairs `(i, js[l])`, `l < js.len() ≤ L`:
     /// the destinations' rows of `U` are first gathered into the lanes of
-    /// `rows` (`h` long), then scored as a block, with the same per-lane
-    /// float order. The lanes past `js.len()` keep what `rows` held; their
-    /// logits are meaningless.
+    /// `gather` (`h` long), then scored as a block, with the same per-lane
+    /// float order. The lanes past `js.len()` keep what `gather` held;
+    /// their logits are meaningless.
     #[inline]
     fn gathered_logits(
         &self,
         i: usize,
-        js: &[usize],
+        js: &[u32],
         kk: usize,
-        rows: &mut [[f32; L]],
+        gather: &mut [[f32; L]],
     ) -> [f32; L] {
         for (l, &j) in js.iter().enumerate() {
-            for (row, &v) in rows.iter_mut().zip(self.u.row(j)) {
-                row[l] = v;
+            for (lanes, &v) in gather.iter_mut().zip(self.u.row(j as usize)) {
+                lanes[l] = v;
             }
         }
-        let [[o]] = block_logits([self], [rows], i, kk);
+        let [[[o]]] = block_logits([self], [gather], [i], kk);
         o
     }
 }
 
-/// Logits `out[m][c][l]` of component `k0 + c` of `mlps[m]` for the pairs
-/// `(i, j_l)`, where `rows[m][x]` holds the `L` destinations' `U[j_l, x]`
-/// of `mlps[m]`, on the MLPs' instruction set.
+/// Logits `out[m][r][c][l]` of component `k0 + c` of `mlps[m]` for the
+/// pairs `(is[r], j_l)`, where `blocks[m][x]` holds the `L` destinations'
+/// `U[j_l, x]` of `mlps[m]`, on the MLPs' instruction set.
 #[inline(always)]
-fn block_logits<const KC: usize, const M: usize, const L: usize>(
+fn block_logits<const KC: usize, const M: usize, const R: usize, const L: usize>(
     mlps: [&PairMlp<L>; M],
-    rows: [&[[f32; L]]; M],
-    i: usize,
+    blocks: [&[[f32; L]]; M],
+    is: [usize; R],
     k0: usize,
-) -> [[[f32; L]; KC]; M] {
+) -> [[[[f32; L]; KC]; R]; M] {
     match mlps[0].isa {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: AVX-512F detected at runtime: `PairMlp::new` keeps only an
         // instruction set this CPU supports.
-        Isa::Avx512 => unsafe { lane_logits_avx512(mlps, rows, i, k0) },
+        Isa::Avx512 => unsafe { lane_logits_avx512(mlps, blocks, is, k0) },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: AVX2 detected at runtime, as above.
-        Isa::Avx2 => unsafe { lane_logits_avx2(mlps, rows, i, k0) },
-        _ => lane_logits(mlps, rows, i, k0),
+        Isa::Avx2 => unsafe { lane_logits_avx2(mlps, blocks, is, k0) },
+        _ => lane_logits(mlps, blocks, is, k0),
     }
 }
 
 /// [`lane_logits`] compiled with AVX2, where eight lanes fill one register.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn lane_logits_avx2<const KC: usize, const M: usize, const L: usize>(
+fn lane_logits_avx2<const KC: usize, const M: usize, const R: usize, const L: usize>(
     mlps: [&PairMlp<L>; M],
-    rows: [&[[f32; L]]; M],
-    i: usize,
+    blocks: [&[[f32; L]]; M],
+    is: [usize; R],
     k0: usize,
-) -> [[[f32; L]; KC]; M] {
-    lane_logits(mlps, rows, i, k0)
+) -> [[[[f32; L]; KC]; R]; M] {
+    lane_logits(mlps, blocks, is, k0)
 }
 
 /// [`lane_logits`] compiled with AVX-512F, where sixteen lanes fill one
 /// register.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-fn lane_logits_avx512<const KC: usize, const M: usize, const L: usize>(
+fn lane_logits_avx512<const KC: usize, const M: usize, const R: usize, const L: usize>(
     mlps: [&PairMlp<L>; M],
-    rows: [&[[f32; L]]; M],
-    i: usize,
+    blocks: [&[[f32; L]]; M],
+    is: [usize; R],
     k0: usize,
-) -> [[[f32; L]; KC]; M] {
-    lane_logits(mlps, rows, i, k0)
+) -> [[[[f32; L]; KC]; R]; M] {
+    lane_logits(mlps, blocks, is, k0)
 }
 
 /// The body of every logit block, compiled once per instruction set.
@@ -737,34 +838,46 @@ fn lane_logits_avx512<const KC: usize, const M: usize, const L: usize>(
 /// pair sees exactly the serial float order: `(U[i,x] − U[j,x]) + b1[x]`,
 /// then `o = b2[c]` and `o += h[x]·W2[x,c]` for ascending `x`. The
 /// accumulators are a local array whose size is known at compile time,
-/// so they stay in registers across the whole `x` loop: `M·KC` of them,
-/// one per MLP and component, each an independent chain. Every operand
-/// is sliced to `h` first, so the compiler drops nearly all of the
-/// loop's bounds checks.
+/// so they stay in registers across the whole `x` loop: `M·R·KC` of them,
+/// one per MLP, source row and component, each an independent chain. Each
+/// load of a destination lane vector and each `W2` weight serves all `R`
+/// source rows. Every operand is sliced to `h` first, so the compiler
+/// drops nearly all of the loop's bounds checks.
 #[inline(always)]
-fn lane_logits<const KC: usize, const M: usize, const L: usize>(
+fn lane_logits<const KC: usize, const M: usize, const R: usize, const L: usize>(
     mlps: [&PairMlp<L>; M],
-    rows: [&[[f32; L]]; M],
-    i: usize,
+    blocks: [&[[f32; L]]; M],
+    is: [usize; R],
     k0: usize,
-) -> [[[f32; L]; KC]; M] {
+) -> [[[[f32; L]; KC]; R]; M] {
     let h = mlps[0].b1.len();
-    let rows = rows.map(|r| &r[..h]);
-    let u_i = mlps.map(|m| &m.u.row(i)[..h]);
-    let b1 = mlps.map(|m| &m.b1[..h]);
+    let blocks: [_; M] = from_fn(|m| &blocks[m][..h]);
+    let u_i: [[_; R]; M] = from_fn(|m| from_fn(|r| &mlps[m].u.row(is[r])[..h]));
+    let b1: [_; M] = from_fn(|m| &mlps[m].b1[..h]);
     // Components `k0..k0 + KC` lie in one group, at `off..off + KC`.
-    let (w2, off) = (mlps.map(|m| &m.w2_groups[k0 / GROUP * h..][..h]), k0 % GROUP);
+    let (w2, off): ([_; M], _) =
+        (from_fn(|m| &mlps[m].w2_groups[k0 / GROUP * h..][..h]), k0 % GROUP);
     assert!(off + KC <= GROUP, "components {k0}..{} span two groups", k0 + KC);
-    let slope = mlps.map(|m| m.slope);
-    let mut out = mlps.map(|m| std::array::from_fn(|c| [m.b2[k0 + c]; L]));
+    let slope: [_; M] = from_fn(|m| mlps[m].slope);
+    let mut out = [[[[0.0; L]; KC]; R]; M];
+    for (out, mlp) in out.iter_mut().zip(mlps) {
+        for out in out.iter_mut() {
+            for (c, out) in out.iter_mut().enumerate() {
+                *out = [mlp.b2[k0 + c]; L];
+            }
+        }
+    }
     for x in 0..h {
         for m in 0..M {
-            let (a, b, u_j) = (u_i[m][x], b1[m][x], rows[m][x]);
-            let hx: [f32; L] = std::array::from_fn(|l| leaky_relu(a - u_j[l] + b, slope[m]));
-            for c in 0..KC {
-                let w = w2[m][x][off + c];
-                for l in 0..L {
-                    out[m][c][l] += hx[l] * w;
+            let (b, u_j) = (b1[m][x], blocks[m][x]);
+            for r in 0..R {
+                let a = u_i[m][r][x];
+                let hx: [f32; L] = from_fn(|l| leaky_relu(a - u_j[l] + b, slope[m]));
+                for c in 0..KC {
+                    let w = w2[m][x][off + c];
+                    for l in 0..L {
+                        out[m][r][c][l] += hx[l] * w;
+                    }
                 }
             }
         }
@@ -773,15 +886,18 @@ fn lane_logits<const KC: usize, const M: usize, const L: usize>(
 }
 
 fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    x = x.wrapping_add(PHI);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     x ^ (x >> 31)
 }
 
-fn sample_categorical(probs: &[f32], rng: &mut impl RngCore) -> usize {
+/// The component `probs` picks for a stream's output `r`: the uniform
+/// `(r >> 11)·2⁻⁵³` in `f32`, scaled by the weights' sum, walked down the
+/// weights.
+fn sample_categorical(probs: &[f32], r: u64) -> usize {
     let total: f32 = probs.iter().sum();
-    let mut x = (rng.next_u64() >> 11) as f32 / (1u64 << 53) as f32 * total;
+    let mut x = (r >> 11) as f32 / (1u64 << 53) as f32 * total;
     for (i, &p) in probs.iter().enumerate() {
         if x < p {
             return i;
@@ -894,13 +1010,12 @@ fn scalar_generate_edges(
     let h = plan.w1t.cols();
     let ut = s.matmul(&plan.w1t);
     let slope = plan.slope;
-    let (stats, c) = scalar_pass_a(plan, s, m_target);
+    let stats = scalar_pass_a(plan, s, m_target);
+    let c = stats.c;
 
     let rows: Vec<(Vec<u32>, u64)> = par::par_map_collect(n, 1, |i| {
-        let mut rng = StdRng::seed_from_u64(splitmix64(
-            seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-        ));
-        let kk = sample_categorical(&stats[i].alpha, &mut rng);
+        let mut rng = StdRng::seed_from_u64(splitmix64(seed ^ (i as u64).wrapping_mul(PHI)));
+        let kk = sample_categorical(stats.alpha(i), rng.next_u64());
         let ut_i = ut.row(i);
         let mut out = Vec::new();
         let mut rejected = 0u64;
@@ -939,10 +1054,11 @@ fn scalar_generate_edges(
     (edges, counts)
 }
 
-/// Pass A of the scalar pair loop: every row's [`RowStat`] and the density
-/// scale `c`, the oracle of [`pass_a`] (`n ≥ 2`).
+/// Pass A of the scalar pair loop: every row's mixture weights and
+/// expected edge mass, and the density scale `c`, the oracle of [`pass_a`]
+/// (`n ≥ 2`).
 #[cfg(test)]
-fn scalar_pass_a(plan: &DecodePlan, s: &Matrix, m_target: Option<f64>) -> (Vec<RowStat>, f64) {
+fn scalar_pass_a(plan: &DecodePlan, s: &Matrix, m_target: Option<f64>) -> RowStats {
     let n = s.rows();
     let k = plan.w2a.cols();
     let (w2a, b1a, b2a) = (&plan.w2a, &plan.b1a, &plan.b2a);
@@ -953,7 +1069,7 @@ fn scalar_pass_a(plan: &DecodePlan, s: &Matrix, m_target: Option<f64>) -> (Vec<R
     let slope = plan.slope;
     let calibrate = m_target.is_some();
 
-    let stats: Vec<RowStat> = par::par_map_collect(n, 1, |i| {
+    let stats: Vec<(Vec<f32>, f64)> = par::par_map_collect(n, 1, |i| {
         let mut acc = vec![0.0f64; k];
         let mut theta_sum = vec![0.0f64; k];
         let ua_i = ua.row(i);
@@ -996,12 +1112,12 @@ fn scalar_pass_a(plan: &DecodePlan, s: &Matrix, m_target: Option<f64>) -> (Vec<R
         let z: f64 = exps.iter().sum();
         let alpha: Vec<f32> = exps.iter().map(|&e| (e / z) as f32).collect();
         let expected: f64 = alpha.iter().zip(theta_sum.iter()).map(|(&a, &t)| a as f64 * t).sum();
-        RowStat { alpha, expected }
+        (alpha, expected)
     });
 
     let c = match m_target {
         Some(target) => {
-            let e_total: f64 = stats.iter().map(|r| r.expected).sum();
+            let e_total: f64 = stats.iter().map(|r| r.1).sum();
             if e_total > 1e-9 {
                 (target / e_total).clamp(1e-4, 1e4)
             } else {
@@ -1010,7 +1126,8 @@ fn scalar_pass_a(plan: &DecodePlan, s: &Matrix, m_target: Option<f64>) -> (Vec<R
         }
         None => 1.0,
     };
-    (stats, c)
+    let (alpha, expected): (Vec<Vec<f32>>, _) = stats.into_iter().unzip();
+    RowStats { alpha: alpha.concat(), expected, c }
 }
 
 #[cfg(test)]
@@ -1158,13 +1275,13 @@ mod tests {
         (isa, lanes): (Isa, usize),
         s: &Matrix,
         m_target: Option<f64>,
-    ) -> (Vec<RowStat>, f64) {
+    ) -> RowStats {
         fn run<const L: usize>(
             plan: &DecodePlan,
             isa: Isa,
             s: &Matrix,
             m: Option<f64>,
-        ) -> (Vec<RowStat>, f64) {
+        ) -> RowStats {
             let (alpha, theta) = plan.pair_mlps::<L>(isa, s);
             pass_a(&alpha, &theta, m)
         }
@@ -1181,13 +1298,14 @@ mod tests {
         /// The lane-batched kernel returns exactly the scalar oracle's
         /// edges, and scores exactly the pairs a draw alone does not
         /// reject: below one block (n < 8), whole blocks of 8 and of 16,
-        /// partial last blocks, and `i` inside such a block, with and
-        /// without calibration, on every layout (see `layouts`), on one and
-        /// three threads.
+        /// partial last blocks, and `i` inside such a block; pass A's row
+        /// pairs and pass B's groups of 8 rows whole and ending partial
+        /// (see `TAIL_NS`), with and without calibration, on every layout
+        /// (see `layouts`), on one and three threads.
         #[test]
         fn lane_kernel_matches_the_scalar_oracle(case_seed in 0u64..u64::MAX, d_s in 1usize..7) {
             let mut rng = StdRng::seed_from_u64(case_seed);
-            for n in [2, 7, 8, 9, 16, 17, 33] {
+            for n in [7, 8, 16].into_iter().chain(TAIL_NS) {
                 for h in [3, 8, 32] {
                     for k in [1, 3, 4] {
                         let plan = random_decoder(d_s, h, k, &mut rng).plan();
@@ -1213,16 +1331,21 @@ mod tests {
         }
     }
 
+    /// Row counts at which pass A's last row pair and pass B's last group
+    /// of 8 rows end partial (2, 3, 9, 15, 17, 33) or whole (2); every
+    /// row of them puts its own pair at every lane of its group.
+    const TAIL_NS: [usize; 6] = [2, 3, 9, 15, 17, 33];
+
     /// A named decode case: `(name, plan, m_target)`.
     type EdgeCase = (&'static str, DecodePlan, Option<f64>);
 
-    /// The candidate skip's edge cases on one state matrix: a NaN `f_θ`
-    /// weight (`c` falls back to 1), a NaN target (`c` is NaN), a tiny
-    /// target (`c` clamped to `1e-4`), a huge one (`c` clamped to `1e4`)
-    /// and no calibration.
-    fn skip_edge_cases() -> (Matrix, Vec<EdgeCase>) {
+    /// The candidate skip's edge cases on one `n`-row state matrix: a NaN
+    /// `f_θ` weight (NaN logits; `c` falls back to 1), a NaN target (`c`
+    /// is NaN), a tiny target (`c` clamped to `1e-4`), a huge one (`c`
+    /// clamped to `1e4`, so `c ≥ 1`) and no calibration.
+    fn skip_edge_cases(n: usize) -> (Matrix, Vec<EdgeCase>) {
         let mut rng = StdRng::seed_from_u64(11);
-        let (n, d_s, h, k) = (37, 5, 16, 3);
+        let (d_s, h, k) = (5, 16, 3);
         let base = random_decoder(d_s, h, k, &mut rng).plan();
         let s = Matrix::rand_normal(n, d_s, 0.0, 1.5, &mut rng);
         let mut nan_w2 = base.clone();
@@ -1238,23 +1361,29 @@ mod tests {
     }
 
     /// The candidate skip's edge cases, each equal to the scalar oracle on
-    /// every layout on one and three threads. The scored count shows which
-    /// pairs the skip kept.
+    /// every layout on one and three threads, at 37 rows and at each of
+    /// [`TAIL_NS`]. The scored count shows which pairs the skip kept.
     #[test]
     fn candidate_skip_edge_cases_match_the_scalar_oracle() {
-        let (s, cases) = skip_edge_cases();
+        for (s, cases) in TAIL_NS.into_iter().chain([37]).map(skip_edge_cases) {
+            assert_edge_cases_match_the_scalar_oracle(&s, &cases);
+        }
+    }
+
+    fn assert_edge_cases_match_the_scalar_oracle(s: &Matrix, cases: &[EdgeCase]) {
         let n = s.rows();
         let all = (n * (n - 1)) as u64;
-        for (name, plan, m_target) in &cases {
+        for (name, plan, m_target) in cases {
             let (plan, m_target) = (plan, *m_target);
             for seed in [3, 77] {
-                let want = scalar_generate_edges(plan, &s, m_target, seed);
+                let want = scalar_generate_edges(plan, s, m_target, seed);
                 for (layout, threads) in layouts().flat_map(|l| [(l, 1), (l, 3)]) {
                     let got =
-                        par::with_threads(threads, || decode_on(plan, layout, &s, m_target, seed));
+                        par::with_threads(threads, || decode_on(plan, layout, s, m_target, seed));
                     let (isa, lanes) = (layout.0.name(), layout.1);
-                    let at =
-                        format!("{name} seed={seed} isa={isa} lanes={lanes} threads={threads}");
+                    let at = format!(
+                        "{name} n={n} seed={seed} isa={isa} lanes={lanes} threads={threads}"
+                    );
                     assert_eq!(got, want, "{at}");
                     let counts = got.1;
                     assert_eq!(counts.pairs, all, "{at}");
@@ -1272,16 +1401,20 @@ mod tests {
     /// layout, on one and three threads: each row's `α` and expected edge
     /// mass, and the density scale `c`.
     fn assert_pass_a_is_the_oracle(plan: &DecodePlan, s: &Matrix, m_target: Option<f64>, at: &str) {
-        let (want, want_c) = scalar_pass_a(plan, s, m_target);
+        let want = scalar_pass_a(plan, s, m_target);
+        let k = plan.w2a.cols();
         for (layout, threads) in layouts().flat_map(|l| [(l, 1), (l, 3)]) {
-            let (got, c) = par::with_threads(threads, || pass_a_on(plan, layout, s, m_target));
+            let got = par::with_threads(threads, || pass_a_on(plan, layout, s, m_target));
             let at = format!("{at} isa={} lanes={} threads={threads}", layout.0.name(), layout.1);
+            let (c, want_c) = (got.c, want.c);
             assert_eq!(c.to_bits(), want_c.to_bits(), "{at}: c {c} vs {want_c}");
-            assert_eq!(got.len(), want.len(), "{at}");
-            for (i, (got, want)) in got.iter().zip(&want).enumerate() {
-                let bits = |r: &RowStat| r.alpha.iter().map(|a| a.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(got), bits(want), "{at} row {i}: alpha {got:?} vs {want:?}");
-                let (g, w) = (got.expected, want.expected);
+            assert_eq!(got.expected.len(), want.expected.len(), "{at}");
+            assert_eq!(got.alpha.len(), want.alpha.len(), "{at}");
+            for i in 0..want.expected.len() {
+                let (g, w) = (got.alpha(i), want.alpha(i));
+                let bits = |a: &[f32]| a.iter().map(|a| a.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(g), bits(w), "{at} k={k} row {i}: alpha {g:?} vs {w:?}");
+                let (g, w) = (got.expected[i], want.expected[i]);
                 assert_eq!(g.to_bits(), w.to_bits(), "{at} row {i}: expected {g} vs {w}");
             }
         }
@@ -1293,11 +1426,12 @@ mod tests {
         /// Sampled edges hide a 1-ulp drift in pass A's sums, so its
         /// intermediates are checked against the oracle directly: with K
         /// of one component group, a whole group, a group and a remainder,
-        /// and three groups, with and without calibration.
+        /// and three groups, with and without calibration, on row pairs
+        /// whole and ending with one row.
         #[test]
         fn pass_a_is_bitwise_the_scalar_oracle(case_seed in 0u64..u64::MAX, d_s in 1usize..7) {
             let mut rng = StdRng::seed_from_u64(case_seed);
-            for n in [2, 7, 8, 9, 16, 17, 33] {
+            for n in [7, 8, 16].into_iter().chain(TAIL_NS) {
                 for h in [3, 8, 32] {
                     for k in [1, 3, 4, 5, 9] {
                         let plan = random_decoder(d_s, h, k, &mut rng).plan();
@@ -1317,9 +1451,38 @@ mod tests {
     /// target, `c` clamped at both ends, and no calibration.
     #[test]
     fn pass_a_edge_cases_match_the_scalar_oracle() {
-        let (s, cases) = skip_edge_cases();
-        for (name, plan, m_target) in &cases {
-            assert_pass_a_is_the_oracle(plan, &s, *m_target, name);
+        for (s, cases) in TAIL_NS.into_iter().chain([37]).map(skip_edge_cases) {
+            for (name, plan, m_target) in &cases {
+                assert_pass_a_is_the_oracle(plan, &s, *m_target, &format!("{name} n={}", s.rows()));
+            }
+        }
+    }
+
+    /// The integer candidate test is exactly the float one it replaced: a
+    /// draw `m` (the top 53 bits) is a candidate when `u = m·2⁻⁵³` does not
+    /// satisfy `u >= c`, for `c` at the clamps, below and at 1, above 1,
+    /// NaN, not positive, subnormal and random, and for `m` at both ends
+    /// and on each side of the bound.
+    #[test]
+    fn draw_bound_is_exactly_the_float_candidate_test() {
+        let mut rng = StdRng::seed_from_u64(12);
+        let below_one = 1.0 - f64::EPSILON / 2.0;
+        let mut cs = vec![1e-4, 1e4, 0.5, 1.0 / 3.0, below_one, 1.0, f64::NAN, 0.0, -1.0];
+        cs.extend([f64::MIN_POSITIVE, 5e-324, f64::INFINITY, f64::NEG_INFINITY]);
+        cs.extend((0..2000).map(|_| rng.gen::<f64>()));
+        cs.extend((0..200).map(|_| rng.gen_range(1e-4..1e-3)));
+        for c in cs {
+            let bound = draw_bound(c);
+            let mut ms = vec![0, 1, (1 << 53) - 1, rng.gen_range(0..1 << 53)];
+            ms.extend(
+                [bound.wrapping_sub(1), bound, bound + 1].into_iter().filter(|&m| m < 1 << 53),
+            );
+            for m in ms {
+                let u = m as f64 * (1.0 / (1u64 << 53) as f64);
+                #[allow(clippy::neg_cmp_op_on_partial_ord)]
+                let candidate = !(u >= c);
+                assert_eq!(m < bound, candidate, "c={c:e} m={m} bound={bound}");
+            }
         }
     }
 
@@ -1344,11 +1507,11 @@ mod tests {
     /// Ascending destination sets of row `i` for the gathered logits, at
     /// most `L` long: a random partial group, a full random group, a set
     /// that straddles `i`, and a consecutive run.
-    fn gather_sets<const L: usize>(n: usize, i: usize, rng: &mut StdRng) -> Vec<Vec<usize>> {
+    fn gather_sets<const L: usize>(n: usize, i: usize, rng: &mut StdRng) -> Vec<Vec<u32>> {
         let mut sets = Vec::new();
         let mut push = |mut picked: Vec<usize>| {
             picked.sort_unstable();
-            sets.push(picked);
+            sets.push(picked.into_iter().map(|j| j as u32).collect());
         };
         let subset = |len: usize, from: &[usize], rng: &mut StdRng| {
             let mut pool = from.to_vec();
@@ -1408,26 +1571,27 @@ mod tests {
         }
     }
 
-    /// The logits of components `k0..k0 + KC` for the block `j0` of row
-    /// `i`, as pass A computes them: `[f_α, f_θ]` from the fused block,
-    /// then `f_α` alone.
+    /// The logits of components `k0..k0 + KC` for the block `j0` of each
+    /// of the rows `is`, as pass A computes them for a pair of rows: `[f_α,
+    /// f_θ]` from the fused block, then `f_α` alone.
     fn group_logits<const KC: usize, const L: usize>(
         mlps: [&PairMlp<L>; 2],
-        i: usize,
+        is: [usize; 2],
         j0: usize,
         k0: usize,
-    ) -> [Vec<[f32; L]>; 3] {
-        let rows = mlps.map(|m| m.block(j0));
-        let [fa, ft] = block_logits::<KC, 2, L>(mlps, rows, i, k0);
-        let [a] = block_logits::<KC, 1, L>([mlps[0]], [rows[0]], i, k0);
-        [fa.to_vec(), ft.to_vec(), a.to_vec()]
+    ) -> [[Vec<[f32; L]>; 3]; 2] {
+        let blocks = mlps.map(|m| m.block(j0));
+        let [fa, ft] = block_logits::<KC, 2, 2, L>(mlps, blocks, is, k0);
+        let [a] = block_logits::<KC, 1, 2, L>([mlps[0]], [blocks[0]], is, k0);
+        [0, 1].map(|r| [fa[r].to_vec(), ft[r].to_vec(), a[r].to_vec()])
     }
 
     /// `U` entries `(is_alpha, j, x, value)` to poke before scoring.
     type UPokes = [(bool, usize, usize, f32)];
 
     /// The checks of `lane_logits_are_bitwise_the_scalar_pair_logits` for
-    /// one plan on `isa` in blocks of `L`: every block of every row, every
+    /// one plan on `isa` in blocks of `L`: every block of every row, paired
+    /// with row `n − 1 − i` (itself, in the middle of an odd `n`), every
     /// component group, and the gathered form on [`gather_sets`].
     fn assert_lane_logits_are_the_scalar_ones<const L: usize>(
         plan: &DecodePlan,
@@ -1438,7 +1602,7 @@ mod tests {
     ) {
         let (n, h, k) = (s.rows(), plan.w1a.cols(), plan.w2a.cols());
         let sets: Vec<_> = (0..n).map(|i| gather_sets::<L>(n, i, rng)).collect();
-        let mut rows = vec![[0.0f32; L]; h];
+        let mut gather = vec![[0.0f32; L]; h];
         let (mut alpha, mut theta) = plan.pair_mlps::<L>(isa, s);
         for &(is_alpha, j, x, v) in u_pokes {
             if is_alpha { &mut alpha } else { &mut theta }.set_u(j, x, v);
@@ -1452,35 +1616,40 @@ mod tests {
         for i in 0..n {
             for j0 in (0..n).step_by(L) {
                 for k0 in (0..k).step_by(GROUP) {
-                    let mlps = [&alpha, &theta];
-                    let [fa, ft, a] = match GROUP.min(k - k0) {
-                        1 => group_logits::<1, L>(mlps, i, j0, k0),
-                        2 => group_logits::<2, L>(mlps, i, j0, k0),
-                        3 => group_logits::<3, L>(mlps, i, j0, k0),
-                        _ => group_logits::<GROUP, L>(mlps, i, j0, k0),
+                    let (mlps, is) = ([&alpha, &theta], [i, n - 1 - i]);
+                    let pair = match GROUP.min(k - k0) {
+                        1 => group_logits::<1, L>(mlps, is, j0, k0),
+                        2 => group_logits::<2, L>(mlps, is, j0, k0),
+                        3 => group_logits::<3, L>(mlps, is, j0, k0),
+                        _ => group_logits::<GROUP, L>(mlps, is, j0, k0),
                     };
-                    for c in k0..k0 + fa.len() {
-                        let (pa, pt) = (alpha.logits(i, j0, c), theta.logits(i, j0, c));
-                        for j in j0..n.min(j0 + L) {
-                            let (l, g) = (j - j0, c - k0);
-                            let at =
-                                format!("n={n} h={h} k={k} i={i} j={j} c={c} isa={isa} lanes={L}");
-                            assert_eq!(logit_bits(pa[l]), want(0, i, j, c), "pass B f_α {at}");
-                            assert_eq!(logit_bits(pt[l]), want(1, i, j, c), "pass B f_θ {at}");
-                            assert_eq!(logit_bits(fa[g][l]), logit_bits(pa[l]), "fused f_α {at}");
-                            assert_eq!(logit_bits(ft[g][l]), logit_bits(pt[l]), "fused f_θ {at}");
-                            assert_eq!(logit_bits(a[g][l]), logit_bits(pa[l]), "f_α only {at}");
+                    for ([fa, ft, a], i) in pair.iter().zip(is) {
+                        for c in k0..k0 + fa.len() {
+                            let (pa, pt) = (alpha.logits(i, j0, c), theta.logits(i, j0, c));
+                            for j in j0..n.min(j0 + L) {
+                                let (l, g) = (j - j0, c - k0);
+                                let at = format!(
+                                    "n={n} h={h} k={k} rows={is:?} i={i} j={j} c={c} isa={isa} lanes={L}"
+                                );
+                                assert_eq!(logit_bits(pa[l]), want(0, i, j, c), "pass B f_α {at}");
+                                assert_eq!(logit_bits(pt[l]), want(1, i, j, c), "pass B f_θ {at}");
+                                let fused = (logit_bits(fa[g][l]), logit_bits(ft[g][l]));
+                                assert_eq!(fused.0, logit_bits(pa[l]), "fused f_α {at}");
+                                assert_eq!(fused.1, logit_bits(pt[l]), "fused f_θ {at}");
+                                assert_eq!(logit_bits(a[g][l]), logit_bits(pa[l]), "f_α only {at}");
+                            }
                         }
                     }
                 }
             }
-            // `rows` carries the lanes of the previous sets past `js.len()`.
+            // `gather` carries the lanes of the previous sets past `js.len()`.
             for js in &sets[i] {
                 for c in 0..k {
-                    let o = theta.gathered_logits(i, js, c, &mut rows);
+                    let o = theta.gathered_logits(i, js, c, &mut gather);
                     for l in 0..js.len() {
                         let at = format!("n={n} h={h} k={k} i={i} js={js:?} c={c} isa={isa}");
-                        assert_eq!(logit_bits(o[l]), want(1, i, js[l], c), "gathered {at}");
+                        let j = js[l] as usize;
+                        assert_eq!(logit_bits(o[l]), want(1, i, j, c), "gathered {at}");
                     }
                 }
             }
@@ -1599,7 +1768,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(9);
         let mut counts = [0usize; 3];
         for _ in 0..3000 {
-            counts[sample_categorical(&[0.1, 0.6, 0.3], &mut rng)] += 1;
+            counts[sample_categorical(&[0.1, 0.6, 0.3], rng.next_u64())] += 1;
         }
         assert!(counts[1] > counts[0] && counts[1] > counts[2]);
         assert!(counts[0] > 100);

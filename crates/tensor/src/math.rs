@@ -289,6 +289,32 @@ pub fn sigmoid_slice(xs: &mut [f32]) {
     map(xs, Kernel::Sigmoid);
 }
 
+/// [`sigmoid_slice`] on `isa`, for a kernel already compiled for `isa`
+/// (see [`simd`]): the body is inlined into the caller's loop, so a block
+/// of a few dozen values costs neither a call nor a dispatch on
+/// [`simd::isa`]. Gives the same bits as [`sigmoid_slice`].
+///
+/// # Safety
+/// The CPU must support `isa`.
+#[inline(always)]
+pub unsafe fn sigmoid_on(isa: Isa, xs: &mut [f32]) {
+    match isa {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: the caller guarantees that the CPU supports `isa`, and
+        // AVX-512 includes AVX2.
+        Isa::Avx2 | Isa::Avx512 => {
+            let mut blocks = xs.chunks_exact_mut(avx2::LANES);
+            for block in &mut blocks {
+                // SAFETY: AVX2, as above.
+                unsafe { avx2::sigmoid_block(block.try_into().expect("a whole block")) };
+            }
+            // SAFETY: AVX2, as above.
+            unsafe { avx2::map(blocks.into_remainder(), Kernel::Sigmoid) };
+        }
+        _ => xs.iter_mut().for_each(|x| *x = 1.0 / (1.0 + exp_f32(-*x))),
+    }
+}
+
 /// `xs[i] = tanh_f32(xs[i])`.
 pub fn tanh_slice(xs: &mut [f32]) {
     map(xs, Kernel::Tanh);
@@ -329,7 +355,15 @@ mod avx2 {
     use std::arch::x86_64::*;
 
     /// Lanes of one block: one AVX2 register of `f32`.
-    const LANES: usize = 8;
+    pub(super) const LANES: usize = 8;
+
+    /// The logistic sigmoid of one block, in place.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    pub(super) fn sigmoid_block(xs: &mut [f32; LANES]) {
+        // SAFETY: `xs` holds LANES `f32`s; the load and store are unaligned.
+        unsafe { _mm256_storeu_ps(xs.as_mut_ptr(), sigmoid(_mm256_loadu_ps(xs.as_ptr()))) };
+    }
 
     /// Maps `xs` through `kernel`, eight lanes at a time; the last,
     /// partial block is padded with 1, an input no body treats as special.
@@ -670,6 +704,18 @@ mod tests {
         let want = digest(xs.iter().map(|&x| 1.0 / (1.0 + exp_f32(-x))));
         for isa in simd::supported() {
             assert_eq!(digest(on_isa(isa, &xs, sigmoid_slice)), want, "{}", isa.name());
+        }
+    }
+
+    #[test]
+    fn sigmoid_on_is_the_slice_kernel_on_every_isa() {
+        let xs = sample_inputs(&exp_named());
+        let want = digest(xs.iter().map(|&x| 1.0 / (1.0 + exp_f32(-x))));
+        for isa in simd::supported() {
+            let mut ys = xs.clone();
+            // SAFETY: `simd::supported` names only what this CPU supports.
+            unsafe { sigmoid_on(isa, &mut ys) };
+            assert_eq!(digest(ys), want, "{}", isa.name());
         }
     }
 

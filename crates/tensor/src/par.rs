@@ -123,6 +123,32 @@ where
     out
 }
 
+/// [`par_map_collect`] where each worker first makes a scratch state with
+/// `init` and hands it to `f` for each of its indices, so a buffer is
+/// allocated once per worker rather than once per index. `f` must not
+/// let the result depend on what earlier indices left in the state: the
+/// indices a worker gets depend on the thread count.
+pub fn par_map_init_collect<S, T, I, F>(n: usize, min_per_thread: usize, init: I, f: F) -> Vec<T>
+where
+    T: Send + Default + Clone,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, usize) -> T + Sync,
+{
+    let mut out = vec![T::default(); n];
+    {
+        let slots = SendPtr(out.as_mut_ptr());
+        par_ranges(n, min_per_thread, |range| {
+            let slots = &slots;
+            let mut state = init();
+            for i in range {
+                // SAFETY: as in `par_map_collect`.
+                unsafe { *slots.0.add(i) = f(&mut state, i) };
+            }
+        });
+    }
+    out
+}
+
 /// Pointer wrapper asserting cross-thread transfer is safe for our
 /// disjoint-range writes.
 struct SendPtr<T>(*mut T);
@@ -142,27 +168,52 @@ where
     F: Fn(usize, &mut [f32]) + Sync,
 {
     assert!(cols > 0, "cols must be positive");
-    let rows = data.len() / cols;
-    if rows == 0 {
-        return;
-    }
+    // A zero-sized second array: it allocates nothing.
+    let mut rows = vec![(); data.len().div_ceil(cols)];
+    par_zip_row_chunks_mut(data, cols, &mut rows, 1, min_rows, |row0, chunk, _| f(row0, chunk));
+}
+
+/// Run `f` on disjoint mutable row chunks of two arrays split at the same
+/// rows: a row is `a_cols` items of `a` and `b_cols` items of `b`, and the
+/// last row of each may be short. The closure receives the index of the
+/// chunk's first row and the two chunks.
+///
+/// # Panics
+/// Panics when a column count is 0 or the two arrays hold different
+/// numbers of rows.
+pub fn par_zip_row_chunks_mut<A, B, F>(
+    a: &mut [A],
+    a_cols: usize,
+    b: &mut [B],
+    b_cols: usize,
+    min_rows: usize,
+    f: F,
+) where
+    A: Send,
+    B: Send,
+    F: Fn(usize, &mut [A], &mut [B]) + Sync,
+{
+    assert!(a_cols > 0 && b_cols > 0, "cols must be positive");
+    let rows = a.len().div_ceil(a_cols);
+    assert_eq!(rows, b.len().div_ceil(b_cols), "both arrays hold the same rows");
     let threads = num_threads().min(rows / min_rows.max(1)).max(1);
     if threads <= 1 {
-        f(0, data);
+        if rows > 0 {
+            f(0, a, b);
+        }
         return;
     }
     let chunk_rows = rows.div_ceil(threads);
     std::thread::scope(|s| {
-        let mut rest = data;
-        let mut row0 = 0usize;
-        while !rest.is_empty() {
-            let take = (chunk_rows * cols).min(rest.len());
-            let (head, tail) = rest.split_at_mut(take);
+        let (mut a, mut b) = (a, b);
+        for row0 in (0..rows).step_by(chunk_rows) {
+            let (a_len, b_len) =
+                ((chunk_rows * a_cols).min(a.len()), (chunk_rows * b_cols).min(b.len()));
+            let (a_head, a_tail) = std::mem::take(&mut a).split_at_mut(a_len);
+            let (b_head, b_tail) = std::mem::take(&mut b).split_at_mut(b_len);
+            (a, b) = (a_tail, b_tail);
             let f = &f;
-            let start = row0;
-            s.spawn(move || f(start, head));
-            row0 += take / cols;
-            rest = tail;
+            s.spawn(move || f(row0, a_head, b_head));
         }
     });
 }
@@ -254,6 +305,39 @@ mod tests {
         for (i, x) in v.iter().enumerate() {
             assert_eq!(*x, i * 3);
         }
+    }
+
+    #[test]
+    fn par_map_init_collect_preserves_order_and_inits_once_per_worker() {
+        for threads in [1, 3] {
+            let inits = AtomicUsize::new(0);
+            let v = with_threads(threads, || {
+                par_map_init_collect(257, 1, || inits.fetch_add(1, Ordering::Relaxed), |_, i| i * 3)
+            });
+            assert!(v.iter().enumerate().all(|(i, &x)| x == i * 3), "threads={threads}");
+            assert_eq!(inits.load(Ordering::Relaxed), threads, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn par_zip_row_chunks_mut_splits_both_arrays_at_the_same_rows() {
+        // 9 rows: 3 items of `a` and 2 of `b` each, the last row of both
+        // short.
+        for threads in [1, 2, 4, 9] {
+            let (mut a, mut b) = (vec![usize::MAX; 26], vec![usize::MAX; 17]);
+            with_threads(threads, || {
+                par_zip_row_chunks_mut(&mut a, 3, &mut b, 2, 1, |row0, a, b| {
+                    assert_eq!(a.len().div_ceil(3), b.len().div_ceil(2), "threads={threads}");
+                    a.iter_mut().enumerate().for_each(|(x, v)| *v = row0 + x / 3);
+                    b.iter_mut().enumerate().for_each(|(x, v)| *v = row0 + x / 2);
+                });
+            });
+            assert!(a.iter().enumerate().all(|(x, &v)| v == x / 3), "threads={threads}: {a:?}");
+            assert!(b.iter().enumerate().all(|(x, &v)| v == x / 2), "threads={threads}: {b:?}");
+        }
+        par_zip_row_chunks_mut(&mut [0u8; 0], 1, &mut [0u8; 0], 1, 1, |_, _, _| {
+            panic!("must not be called")
+        });
     }
 
     #[test]
