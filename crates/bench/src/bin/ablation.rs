@@ -39,7 +39,7 @@ const VARIANTS: [&str; 8] = [
 ];
 
 fn main() {
-    let opts = RunOpts::from_env();
+    let opts = RunOpts::from_env(&[]);
     let specs = selected_specs(&opts, &["Email"]);
     println!("Appendix A-E ablation | scale={} seed={}\n", opts.scale.name(), opts.seed);
     let headers = ["In-deg dist", "Out-deg dist", "Clus dist", "Wedge count", "NC", "JSD", "EMD"];

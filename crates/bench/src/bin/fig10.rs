@@ -12,7 +12,7 @@ const CONDITIONS: [&str; 3] = ["VRDAG", "GenCAT", "NoAug"];
 const RUNS: usize = 3;
 
 fn main() {
-    let opts = RunOpts::from_env();
+    let opts = RunOpts::from_env(&[]);
     let specs = selected_specs(&opts, &["Email", "Wiki", "GDELT"]);
     println!(
         "Fig. 10 reproduction (downstream augmentation, {} runs) | scale={} seed={}\n",

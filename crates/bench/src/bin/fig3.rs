@@ -10,7 +10,7 @@ const METHODS: [&str; 3] = ["VRDAG", "GenCAT", "Normal"];
 const ALL_DATASETS: [&str; 6] = ["Email", "Bitcoin", "Wiki", "Guarantee", "Brain", "GDELT"];
 
 fn main() {
-    let opts = RunOpts::from_env();
+    let opts = RunOpts::from_env(&[]);
     let specs = selected_specs(&opts, &ALL_DATASETS);
     println!(
         "Fig. 3 reproduction (attribute JSD / EMD) | scale={} seed={}\n",

@@ -15,7 +15,7 @@ const PROPS: [(StructuralProperty, &str); 3] = [
 ];
 
 fn main() {
-    let opts = RunOpts::from_env();
+    let opts = RunOpts::from_env(&[]);
     let specs = selected_specs(&opts, &["Email", "Wiki", "GDELT"]);
     println!(
         "Figures 4–6 reproduction (temporal structure differences) | scale={} seed={}\n",

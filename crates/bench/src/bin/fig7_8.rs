@@ -10,7 +10,7 @@ use vrdag_metrics::dynamic::{
 };
 
 fn main() {
-    let opts = RunOpts::from_env();
+    let opts = RunOpts::from_env(&[]);
     let specs = selected_specs(&opts, &["Email", "Wiki", "GDELT"]);
     println!(
         "Figures 7–8 reproduction (temporal attribute differences) | scale={} seed={}\n",

@@ -9,7 +9,7 @@ const METHODS: [&str; 4] = ["VRDAG", "TIGGER", "TGGAN", "TagGen"];
 const ALL_DATASETS: [&str; 6] = ["Email", "Bitcoin", "Wiki", "Guarantee", "Brain", "GDELT"];
 
 fn main() {
-    let opts = RunOpts::from_env();
+    let opts = RunOpts::from_env(&["--trend"]);
     println!("Fig. 9 reproduction (efficiency) | scale={} seed={}\n", opts.scale.name(), opts.seed);
     if opts.has_flag("--trend") {
         trend(&opts);

@@ -30,7 +30,7 @@ fn run_config(
 }
 
 fn main() {
-    let opts = RunOpts::from_env();
+    let opts = RunOpts::from_env(&[]);
     let specs = selected_specs(&opts, &["Email"]);
     println!("Appendix A-F parameter analysis | scale={} seed={}\n", opts.scale.name(), opts.seed);
     let headers = ["In-deg dist", "Out-deg dist", "Clus dist", "JSD", "train (s)"];

@@ -9,7 +9,7 @@ use vrdag_bench::report::{results_dir, Table};
 use vrdag_metrics::structure::StructureReport;
 
 fn main() {
-    let opts = RunOpts::from_env();
+    let opts = RunOpts::from_env(&[]);
     let specs = selected_specs(&opts, &TABLE1_DATASETS);
     println!(
         "Table I reproduction | scale={} seed={} ({} datasets)\n",

@@ -7,7 +7,7 @@ use vrdag_bench::harness::{load_dataset, selected_specs, RunOpts};
 use vrdag_bench::report::{results_dir, Table};
 
 fn main() {
-    let opts = RunOpts::from_env();
+    let opts = RunOpts::from_env(&[]);
     let specs = selected_specs(&opts, &TABLE2_DATASETS);
     println!(
         "Table II reproduction (Spearman correlation MAE) | scale={} seed={}\n",

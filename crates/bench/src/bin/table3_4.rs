@@ -10,7 +10,7 @@ use vrdag_bench::report::{results_dir, Table};
 const METHODS: [&str; 4] = ["TagGen", "TGGAN", "TIGGER", "VRDAG"];
 
 fn main() {
-    let opts = RunOpts::from_env();
+    let opts = RunOpts::from_env(&[]);
     let spec = vrdag_datasets::gdelt().scaled(opts.scale.factor());
     let full = vrdag_datasets::generate(&spec, opts.seed);
     let m_full = full.temporal_edge_count();

@@ -65,43 +65,64 @@ pub struct RunOpts {
     pub seed: u64,
     /// Dataset name filter (empty = experiment default).
     pub datasets: Vec<String>,
-    /// Extra flag bucket (e.g. `--trend` for fig9).
+    /// The extra switches given, out of those the binary allows (e.g.
+    /// `--trend` for fig9).
     pub flags: Vec<String>,
 }
 
 impl RunOpts {
-    /// Parse `std::env::args()`. Unknown `--key value` pairs go to `flags`.
-    pub fn from_env() -> RunOpts {
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        Self::parse(&args)
+    /// Parse `std::env::args()`, allowing the switches in `extra` besides
+    /// the shared flags. A usage error prints its message and the usage,
+    /// and exits with status 2.
+    pub fn from_env(extra: &[&str]) -> RunOpts {
+        let mut args = std::env::args();
+        let prog = args.next().unwrap_or_default();
+        let prog = std::path::Path::new(&prog)
+            .file_name()
+            .map_or(prog.clone(), |name| name.to_string_lossy().into_owned());
+        let args: Vec<String> = args.collect();
+        Self::parse(&args, extra).unwrap_or_else(|e| {
+            let extra: String = extra.iter().map(|f| format!(" [{f}]")).collect();
+            eprintln!(
+                "{prog}: {e}\nusage: {prog} [--scale small|medium|paper] [--seed N] \
+                 [--datasets a,b,c]{extra}"
+            );
+            std::process::exit(2)
+        })
     }
 
-    pub fn parse(args: &[String]) -> RunOpts {
+    /// Parse `args` (program name excluded). A flag that is neither shared
+    /// nor in `extra`, a shared flag without a value, and a value that
+    /// does not parse or names no dataset are errors naming the flag.
+    pub fn parse(args: &[String], extra: &[&str]) -> Result<RunOpts, String> {
         let mut opts =
             RunOpts { scale: Scale::Small, seed: 42, datasets: Vec::new(), flags: Vec::new() };
-        let mut i = 0;
-        while i < args.len() {
-            match args[i].as_str() {
-                "--scale" if i + 1 < args.len() => {
-                    opts.scale = Scale::parse(&args[i + 1])
-                        .unwrap_or_else(|| panic!("unknown scale: {}", args[i + 1]));
-                    i += 2;
+        let mut args = args.iter();
+        while let Some(flag) = args.next() {
+            let mut value = || args.next().ok_or_else(|| format!("{flag} needs a value"));
+            match flag.as_str() {
+                "--scale" => {
+                    let v = value()?;
+                    opts.scale = Scale::parse(v)
+                        .ok_or_else(|| format!("invalid value {v:?} for --scale"))?;
                 }
-                "--seed" if i + 1 < args.len() => {
-                    opts.seed = args[i + 1].parse().expect("--seed takes an integer");
-                    i += 2;
+                "--seed" => {
+                    let v = value()?;
+                    opts.seed = v.parse().map_err(|_| format!("invalid value {v:?} for --seed"))?;
                 }
-                "--datasets" if i + 1 < args.len() => {
-                    opts.datasets = args[i + 1].split(',').map(|s| s.trim().to_string()).collect();
-                    i += 2;
+                "--datasets" => {
+                    opts.datasets = value()?.split(',').map(|s| s.trim().to_string()).collect();
+                    for name in &opts.datasets {
+                        vrdag_datasets::by_name_or_err(name)
+                            .map_err(|e| format!("--datasets: {e}"))?;
+                    }
                 }
-                other => {
-                    opts.flags.push(other.to_string());
-                    i += 1;
-                }
+                f if extra.contains(&f) => opts.flags.push(flag.clone()),
+                f if f.starts_with('-') => return Err(format!("unknown flag {flag}")),
+                _ => return Err(format!("unexpected argument {flag:?}")),
             }
         }
-        opts
+        Ok(opts)
     }
 
     pub fn has_flag(&self, flag: &str) -> bool {
@@ -198,7 +219,7 @@ mod tests {
 
     #[test]
     fn parse_defaults() {
-        let o = RunOpts::parse(&[]);
+        let o = RunOpts::parse(&[], &[]).unwrap();
         assert_eq!(o.scale, Scale::Small);
         assert_eq!(o.seed, 42);
         assert!(o.datasets.is_empty());
@@ -206,19 +227,30 @@ mod tests {
 
     #[test]
     fn parse_full_command_line() {
-        let o = RunOpts::parse(&args(&[
-            "--scale",
-            "medium",
-            "--seed",
-            "7",
-            "--datasets",
-            "Email,Wiki",
-            "--trend",
-        ]));
+        let o = RunOpts::parse(
+            &args(&["--scale", "medium", "--seed", "7", "--datasets", "Email,Wiki", "--trend"]),
+            &["--trend"],
+        )
+        .unwrap();
         assert_eq!(o.scale, Scale::Medium);
         assert_eq!(o.seed, 7);
         assert_eq!(o.datasets, vec!["Email", "Wiki"]);
         assert!(o.has_flag("--trend"));
+    }
+
+    #[test]
+    fn parse_rejects_what_it_does_not_know_naming_the_flag() {
+        let err = |v: &[&str], extra: &[&str]| RunOpts::parse(&args(v), extra).unwrap_err();
+        assert_eq!(err(&["--trnd"], &["--trend"]), "unknown flag --trnd");
+        assert_eq!(err(&["--trend"], &[]), "unknown flag --trend", "extras are per binary");
+        assert_eq!(err(&["--sed", "7"], &[]), "unknown flag --sed");
+        assert_eq!(err(&["--seed", "7", "--scale"], &[]), "--scale needs a value");
+        assert_eq!(err(&["--datasets"], &[]), "--datasets needs a value");
+        assert_eq!(err(&["--scale", "huge"], &[]), "invalid value \"huge\" for --scale");
+        assert_eq!(err(&["--seed", "x"], &[]), "invalid value \"x\" for --seed");
+        assert_eq!(err(&["7"], &[]), "unexpected argument \"7\"");
+        assert!(err(&["--datasets", "Email,Emial"], &[])
+            .starts_with("--datasets: unknown dataset \"Emial\""));
     }
 
     #[test]
@@ -239,7 +271,7 @@ mod tests {
 
     #[test]
     fn selected_specs_respects_filter() {
-        let mut o = RunOpts::parse(&[]);
+        let mut o = RunOpts::parse(&[], &[]).unwrap();
         o.datasets = vec!["Email".into()];
         let specs = selected_specs(&o, &["Email", "Wiki"]);
         assert_eq!(specs.len(), 1);

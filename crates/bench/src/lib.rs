@@ -1,7 +1,7 @@
 //! # vrdag-bench
 //!
 //! Experiment harness regenerating **every table and figure** of the VRDAG
-//! paper's evaluation (§IV), plus Criterion micro-benchmarks.
+//! paper's evaluation (§IV), plus the `kernels` micro-benchmarks.
 //!
 //! One binary per experiment:
 //!
@@ -18,10 +18,13 @@
 //! | `ablation`  | Appendix A-E — component ablations |
 //! | `param_analysis` | Appendix A-F — sensitivity to `d_z`, `d_h`, `K`, `L` |
 //! | `fidelity`  | Tables I and II over seeds 42 and 1–5, gated against `FIDELITY.json` |
+//! | `kernels`   | none: micro-benchmarks of the tensor, decode, graph and metric kernels |
 //!
-//! All binaries but `fidelity` accept `--scale {small|medium|paper}` (default `small`),
-//! `--seed N`, and `--datasets a,b,c`; results are printed as aligned
-//! tables and written as TSV under `results/`.
+//! All binaries but `fidelity` and `kernels` accept `--scale {small|medium|paper}`
+//! (default `small`), `--seed N`, and `--datasets a,b,c`; any other flag
+//! but `fig9`'s `--trend` exits 2. Results are printed as aligned tables
+//! and written as TSV under `results/`. `kernels [FILTER]` times only the
+//! cases whose label contains FILTER.
 
 pub mod fidelity;
 pub mod grids;
